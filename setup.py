@@ -9,7 +9,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     extras_require={
-        "vector": ["numpy"],
-        "test": ["pytest", "pytest-benchmark", "hypothesis", "numpy"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

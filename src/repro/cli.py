@@ -61,10 +61,8 @@ from .workloads.registry import SPLASH2_NAMES, generate
 
 def _version_string() -> str:
     from .sim.sweep import ENGINE_VERSION
-    from .smp.engine import default_backend
-    base = (f"repro {__version__} (engine {ENGINE_VERSION}, "
-            f"backend {default_backend()})")
-    return base + _checkpoint_suffix()
+    return (f"repro {__version__} (engine {ENGINE_VERSION})"
+            + _checkpoint_suffix())
 
 
 def _checkpoint_suffix() -> str:
@@ -78,15 +76,6 @@ def _checkpoint_suffix() -> str:
     return (f" [checkpoints {stats['count']}, "
             f"{stats['bytes'] / 1e6:.1f} MB, "
             f"hit rate {'-' if rate is None else format(rate, '.0%')}]")
-
-
-def _add_engine_argument(command) -> None:
-    from .smp.engine import ENGINE_CHOICES
-    command.add_argument("--engine", default="auto",
-                         choices=list(ENGINE_CHOICES),
-                         help="engine backend (auto = vector when "
-                              "numpy is importable, scalar otherwise; "
-                              "both are bit-identical)")
 
 
 def _add_machine_arguments(command, default_scale: float) -> None:
@@ -104,7 +93,6 @@ def _add_machine_arguments(command, default_scale: float) -> None:
     command.add_argument("--memprotect", action="store_true",
                          help="add OTP memory encryption + CHash "
                               "integrity")
-    _add_engine_argument(command)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--configs", nargs="+",
                          default=["baseline", "senss", "integrated"],
                          choices=["baseline", "senss", "integrated"])
-    _add_engine_argument(profile)
     profile.add_argument("--cprofile", action="store_true",
                          help="also print the hottest functions")
     profile.add_argument("--breakdown", action="store_true",
@@ -233,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--perturb", default=None,
                         metavar="NAME=VALUE",
                         help="exactly one knob to change "
-                             "(auth_interval, masks, engine, "
+                             "(auth_interval, masks, "
                              "aes_latency, hash_latency, seed, scale, "
                              "fault=kind[:trigger]); omitted = pure "
                              "determinism check")
@@ -388,7 +375,6 @@ def _machine_config(args):
     config = e6000_config(num_processors=args.cpus, l2_mb=args.l2_mb,
                           auth_interval=args.interval)
     config = config.with_masks(args.masks or None)
-    config = config.with_engine(args.engine)
     if args.memprotect:
         config = config.with_memprotect(encryption_enabled=True,
                                         integrity_enabled=True)
@@ -485,8 +471,7 @@ def _cmd_report(args) -> int:
                           num_cpus=workload.num_cpus,
                           scale=args.scale,
                           histograms=tracer.histogram_summaries(),
-                          timings=timer.as_dict(),
-                          engine_backend=system.engine_backend)
+                          timings=timer.as_dict())
     # Write the JSON before printing: a truncated stdout pipe
     # (BrokenPipeError, e.g. `... | head`) must not lose the report.
     if args.json_out:
@@ -527,7 +512,7 @@ def _profile_config(kind: str, args):
     if kind == "integrated":
         config = config.with_memprotect(encryption_enabled=True,
                                         integrity_enabled=True)
-    return config.with_engine(getattr(args, "engine", "auto"))
+    return config
 
 
 class _ExclusiveTimer:
@@ -637,26 +622,24 @@ def _cmd_profile(args) -> int:
                         seed=args.seed)
     accesses = workload.total_accesses
     rows = []
-    backend = None
     for kind in args.configs:
         config = _profile_config(kind, args)
         best = None
         result = None
         for _ in range(max(1, args.repeats)):
             system = build_system(config)
-            backend = system.engine_backend
             start = time.perf_counter()
             result = system.run(workload)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
-        rows.append([kind, backend, f"{accesses / best:,.0f}",
+        rows.append([kind, f"{accesses / best:,.0f}",
                      f"{result.cycles / best / 1e6:,.1f}",
                      f"{best:.3f}"])
     print(format_table(
         f"Engine throughput — {args.workload}, {args.cpus}P, "
         f"{args.l2_mb}M L2, scale {args.scale:g} "
         f"({accesses} accesses)",
-        ["config", "backend", "accesses/s", "Mcycles/s", "seconds"],
+        ["config", "accesses/s", "Mcycles/s", "seconds"],
         rows))
 
     from .sim.checkpoint import DEFAULT_CHECKPOINT_DIR, CheckpointStore

@@ -197,17 +197,10 @@ class SystemConfig:
     memprotect: MemProtectConfig = field(default_factory=MemProtectConfig)
     dram_access_ns: int = 80
     coherence_protocol: str = "MESI"  # or "MSI" / "MOESI" (ablations)
-    # Engine backend executing run(): "scalar" (pure-python spec),
-    # "vector" (numpy batch windows, bit-identical, needs the
-    # repro[vector] extra) or "auto" (vector when numpy is importable,
-    # scalar otherwise; see repro.smp.engine).
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         _require(self.coherence_protocol in ("MESI", "MSI", "MOESI"),
                  "coherence protocol must be MESI, MSI or MOESI")
-        _require(self.engine in ("auto", "scalar", "vector"),
-                 "engine must be auto, scalar or vector")
         _require(self.num_processors >= 1, "need at least one processor")
         _require(self.num_processors <= self.senss.max_processors,
                  "more processors than the SHU bit matrix supports")
@@ -244,10 +237,6 @@ class SystemConfig:
 
     def with_protocol(self, name: str) -> "SystemConfig":
         return replace(self, coherence_protocol=name)
-
-    def with_engine(self, name: str) -> "SystemConfig":
-        """Return a copy selecting an engine backend (repro.smp.engine)."""
-        return replace(self, engine=name)
 
     def describe(self) -> str:
         """Render the Figure 5 parameter table for bench headers."""

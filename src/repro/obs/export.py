@@ -122,16 +122,6 @@ def _metadata(workload: Optional[str],
     return events
 
 
-def _backend_of(tracer) -> str:
-    """The traced system's resolved engine backend (scalar/vector)."""
-    system = getattr(tracer, "_system", None)
-    backend = getattr(system, "engine_backend", None)
-    if backend is not None:
-        return backend
-    from ..smp.engine import default_backend
-    return default_backend()
-
-
 def to_chrome_trace(tracer: Tracer) -> Dict[str, object]:
     """The full trace-event JSON object for a traced run."""
     from ..sim.sweep import ENGINE_VERSION
@@ -143,7 +133,6 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, object]:
         "otherData": {
             "schema_version": TRACE_SCHEMA_VERSION,
             "engine_version": ENGINE_VERSION,
-            "engine_backend": _backend_of(tracer),
             "workload": tracer.workload_name or "",
             "time_unit": "cpu_cycles_as_us",
             "events_recorded": tracer.ring.total_recorded,

@@ -11,17 +11,15 @@ in one self-describing JSON file:
   stores only the counters that changed since the previous one);
 - the final :class:`~repro.smp.metrics.SimulationResult` (``None``
   when a fault-recovery ``halt`` ended the run early);
-- the engine/config fingerprint (:func:`~repro.sim.sweep.point_key`,
-  which already excludes the engine *backend* — backends are
-  bit-identical, so recordings are backend-agnostic by construction)
+- the engine/config fingerprint (:func:`~repro.sim.sweep.point_key`)
   plus the full config and workload coordinates needed to re-run it.
 
 Everything the simulator produces is deterministic, so the file is
 deterministic too: the same (workload, scale, seed, config) always
-serializes to the same bytes, under either engine backend (pinned by
-tests/obs/test_recording.py). The only non-deterministic content —
-optional wall-clock phase ``timings`` — is excluded from the embedded
-checksum and from diffs, and is only stored when explicitly passed.
+serializes to the same bytes (pinned by tests/obs/test_recording.py).
+The only non-deterministic content — optional wall-clock phase
+``timings`` — is excluded from the embedded checksum and from diffs,
+and is only stored when explicitly passed.
 
 :func:`record_run` is the one-call entry point; replay and diffing
 live in :mod:`repro.obs.replay` and :mod:`repro.obs.diff`.
@@ -56,9 +54,8 @@ class Recorder(Tracer):
     histogram distributions are derivable from the event stream).
     Snapshots are exact despite the engine's deferred-stats hot path:
     any :meth:`StatsRegistry.as_dict` read drains every registered
-    flusher first (DESIGN.md §6c), and mid-run reads are bit-identical
-    across scalar/vector backends (pinned by
-    tests/obs/test_recording.py).
+    flusher first (DESIGN.md §6c), so mid-run reads are deterministic
+    (pinned by tests/obs/test_recording.py).
     """
 
     def __init__(self, snapshot_every: int = 1,
@@ -130,10 +127,6 @@ class Recording:
         from ..config import config_to_dict
         from ..sim.sweep import ENGINE_VERSION, point_key
         config_payload = config_to_dict(point.config)
-        # The backend choice is not part of a recording: backends are
-        # bit-identical, so storing it would break byte-identity for
-        # no information.
-        config_payload.pop("engine", None)
         payload: Dict[str, object] = {
             "kind": "repro-recording",
             "schema_version": RECORDING_SCHEMA_VERSION,
@@ -271,7 +264,7 @@ class Recording:
 
     def point(self):
         """Rebuild the :class:`~repro.sim.sweep.SweepPoint` this
-        recording captured (engine backend left at ``auto``)."""
+        recording captured."""
         from ..config import config_from_dict
         from ..sim.sweep import SweepPoint
         workload = self.payload["workload"]

@@ -13,9 +13,6 @@ Supported knobs (``NAME=VALUE`` strings on the CLI):
 =================  ====================================================
 ``auth_interval``  SENSS MAC broadcast interval (bus transactions)
 ``masks``          mask-array size; ``0``/``none`` = perfect supply
-``engine``         backend (``scalar``/``vector``/``auto``) — backends
-                   are bit-identical, so this perturbation is the
-                   determinism *check*: its diff must be empty
 ``aes_latency``    crypto-engine OTP/pad latency in cycles
 ``hash_latency``   crypto-engine hashing latency in cycles
 ``seed``           workload generator seed
@@ -36,7 +33,7 @@ from ..errors import ConfigError
 from .recording import Recording, record_run
 
 #: perturbable knob names, CLI-visible
-PERTURBATIONS = ("auth_interval", "masks", "engine", "aes_latency",
+PERTURBATIONS = ("auth_interval", "masks", "aes_latency",
                  "hash_latency", "seed", "scale", "fault")
 
 #: recovery policy fault replays run under (completes the run)
@@ -91,8 +88,6 @@ def apply_perturbation(point, name: str, value: str):
         masks = None if value.lower() in ("none", "perfect", "0") \
             else _as_int(name, value)
         return replace(point, config=config.with_masks(masks)), None
-    if name == "engine":
-        return replace(point, config=config.with_engine(value)), None
     if name == "aes_latency":
         crypto = replace(config.crypto,
                          aes_latency=_as_int(name, value))

@@ -18,8 +18,9 @@ from ..smp.metrics import (SimulationResult, slowdown_percent,
 
 #: report dict schema version (bump with any shape change)
 #: Version history: 1 = initial shape; 2 = histogram summaries carry
-#: p95 (additive — version-1 readers still parse version-2 reports).
-REPORT_SCHEMA_VERSION = 2
+#: p95 (additive — version-1 readers still parse version-2 reports);
+#: 3 = the resolved engine-backend name is gone (one engine).
+REPORT_SCHEMA_VERSION = 3
 
 #: counters surfaced in the report (absent counters are omitted)
 KEY_COUNTERS = (
@@ -64,22 +65,14 @@ def build_report(baseline: SimulationResult,
                  num_cpus: int,
                  scale: float,
                  histograms: Optional[Dict[str, dict]] = None,
-                 timings: Optional[Dict[str, float]] = None,
-                 engine_backend: Optional[str] = None
+                 timings: Optional[Dict[str, float]] = None
                  ) -> Dict[str, object]:
-    """Assemble the mergeable report dict for one baseline/secured pair.
-
-    ``engine_backend`` is the resolved backend the runs executed under
-    (:attr:`SmpSystem.engine_backend`); when omitted it falls back to
-    what ``auto`` resolves to right now.
-    """
+    """Assemble the mergeable report dict for one baseline/secured pair."""
     from ..sim.sweep import ENGINE_VERSION
-    from ..smp.engine import default_backend
     return {
         "kind": "repro-report",
         "schema_version": REPORT_SCHEMA_VERSION,
         "engine_version": ENGINE_VERSION,
-        "engine_backend": engine_backend or default_backend(),
         "workload": workload,
         "num_cpus": num_cpus,
         "scale": scale,
@@ -104,7 +97,6 @@ def format_report(report: Dict[str, object]) -> str:
         ["workload", report["workload"]],
         ["cpus", report["num_cpus"]],
         ["scale", report["scale"]],
-        ["engine backend", report.get("engine_backend", "?")],
         ["baseline cycles", f"{report['configs']['baseline']['cycles']:,}"],
         ["secured cycles", f"{report['configs']['secured']['cycles']:,}"],
         ["slowdown", f"{report['slowdown_percent']:+.3f}%"],

@@ -58,6 +58,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import random
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -257,6 +258,7 @@ class Scheduler:
             "serve.retries": 0,
             "serve.worker_restarts": 0,
             "serve.journal_replays": 0,
+            "serve.journal_skipped": 0,
             "serve.quarantined_points": 0,
             "serve.checkpoint_hits": 0,
             "serve.checkpoint_misses": 0,
@@ -286,6 +288,11 @@ class Scheduler:
         ones short-circuit through the shared cache — only work that
         genuinely never finished re-executes. Admission control is
         bypassed: this work was already accepted once.
+
+        An unfinished entry the current wire format rejects (e.g. a
+        config carrying a field this version removed) cannot be
+        re-admitted; it is logged with its error on stderr and counted
+        in ``serve.journal_skipped`` instead of vanishing silently.
         """
         if self.journal is None:
             return []
@@ -295,8 +302,11 @@ class Scheduler:
                 continue
             try:
                 spec = parse_job_request(entry.payload)
-            except ServeError:
-                continue  # journalled by a different schema; skip
+            except ServeError as exc:
+                self.counters["serve.journal_skipped"] += 1
+                print(f"serve: not resuming journalled job "
+                      f"{entry.job_id}: {exc}", file=sys.stderr)
+                continue
             job = self._admit(spec, job_id=entry.job_id)
             self.counters["serve.journal_replays"] += 1
             self._emit(job, "job_resumed", "i",
@@ -860,6 +870,8 @@ class Scheduler:
                     self.counters["serve.worker_restarts"],
                 "journal_replays":
                     self.counters["serve.journal_replays"],
+                "journal_skipped":
+                    self.counters["serve.journal_skipped"],
                 "quarantined_points": sorted(self.quarantined),
                 "supervisor": self._supervisor.describe(),
             },

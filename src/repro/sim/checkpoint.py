@@ -36,7 +36,7 @@ mismatch — so workloads whose traces are not prefix-stable under
 scale (fft reshapes per-phase loops with scale) are never silently
 mis-forked, they just gain nothing. The family fingerprint
 (:func:`family_key`) additionally pins workload name, seed, the full
-config minus the backend choice, :data:`~repro.sim.sweep.ENGINE_VERSION`
+config, :data:`~repro.sim.sweep.ENGINE_VERSION`
 and :data:`CHECKPOINT_VERSION`, so any semantic change invalidates
 the store wholesale.
 
@@ -46,11 +46,9 @@ ResultCache (both live under ``.benchmarks/`` by default). They are
 not a wire format; the serve plane never accepts snapshots from
 clients, it only shares a store across its own workers.
 
-Forks always execute on the scalar slice engine
-(:func:`repro.smp.fastpath._run_loop`) regardless of
-``config.engine``: backends are bit-identical (pinned by
-tests/smp/test_engine_backends.py), so the result is the same either
-way and the resumable loop only exists once.
+Forks execute on the same resumable loop as every other run
+(:func:`repro.smp.fastpath._run_loop`), so a forked result is the
+cold result by construction.
 """
 
 from __future__ import annotations
@@ -80,8 +78,10 @@ from .sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
 #: History: 1 = initial format; 2 = same layout, invalidates stores
 #: that may hold seam snapshots poisoned by pre-fix same-scale resumes
 #: (a resumed run used to re-emit at a *later* exhaustion under the
-#: same scale tag — see fork_point's seam rule).
-CHECKPOINT_VERSION = 2
+#: same scale tag — see fork_point's seam rule); 3 = pickled machines
+#: no longer carry an engine-backend selector or ``config.engine``
+#: (older pickles may reference the deleted backend-registry module).
+CHECKPOINT_VERSION = 3
 
 #: First line of every checkpoint file; readable without unpickling.
 MAGIC = b"repro-checkpoint 1\n"
@@ -99,15 +99,13 @@ def family_key(point: SweepPoint, recorded: bool = False) -> str:
     inside the pickled machine, so it must never be forked into a
     plain (unrecorded) run, and vice versa.
     """
-    config_payload = asdict(point.config)
-    config_payload.pop("engine", None)  # backends are bit-identical
     payload = {
         "engine": ENGINE_VERSION,
         "checkpoint": CHECKPOINT_VERSION,
         "workload": point.workload,
         "seed": point.seed,
         "recorded": bool(recorded),
-        "config": config_payload,
+        "config": asdict(point.config),
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()

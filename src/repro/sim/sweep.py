@@ -65,7 +65,8 @@ from ..smp.metrics import SimulationResult
 #: 3 = flattened hash tree, fused memprotect node path, fast digest
 #: engines (bit-identical results, conservatively bumped);
 #: 4 = vector backend + engine registry (bit-identical results,
-#: conservatively bumped);
+#: conservatively bumped; the backend was later removed, DESIGN.md
+#: §6f);
 #: 5 = checkpoint/fork prefix-sharing executor — resumable engine
 #: loop and snapshot-forked runs (bit-identical results,
 #: conservatively bumped so result and checkpoint stores roll
@@ -234,21 +235,13 @@ def lru_gc(root: Path, max_bytes: int, pattern: str) -> int:
 
 
 def point_key(point: SweepPoint) -> str:
-    """Content hash identifying a point's complete simulation input.
-
-    The engine *backend* choice is excluded on purpose: backends are
-    bit-identical (pinned by tests/smp/test_engine_backends.py), so
-    results computed under scalar and vector are interchangeable and
-    share cache entries.
-    """
-    config_payload = asdict(point.config)
-    config_payload.pop("engine", None)
+    """Content hash identifying a point's complete simulation input."""
     payload = {
         "engine": ENGINE_VERSION,
         "workload": point.workload,
         "scale": point.scale,
         "seed": point.seed,
-        "config": config_payload,
+        "config": asdict(point.config),
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -1,11 +1,8 @@
 """Trace-driven SMP system simulator (the Simics substitute)."""
 
-from .engine import ENGINE_BACKENDS, ENGINE_CHOICES, default_backend, resolve_backend
 from .metrics import SimulationResult, slowdown_percent, traffic_increase_percent
 from .system import SmpSystem
 from .trace import MemoryAccess, Workload
 
-__all__ = ["ENGINE_BACKENDS", "ENGINE_CHOICES", "MemoryAccess",
-           "SimulationResult", "SmpSystem", "Workload", "default_backend",
-           "resolve_backend", "slowdown_percent",
-           "traffic_increase_percent"]
+__all__ = ["MemoryAccess", "SimulationResult", "SmpSystem", "Workload",
+           "slowdown_percent", "traffic_increase_percent"]

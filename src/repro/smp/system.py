@@ -40,6 +40,7 @@ from ..config import SystemConfig
 from ..errors import SimulationError
 from ..memory.dram import MainMemory
 from ..sim.stats import StatsRegistry
+from .fastpath import run_fast
 from .metrics import SimulationResult
 from .trace import Workload
 
@@ -63,12 +64,6 @@ class SmpSystem:
         ]
         self.protocol = make_protocol(config.coherence_protocol,
                                       self.hierarchies)
-        # Engine backend executing run(): resolved once at build time
-        # so a misconfigured machine (vector without numpy) fails fast
-        # and the resolved name is reportable (profile, obs reports).
-        from .engine import resolve_backend
-        self.engine_backend, self._run_impl = \
-            resolve_backend(config.engine)
         self.memprotect = None  # optional MemProtectLayer
         # Per-CPU group IDs (section 4.1 grouping): default one group.
         self._cpu_groups = [0] * config.num_processors
@@ -143,14 +138,11 @@ class SmpSystem:
     def run(self, workload: Workload) -> SimulationResult:
         """Execute the workload to completion and return metrics.
 
-        Delegates to the engine backend ``config.engine`` selected
-        (:mod:`repro.smp.engine`): the merged scalar fast path
-        (:mod:`repro.smp.fastpath`) or the numpy window engine
-        (:mod:`repro.smp.vectorpath`). Both are bit-identical to
-        :meth:`run_reference` but several times faster; the resolved
-        choice is :attr:`engine_backend`.
+        Runs the merged fast path (:mod:`repro.smp.fastpath`):
+        bit-identical to :meth:`run_reference` but several times
+        faster.
         """
-        return self._run_impl(self, workload)
+        return run_fast(self, workload)
 
     def run_reference(self, workload: Workload) -> SimulationResult:
         """The layered reference engine (the pre-fast-path semantics).

@@ -38,15 +38,12 @@ class ColumnarTrace(Sequence):
     reads materialize :class:`MemoryAccess` tuples on demand.
     """
 
-    __slots__ = ("_is_write", "_addresses", "_gaps", "_np_cache")
+    __slots__ = ("_is_write", "_addresses", "_gaps")
 
     def __init__(self, is_write=None, addresses=None, gaps=None):
         self._is_write = array("b") if is_write is None else is_write
         self._addresses = array("q") if addresses is None else addresses
         self._gaps = array("q") if gaps is None else gaps
-        # Memoized numpy views + derived line/set/tag columns, built on
-        # first demand by numpy_columns(); see NumpyColumns.
-        self._np_cache = None
         if not (len(self._is_write) == len(self._addresses)
                 == len(self._gaps)):
             raise TraceError("trace columns must have equal lengths")
@@ -134,407 +131,6 @@ def as_columns(trace) -> Tuple[array, array, array]:
     return (array("b", (1 if access.is_write else 0 for access in trace)),
             array("q", (access.address for access in trace)),
             array("q", (access.gap for access in trace)))
-
-
-class NumpyColumns:
-    """Numpy views over one trace's columns, plus derived geometry columns.
-
-    ``is_write``/``addresses``/``gaps`` are zero-copy ``frombuffer``
-    views over the same ``array`` buffers the scalar engine iterates —
-    one storage, two backends. ``derived(offset_bits, num_sets)``
-    memoizes the (block, set_index, tag) columns for one cache
-    geometry, so repeated runs of the same workload (sweeps, repeats,
-    both engine backends) never re-derive them.
-
-    Views are built against the columns' current buffers; appending to
-    the trace afterwards reallocates those buffers and invalidates the
-    views, which is why :func:`numpy_columns` keys its cache on the
-    trace length (engines only ever run frozen workloads).
-    """
-
-    __slots__ = ("length", "is_write", "addresses", "gaps", "_derived")
-
-    def __init__(self, is_write, addresses, gaps):
-        import numpy
-
-        self.length = len(addresses)
-        if self.length:
-            self.is_write = numpy.frombuffer(is_write, dtype=numpy.int8)
-            self.addresses = numpy.frombuffer(addresses,
-                                              dtype=numpy.int64)
-            self.gaps = numpy.frombuffer(gaps, dtype=numpy.int64)
-        else:  # frombuffer rejects empty exports; empty views instead
-            self.is_write = numpy.empty(0, dtype=numpy.int8)
-            self.addresses = numpy.empty(0, dtype=numpy.int64)
-            self.gaps = numpy.empty(0, dtype=numpy.int64)
-        self._derived = {}
-
-    def derived(self, offset_bits: int, num_sets: int):
-        """(block, set_index, tag) columns for one cache geometry."""
-        key = (offset_bits, num_sets)
-        cached = self._derived.get(key)
-        if cached is None:
-            block = self.addresses >> offset_bits
-            cached = self._derived[key] = (
-                block, block % num_sets, block // num_sets)
-        return cached
-
-    def derived_lists(self, offset_bits: int, num_sets: int):
-        """``derived(...)`` as plain-int lists (python-loop consumers)."""
-        key = (offset_bits, num_sets, "lists")
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = self._derived[key] = tuple(
-                column.tolist()
-                for column in self.derived(offset_bits, num_sets))
-        return cached
-
-    def base_lists(self):
-        """(is_write, gaps) as plain-int lists, memoized."""
-        cached = self._derived.get("base_lists")
-        if cached is None:
-            cached = self._derived["base_lists"] = (
-                self.is_write.tolist(), self.gaps.tolist())
-        return cached
-
-    def run_statics(self, offset_bits: int, num_sets: int):
-        """Trace-static run structure of the per-set access sequence.
-
-        For window classification (:mod:`repro.smp.vectorpath`) the
-        vector engine needs, per access ``i`` and one cache geometry:
-
-        - ``P1[i]``   — previous access to the same set (-1 if none);
-        - ``EQP[i]``  — that previous access used the same tag
-          (``i`` continues a *run*: a maximal streak of same-tag
-          accesses within one set);
-        - ``RUNP[i]`` — last access of the previous run in the set
-          (-1 if none); for every access of one run this is the same
-          index, which also makes it the run's start minus one step;
-        - ``RUNP2[i]``— last access of the run before that (-1 if none);
-        - ``EQ2[i]``  — ``i``'s tag equals the tag two runs back.
-
-        These depend only on the trace and the geometry, never on cache
-        state, so they are computed once (a handful of vectorized
-        passes over a stable set-grouped ordering) and memoized.
-        """
-        import numpy
-
-        key = (offset_bits, num_sets, "runs")
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        n = self.length
-        _, set_idx, tag = self.derived(offset_bits, num_sets)
-        if n == 0:
-            empty_i = numpy.empty(0, dtype=numpy.int64)
-            empty_b = numpy.empty(0, dtype=numpy.bool_)
-            cached = (empty_i, empty_b, empty_i, empty_i, empty_b)
-            self._derived[key] = cached
-            return cached
-        order = self.set_order(offset_bits, num_sets)
-        so_set = set_idx[order]
-        so_tag = tag[order]
-        same_set = numpy.empty(n, dtype=numpy.bool_)
-        same_set[0] = False
-        same_set[1:] = so_set[1:] == so_set[:-1]
-        prev_sorted = numpy.full(n, -1, dtype=numpy.int64)
-        prev_sorted[1:][same_set[1:]] = order[:-1][same_set[1:]]
-        eq_sorted = numpy.zeros(n, dtype=numpy.bool_)
-        eq_sorted[1:] = same_set[1:] & (so_tag[1:] == so_tag[:-1])
-        # Runs: a new run starts wherever the tag streak (or set) breaks.
-        run_start = ~eq_sorted
-        rid = numpy.cumsum(run_start) - 1
-        nruns = int(rid[-1]) + 1
-        is_last = numpy.empty(n, dtype=numpy.bool_)
-        is_last[:-1] = rid[:-1] != rid[1:]
-        is_last[-1] = True
-        run_last = numpy.empty(nruns, dtype=numpy.int64)
-        run_last[rid[is_last]] = order[is_last]
-        run_set = so_set[run_start]
-        prev1 = numpy.full(nruns, -1, dtype=numpy.int64)
-        if nruns > 1:
-            adj = run_set[1:] == run_set[:-1]
-            prev1[1:][adj] = run_last[:-1][adj]
-        prev2 = numpy.full(nruns, -1, dtype=numpy.int64)
-        if nruns > 2:
-            adj2 = ((run_set[2:] == run_set[1:-1])
-                    & (run_set[1:-1] == run_set[:-2]))
-            prev2[2:][adj2] = run_last[:-2][adj2]
-        p1 = numpy.empty(n, dtype=numpy.int64)
-        p1[order] = prev_sorted
-        eqp = numpy.empty(n, dtype=numpy.bool_)
-        eqp[order] = eq_sorted
-        runp = numpy.empty(n, dtype=numpy.int64)
-        runp[order] = prev1[rid]
-        runp2 = numpy.empty(n, dtype=numpy.int64)
-        runp2[order] = prev2[rid]
-        eq2 = (runp2 >= 0) & (tag == tag[numpy.maximum(runp2, 0)])
-        cached = (p1, eqp, runp, runp2, eq2)
-        self._derived[key] = cached
-        return cached
-
-    def set_order(self, offset_bits: int, num_sets: int):
-        """Stable argsort of the set-index column, memoized."""
-        import numpy
-
-        key = (offset_bits, num_sets, "set_order")
-        cached = self._derived.get(key)
-        if cached is None:
-            _, set_idx, _ = self.derived(offset_bits, num_sets)
-            cached = self._derived[key] = numpy.argsort(set_idx,
-                                                        kind="stable")
-        return cached
-
-    def block_order(self, offset_bits: int):
-        """(stable argsort, sorted values) of the line/block column."""
-        import numpy
-
-        key = (offset_bits, "block_order")
-        cached = self._derived.get(key)
-        if cached is None:
-            block = self.addresses >> offset_bits
-            order = numpy.argsort(block, kind="stable")
-            cached = self._derived[key] = (order, block[order])
-        return cached
-
-    def window_statics(self, offset_bits: int, num_sets: int,
-                       assoc: int):
-        """Global L1 hit-prediction arrays for the vector engine.
-
-        Per access ``i`` (one L1 geometry):
-
-        - ``frun[i]`` — the first access of ``i``'s run;
-        - ``hist[i]`` — how far back the run history that ``i``'s
-          *static* hit prediction relies on reaches: the prediction is
-          exact iff no L1 perturbation (inclusion sweep) happened since
-          access ``hist[i]`` executed, so the engine live-probes
-          exactly the accesses with ``hist[i] < floor``. In-run
-          accesses rely on their predecessor (``P1``); run starts at
-          2-way rely on the last-two-runs rule, i.e. back to the start
-          of the run two back (or -1: fewer than two completed runs,
-          always probe); run starts at direct-mapped rely on the
-          previous same-set touch having left a different-tag line
-          (``hist = P1`` — a boundary's L2-aligned fill can plant this
-          very tag, so the unconditional-miss shortcut is unsound
-          under perturbation); above 2-way the last-two-runs rule is
-          unavailable and every run start probes (``hist = -1``).
-        - ``stat[i]`` — the static prediction itself: in-run accesses
-          hit; 2-way run starts hit iff the tag matches two runs back
-          (``EQ2``); other run starts miss.
-        """
-        import numpy
-
-        key = (offset_bits, num_sets, assoc, "window")
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        p1, eqp, runp, runp2, eq2 = self.run_statics(offset_bits,
-                                                     num_sets)
-        n = self.length
-        if n == 0:
-            empty_i = numpy.empty(0, dtype=numpy.int64)
-            empty_b = numpy.empty(0, dtype=numpy.bool_)
-            cached = self._derived[key] = (empty_i, empty_b, empty_i)
-            return cached
-        order = self.set_order(offset_bits, num_sets)
-        # First access of each run: along the set-grouped stable order
-        # the latest run-start index seen so far is the current run's
-        # start; order-space indices grow globally, so every group's
-        # leading run start resets the running maximum.
-        starts = numpy.where(~eqp[order], numpy.arange(n), 0)
-        acc = numpy.maximum.accumulate(starts)
-        frun = numpy.empty(n, dtype=numpy.int64)
-        frun[order] = order[acc]
-        if assoc == 2:
-            hist = numpy.where(
-                eqp, p1,
-                numpy.where(runp2 >= 0,
-                            frun[numpy.maximum(runp2, 0)], -1))
-            stat = eqp | eq2
-        elif assoc == 1:
-            hist = p1.copy()
-            stat = eqp.copy()
-        else:
-            hist = numpy.where(eqp, p1, -1)
-            stat = eqp.copy()
-        cached = self._derived[key] = (hist, stat, frun)
-        return cached
-
-    def window_statics_lists(self, offset_bits: int, num_sets: int,
-                             assoc: int):
-        """(hist, stat, frun) from ``window_statics`` as plain lists."""
-        key = (offset_bits, num_sets, assoc, "window_lists")
-        cached = self._derived.get(key)
-        if cached is None:
-            hist, stat, frun = self.window_statics(offset_bits,
-                                                   num_sets, assoc)
-            cached = self._derived[key] = (hist.tolist(), stat.tolist(),
-                                           frun.tolist())
-        return cached
-
-    def latency_cumsums(self, offset_bits: int, num_sets: int,
-                        assoc: int, lat1: int, lat2: int):
-        """Exclusive-prefix cumsums of predicted latency and hits.
-
-        ``cum_lat[p]`` is the total of ``gap + predicted latency`` over
-        accesses ``[0, p)`` and ``cum_hit[p]`` the predicted L1 hits,
-        so any window's timing is two subtractions plus its (rare)
-        per-probe corrections.
-        """
-        import numpy
-
-        key = (offset_bits, num_sets, assoc, lat1, lat2, "latcum")
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        _, stat, _ = self.window_statics(offset_bits, num_sets, assoc)
-        n = self.length
-        cum_lat = numpy.zeros(n + 1, dtype=numpy.int64)
-        cum_hit = numpy.zeros(n + 1, dtype=numpy.int64)
-        if n:
-            lat = numpy.where(stat, lat1, lat2)
-            cum_lat[1:] = numpy.cumsum(self.gaps + lat)
-            cum_hit[1:] = numpy.cumsum(stat)
-        cached = self._derived[key] = (cum_lat, cum_hit)
-        return cached
-
-    def latency_cumsums_lists(self, offset_bits: int, num_sets: int,
-                              assoc: int, lat1: int, lat2: int):
-        """``latency_cumsums`` as plain-int lists, memoized."""
-        key = (offset_bits, num_sets, assoc, lat1, lat2, "latcum_lists")
-        cached = self._derived.get(key)
-        if cached is None:
-            cum_lat, cum_hit = self.latency_cumsums(
-                offset_bits, num_sets, assoc, lat1, lat2)
-            cached = self._derived[key] = (cum_lat.tolist(),
-                                           cum_hit.tolist())
-        return cached
-
-    def request_times(self, offset_bits: int, num_sets: int, assoc: int,
-                      lat1: int, lat2: int):
-        """Static request time of each access, relative to trace start.
-
-        ``pend0[i] = cum_lat[i] + gap[i]``: the cycle access ``i``'s
-        bus request would be seen at if the trace started at cycle 0
-        and every static prediction held — a window's live request
-        times are this array plus one scalar offset. Returned as
-        (ndarray, list) so windows can binary-search either form.
-        """
-        key = (offset_bits, num_sets, assoc, lat1, lat2, "pend0")
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        cum_lat, _ = self.latency_cumsums(offset_bits, num_sets, assoc,
-                                          lat1, lat2)
-        pend0 = cum_lat[:-1] + self.gaps
-        cached = self._derived[key] = (pend0, pend0.tolist())
-        return cached
-
-    def next_set_occurrence_list(self, offset_bits: int,
-                                 num_sets: int):
-        """``next_set_occurrence`` as a plain-int list, memoized."""
-        key = (offset_bits, num_sets, "next_set_list")
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = self._derived[key] = self.next_set_occurrence(
-                offset_bits, num_sets).tolist()
-        return cached
-
-    def next_block_occurrence_list(self, offset_bits: int):
-        """``next_block_occurrence`` as a plain-int list, memoized."""
-        key = (offset_bits, "next_block_list")
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = self._derived[key] = self.next_block_occurrence(
-                offset_bits).tolist()
-        return cached
-
-    def write_positions_list(self):
-        """``write_positions`` as a plain-int list, memoized."""
-        cached = self._derived.get("write_positions_list")
-        if cached is None:
-            cached = self._derived["write_positions_list"] = (
-                self.write_positions().tolist())
-        return cached
-
-    def next_set_occurrence(self, offset_bits: int, num_sets: int):
-        """Next access to the same set (or ``n``), per position."""
-        import numpy
-
-        key = (offset_bits, num_sets, "next_set")
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        n = self.length
-        nxt = numpy.full(n, n, dtype=numpy.int64)
-        if n:
-            order = self.set_order(offset_bits, num_sets)
-            _, set_idx, _ = self.derived(offset_bits, num_sets)
-            grouped = set_idx[order]
-            same = grouped[1:] == grouped[:-1]
-            nxt[order[:-1][same]] = order[1:][same]
-        cached = self._derived[key] = nxt
-        return cached
-
-    def next_block_occurrence(self, offset_bits: int):
-        """Next access to the same line/block (or ``n``), per position."""
-        import numpy
-
-        key = (offset_bits, "next_block")
-        cached = self._derived.get(key)
-        if cached is not None:
-            return cached
-        n = self.length
-        nxt = numpy.full(n, n, dtype=numpy.int64)
-        if n:
-            order, grouped = self.block_order(offset_bits)
-            same = grouped[1:] == grouped[:-1]
-            nxt[order[:-1][same]] = order[1:][same]
-        cached = self._derived[key] = nxt
-        return cached
-
-    def write_positions(self):
-        """Positions of all writes, ascending, memoized."""
-        cached = self._derived.get("write_positions")
-        if cached is None:
-            cached = self._derived["write_positions"] = (
-                self.writes_bool.nonzero()[0])
-        return cached
-
-    def run_statics_lists(self, offset_bits: int, num_sets: int):
-        """``run_statics(...)`` as plain-int/bool lists, memoized."""
-        key = (offset_bits, num_sets, "runs_lists")
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = self._derived[key] = tuple(
-                column.tolist()
-                for column in self.run_statics(offset_bits, num_sets))
-        return cached
-
-    @property
-    def writes_bool(self):
-        """The write flags as a bool array, memoized."""
-        cached = self._derived.get("writes_bool")
-        if cached is None:
-            cached = self._derived["writes_bool"] = self.is_write != 0
-        return cached
-
-
-def numpy_columns(trace) -> NumpyColumns:
-    """The memoized :class:`NumpyColumns` for a trace (requires numpy).
-
-    :class:`ColumnarTrace` instances cache the result (invalidated if
-    the trace grew since); other sequences are converted columnar
-    first and rebuilt on every call.
-    """
-    if isinstance(trace, ColumnarTrace):
-        cached = trace._np_cache
-        if cached is not None and cached.length == len(trace):
-            return cached
-        built = NumpyColumns(*trace.columns())
-        trace._np_cache = built
-        return built
-    return NumpyColumns(*as_columns(trace))
 
 
 @dataclass

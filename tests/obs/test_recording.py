@@ -8,12 +8,11 @@ from repro.obs import (RECORDING_SCHEMA_VERSION, Recording, record_run)
 from repro.sim.sweep import ENGINE_VERSION, SweepPoint, point_key
 
 
-def _point(engine="auto", scale=0.02, seed=0):
+def _point(scale=0.02, seed=0):
     config = e6000_config(num_processors=2, auth_interval=10)
     config = config.with_l2_size(64 * KB).with_masks(8)
     config = config.with_memprotect(encryption_enabled=True,
                                     integrity_enabled=True)
-    config = config.with_engine(engine)
     return SweepPoint("fft", config, scale=scale, seed=seed)
 
 
@@ -22,11 +21,6 @@ class TestDeterminism:
         first = record_run(_point())
         second = record_run(_point())
         assert first.to_bytes() == second.to_bytes()
-
-    def test_scalar_and_vector_record_byte_identical(self):
-        scalar = record_run(_point(engine="scalar"))
-        vector = record_run(_point(engine="vector"))
-        assert scalar.to_bytes() == vector.to_bytes()
 
     def test_fingerprint_matches_point_key(self):
         recording = record_run(_point())
@@ -48,7 +42,8 @@ class TestPayloadShape:
         assert payload["events_total"] == len(payload["events"]["kind"])
         assert payload["result"]["cycles"] == recording.cycles
         assert payload["halted"] is None
-        # the backend choice must not leak into the recording
+        # no engine selector in the config: recordings written before
+        # the backend registry was removed keep their bytes
         assert "engine" not in payload["config"]
 
     def test_snapshots_delta_encoded_and_cumulative(self):

@@ -34,6 +34,12 @@ class TestParsePerturbation:
         with pytest.raises(ConfigError, match="unknown perturbation"):
             parse_perturbation("bogus=1")
 
+    def test_engine_is_no_longer_a_perturbation(self):
+        """One engine: there is no backend left to swap."""
+        assert "engine" not in PERTURBATIONS
+        with pytest.raises(ConfigError, match="unknown perturbation"):
+            parse_perturbation("engine=vector")
+
     def test_rejects_non_integer(self):
         point = _point()
         with pytest.raises(ConfigError, match="integer"):
@@ -77,14 +83,6 @@ class TestDiff:
         assert report["histogram"]["zero_skew"] == \
             report["histogram"]["matched"]
         assert "identical" in format_diff(report)
-
-    def test_engine_perturbation_is_determinism_check(self):
-        source = record_run(_point())
-        replayed = replay_recording(source, perturb="engine=vector")
-        report = diff_recordings(source, replayed)
-        assert report["identical"] is True
-        assert report["perturbation"] == {"name": "engine",
-                                          "value": "vector"}
 
     def test_auth_interval_perturbation_pinpoints_divergence(self):
         source = record_run(_point())

@@ -152,6 +152,16 @@ class TestEndToEnd:
                                            "bogus": 1}]})
         assert info.value.status == 400
 
+    def test_engine_config_field_400(self, service):
+        """The engine selector is gone: a config naming it is a 400
+        that says which field, not a silently different machine."""
+        _, client = service
+        with pytest.raises(ServeError) as info:
+            client.submit_raw({"points": [{
+                "workload": "fft", "config": {"engine": "auto"}}]})
+        assert info.value.status == 400
+        assert "engine" in str(info.value)
+
     def test_unknown_path_404(self, service):
         _, client = service
         with pytest.raises(ServeError) as info:

@@ -320,6 +320,40 @@ class TestResume:
                 second_pool.shutdown(wait=False)
         asyncio.run(scenario())
 
+    def test_resume_logs_and_counts_unparseable_jobs(self, tmp_path,
+                                                     capsys):
+        """A journalled job the wire format now rejects (its config
+        still names the removed ``engine`` field) is skipped loudly;
+        the valid job beside it is re-admitted."""
+        async def scenario():
+            journal_dir = tmp_path / "state"
+            journal = JobJournal(journal_dir)
+            for job_id, config in (("job-000001", {"engine": "auto"}),
+                                   ("job-000002", {})):
+                journal.job_submitted(job_id, {
+                    "tenant": "t", "weight": 1,
+                    "points": [{"workload": "fft", "scale": 0.05,
+                                "seed": 0, "config": config}]})
+            journal.close()
+
+            scheduler, pool = make_scheduler(FlakyRunner(fail_times=0),
+                                             journal=journal_dir)
+            try:
+                resumed = scheduler.resume()
+                assert [job.id for job in resumed] == ["job-000002"]
+                await wait_until(lambda: resumed[0].terminal)
+                assert resumed[0].state == "done"
+                assert scheduler.counters["serve.journal_replays"] == 1
+                assert scheduler.counters["serve.journal_skipped"] == 1
+                assert scheduler.metrics()["resilience"][
+                    "journal_skipped"] == 1
+            finally:
+                pool.shutdown(wait=False)
+        asyncio.run(scenario())
+        err = capsys.readouterr().err
+        assert "job-000001" in err and "engine" in err
+        assert "job-000002" not in err
+
     def test_resume_without_journal_is_noop(self):
         async def scenario():
             scheduler, pool = make_scheduler(FlakyRunner())

@@ -102,11 +102,37 @@ class TestFamilyKey:
             CHECKPOINT_VERSION + 1)
         assert family_key(point()) != base
 
-    def test_engine_version_covers_checkpoint_fork_executor(self):
+    def test_engine_version_covers_checkpoint_fork_executor(
+            self, tmp_path, monkeypatch):
         """The checkpoint/fork executor shipped as engine 5; result
         caches and checkpoint stores written by older engines must
-        miss. (Floor, not equality: later bumps must not un-bust.)"""
+        miss. (Floor, not equality: later bumps must not un-bust.)
+
+        Checkpoint layout 3 retires stores whose pickled machines
+        still carry an engine-backend selector and ``config.engine``:
+        a version-2 store must miss cleanly and the point run cold."""
         assert ENGINE_VERSION >= 5
+        assert CHECKPOINT_VERSION >= 3
+        target = point(scale=0.04)
+        store = CheckpointStore(tmp_path)
+        monkeypatch.setattr("repro.sim.checkpoint.CHECKPOINT_VERSION", 2)
+        stale_family = family_key(target)
+        run_chain([point(scale=0.02), target], store)
+        monkeypatch.undo()
+        workload = generate(target.workload,
+                            target.config.num_processors,
+                            scale=target.scale, seed=target.seed)
+        stale = store.metas(stale_family)
+        assert stale and all(meta["version"] == 2 for meta in stale)
+        assert not any(validates_against(meta, workload)
+                       for meta in stale)
+        assert family_key(target) != stale_family
+        assert store.best(family_key(target), workload) is None
+        assert store.best(stale_family, workload) is None
+        snapshot = store.load(stale_family, str(stale[0]["tag"]))
+        outcome = fork_point(target, snapshot, workload=workload)
+        assert not outcome.forked
+        assert_same_result(outcome.result, run_point(target))
 
 
 class TestSnapshotRoundTrip:

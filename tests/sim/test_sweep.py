@@ -1,6 +1,9 @@
 """The sweep runner and its content-addressed result cache."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -39,6 +42,27 @@ class TestPointKey:
         as engine 3; any cache written by an older engine must miss.
         (Floor, not equality: later bumps must not un-bust this one.)"""
         assert ENGINE_VERSION >= 3
+
+
+def test_simulation_never_imports_numpy():
+    """The package is stdlib-only: importing it and running a point
+    must leave numpy unloaded (checked in a fresh interpreter, since
+    test plugins may have imported it into this one)."""
+    script = (
+        "import sys, repro\n"
+        "from repro.config import e6000_config\n"
+        "from repro.sim.sweep import SweepPoint, run_point\n"
+        "point = SweepPoint('fft', e6000_config(num_processors=2), "
+        "scale=0.02)\n"
+        "assert run_point(point).cycles > 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True,
+                               timeout=120)
+    assert completed.returncode == 0, completed.stderr
 
 
 class TestResultCache:

@@ -1,6 +1,6 @@
 """The fast engine must be *bit-identical* to the seed engine.
 
-Two layers of defence:
+Three layers of defence:
 
 - ``golden_engine.json`` pins cycles, per-CPU cycles, and a hash of the
   full statistics dict for every SPLASH-2 model x machine flavour x
@@ -10,16 +10,24 @@ Two layers of defence:
   ``run_reference()`` (the original loop, kept as the executable
   specification) on live simulations, including a SENSS machine whose
   bus layer re-enters the miss path.
+- hypothesis-randomized traces (unaligned addresses, shared lines,
+  mixed read/write) compared fast-vs-reference across baseline, senss
+  and memprotect-integrated machines and across L1 geometries,
+  including direct-mapped and associativity > 2.
 """
 
 import hashlib
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import e6000_config
+from repro.config import KB, CacheConfig, e6000_config
 from repro.sim.sweep import build_system
+from repro.smp.trace import MemoryAccess, Workload
 from repro.workloads.registry import SPLASH2_NAMES, generate
 
 GOLDEN = json.loads(
@@ -81,4 +89,47 @@ def test_fast_matches_reference_two_cpus():
     fast = build_system(config).run(workload)
     reference = build_system(config).run_reference(workload)
     assert fast.cycles == reference.cycles
+    assert fast.stats == reference.stats
+
+
+# -- randomized fast-vs-reference equivalence ----------------------------
+
+GEOMETRIES = {
+    "l1_2way": None,                        # default 64K 2-way
+    "l1_direct": CacheConfig(32 * KB, 1, 32, 2),
+    "l1_4way": CacheConfig(8 * KB, 4, 32, 2),
+}
+
+access_strategy = st.builds(
+    MemoryAccess,
+    is_write=st.booleans(),
+    # A small line pool plus unaligned byte offsets: heavy set reuse,
+    # shared lines across CPUs, and both L1 geometric aliasing cases.
+    address=st.builds(lambda line, off: line * 32 + off,
+                      st.integers(0, 255), st.integers(0, 31)),
+    gap=st.integers(0, 3))
+
+trace_strategy = st.lists(
+    st.lists(access_strategy, min_size=1, max_size=300),
+    min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("flavour", KINDS)
+@given(traces=trace_strategy)
+@settings(max_examples=8, deadline=None)
+def test_fast_matches_reference_randomized(geometry, flavour, traces):
+    """run() and run_reference() agree on random traces and geometries."""
+    config = e6000_config(num_processors=len(traces),
+                          senss_enabled=(flavour != "baseline"))
+    if flavour == "integrated":
+        config = config.with_memprotect(encryption_enabled=True,
+                                        integrity_enabled=True)
+    if GEOMETRIES[geometry] is not None:
+        config = replace(config, l1=GEOMETRIES[geometry])
+    workload = Workload("randomized", traces, validate=False)
+    fast = build_system(config).run(workload)
+    reference = build_system(config).run_reference(workload)
+    assert fast.cycles == reference.cycles
+    assert list(fast.per_cpu_cycles) == list(reference.per_cpu_cycles)
     assert fast.stats == reference.stats

@@ -139,21 +139,9 @@ def merge_reports(paths) -> str:
 
 
 def _bench_sections(payload):
-    """Yield (label-prefix, configs dict) for a BENCH_engine report.
-
-    The per-backend sections (``backends.hit_heavy`` /
-    ``backends.miss_heavy``) map backend names straight to measurement
-    dicts, alongside scalar annotations — only the dict values are
-    comparable rows.
-    """
+    """Yield (label-prefix, configs dict) for a BENCH_engine report."""
     yield "", payload.get("configs", {})
     yield "missheavy/", payload.get("missheavy", {}).get("configs", {})
-    backends = payload.get("backends", {})
-    for point in ("hit_heavy", "miss_heavy"):
-        section = backends.get(point, {})
-        yield f"backends/{point}/", {
-            name: row for name, row in section.items()
-            if isinstance(row, dict) and "accesses_per_second" in row}
 
 
 def bench_diff(old_path, new_path) -> str:
