@@ -280,12 +280,12 @@ def measure_checkpointing() -> dict:
     config = checkpoint_config()
     points = [SweepPoint(CHECKPOINT_WORKLOAD, config, scale=scale,
                          seed=BENCH_SEED) for scale in CHECKPOINT_SCALES]
-    # Prime the workload memo outside both timed legs — trace
-    # synthesis cost is identical either way and would drown the
-    # executor difference at these point sizes.
-    for point in points:
-        generate(point.workload, CHECKPOINT_CPUS, scale=point.scale,
-                 seed=point.seed)
+    # Grow the points' one trace family to the largest scale outside
+    # both timed legs — trace synthesis cost is identical either way
+    # and would drown the executor difference at these point sizes;
+    # each leg then only copies its prefixes.
+    generate(CHECKPOINT_WORKLOAD, CHECKPOINT_CPUS,
+             scale=max(CHECKPOINT_SCALES), seed=BENCH_SEED)
 
     cold_s = None
     for _ in range(REPEATS):

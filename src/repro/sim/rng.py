@@ -53,7 +53,9 @@ class DeterministicRng:
             return 1
         # Inverse-CDF sampling of a geometric distribution.
         probability = 1.0 / mean
+        limit = 64 * mean
+        draw = self._random.random
         value = 1
-        while self._random.random() > probability and value < 64 * mean:
+        while draw() > probability and value < limit:
             value += 1
         return value

@@ -21,12 +21,25 @@ use ~0.05). The generators are tuned for realistic cache behaviour on
 the Figure-5 machine: L2 miss rates of a few percent, bus utilisation
 well below saturation, and a cache-to-cache share of bus traffic in
 the tens of percent — the regime in which the paper's numbers live.
+
+**Scale families.** ``scale`` only sets how many *units* of work a
+program runs (:attr:`Program.units`): radix keys, barnes walks, lu and
+ocean iterations. Those four bodies are resumable unit loops, so a
+program's trace at *n* units is, CPU by CPU, a prefix of its trace at
+any larger count. A :class:`Family` — one (program, CPUs, seed) — runs
+its loops only as far as the largest count asked for and serves every
+scale as per-CPU prefix copies. fft's tiles per phase reshape its whole
+body, so an fft family is generated whole for one unit count.
 """
 
 from __future__ import annotations
 
-from ..smp.trace import Workload
-from .base import (SHARED_BASE, WORD_BYTES, assemble, conflict_block,
+from array import array
+from itertools import count
+from typing import Callable, Iterator, List, NamedTuple, Tuple
+
+from ..smp.trace import ColumnarTrace, Workload
+from .base import (SHARED_BASE, WORD_BYTES, TraceBuilder, conflict_block,
                    make_builders, private_base)
 
 
@@ -34,18 +47,106 @@ def _words(num_bytes: int) -> int:
     return num_bytes // WORD_BYTES
 
 
-def fft(num_cpus: int, scale: float = 1.0, seed: int = 1) -> Workload:
+class Program(NamedTuple):
+    """How one SPLASH-2 model is seeded, sized and grown."""
+
+    name: str
+    #: builder seed = seed * salt[0] + salt[1]
+    salt: Tuple[int, int]
+    #: units of work at a scale
+    units: Callable[[float], int]
+    #: (num_cpus, units) -> the size metadata after ``scale``/``seed``
+    fields: Callable[[int, int], dict]
+    #: the body: a resumable loop yielding after each unit, called as
+    #: ``loop(builder, cpu, num_cpus)`` per CPU or ``loop(builders)``
+    #: once; or, if not prefix-stable, ``loop(builders, units)`` run
+    #: whole
+    loop: Callable[..., object]
+    per_cpu: bool = False
+    prefix_stable: bool = True
+
+
+class Family:
+    """One program's traces for a (num_cpus, seed), grown on demand.
+
+    :meth:`workload` returns copies of the columns, never the live
+    arrays: growing the family later must not change a trace a run or
+    snapshot already holds. Not thread-safe; the registry serialises
+    access under its lock.
+    """
+
+    def __init__(self, program: Program, num_cpus: int, seed: int,
+                 units: int):
+        self.program = program
+        self.seed = seed
+        self._builders: List[TraceBuilder] = make_builders(
+            num_cpus, seed * program.salt[0] + program.salt[1])
+        self._columns = [builder.build().columns()
+                         for builder in self._builders]
+        #: _ends[cpu][n]: length of ``cpu``'s trace after ``n`` units
+        self._ends = [array("q", [0]) for _ in self._builders]
+        self._loops: List[Iterator[None]] = []
+        if not program.prefix_stable:
+            program.loop(self._builders, units)
+            self._validate([0] * num_cpus)
+        elif program.per_cpu:
+            self._loops = [program.loop(builder, cpu, num_cpus)
+                           for cpu, builder in enumerate(self._builders)]
+        else:
+            self._loops = [program.loop(self._builders)]
+
+    def _grow(self, units: int) -> None:
+        """Run the unit loops until ``units`` units exist."""
+        ends = self._ends
+        done = len(ends[0]) - 1
+        if units <= done:
+            return
+        addresses = [columns[1] for columns in self._columns]
+        starts = [len(column) for column in addresses]
+        for _ in range(done, units):
+            for loop in self._loops:
+                next(loop)
+            for cpu_ends, column in zip(ends, addresses):
+                cpu_ends.append(len(column))
+        self._validate(starts)
+
+    def _validate(self, starts: List[int]) -> None:
+        """Validate each CPU's trace from ``starts[cpu]`` on (once per
+        access, as it is generated)."""
+        for cpu, (columns, start) in enumerate(zip(self._columns, starts)):
+            ColumnarTrace(*(column[start:] for column in columns)) \
+                .validate(cpu)
+
+    def workload(self, scale: float) -> Workload:
+        """The program at ``scale``: fresh per-CPU prefix copies."""
+        units = self.program.units(scale)
+        if self.program.prefix_stable:
+            self._grow(units)
+        traces = []
+        for columns, ends in zip(self._columns, self._ends):
+            end = ends[units] if self.program.prefix_stable \
+                else len(columns[1])
+            traces.append(ColumnarTrace(*(column[:end]
+                                          for column in columns)))
+        metadata = dict(scale=scale, seed=self.seed,
+                        **self.program.fields(len(traces), units))
+        return Workload(self.program.name, traces, metadata, validate=False)
+
+
+# -- fft ---------------------------------------------------------------------
+
+FFT_MATRIX_BYTES = int(1.5 * (1 << 20))          # shared matrix ~1.5 MB
+FFT_PHASES = 10
+
+
+def _fft_body(builders: List[TraceBuilder], tiles_per_phase: int) -> None:
     """Tiled butterfly phases + all-to-all transpose of a shared matrix."""
-    builders = make_builders(num_cpus, seed * 7919 + 11)
-    matrix_bytes = int(1.5 * (1 << 20))          # shared matrix ~1.5 MB
-    matrix_words = _words(matrix_bytes)
-    chunk_words = matrix_words // num_cpus
-    phases = 10
-    tiles_per_phase = max(1, int(2.4 * scale))
+    num_cpus = len(builders)
+    chunk_words = _words(FFT_MATRIX_BYTES) // num_cpus
     tile_words = 256                             # 2 KB tiles
     passes_per_tile = 4
 
-    for phase in range(phases):
+    for phase in range(FFT_PHASES):
         for cpu, builder in enumerate(builders):
             base_private = private_base(cpu) + 4096
             my_chunk = SHARED_BASE + cpu * chunk_words * WORD_BYTES
@@ -90,115 +191,143 @@ def fft(num_cpus: int, scale: float = 1.0, seed: int = 1) -> Workload:
                     builder.write(my_chunk
                                   + ((other * slice_words + word)
                                      % chunk_words) * WORD_BYTES)
-    return assemble("fft", builders, scale=scale, seed=seed,
-                    shared_bytes=matrix_bytes, phases=phases)
 
 
-def radix(num_cpus: int, scale: float = 1.0, seed: int = 2) -> Workload:
-    """Streaming key reads with dense-run shared-bucket writes."""
-    builders = make_builders(num_cpus, seed * 104729 + 13)
-    # Dense histogram space: small enough that CPUs collide on bucket
-    # lines (the migratory read-modify-write sharing radix is known for)
-    # while the streamed key arrays provide the memory-bound traffic.
-    bucket_bytes = 256 << 10
-    bucket_words = _words(bucket_bytes)
-    keys = max(1, int(9000 * scale))
+FFT = Program(
+    "fft", (7919, 11),
+    units=lambda scale: max(1, int(2.4 * scale)),     # tiles per phase
+    fields=lambda num_cpus, units: dict(shared_bytes=FFT_MATRIX_BYTES,
+                                        phases=FFT_PHASES),
+    loop=_fft_body, prefix_stable=False)
+
+
+# -- radix -------------------------------------------------------------------
+
+# Dense histogram space: small enough that CPUs collide on bucket lines
+# (the migratory read-modify-write sharing radix is known for) while the
+# streamed key arrays provide the memory-bound traffic.
+RADIX_BUCKET_BYTES = 256 << 10
+
+
+def _radix_keys(builder: TraceBuilder, cpu: int,
+                num_cpus: int) -> Iterator[None]:
+    """Streaming key reads with dense-run shared-bucket writes; one
+    unit per key."""
+    bucket_words = _words(RADIX_BUCKET_BYTES)
     run_words = 8                                # one line per bucket run
     keys_per_run = 24
-
-    for cpu, builder in enumerate(builders):
-        rng = builder._rng
-        key_base = private_base(cpu) + 8192
-        run_start = 0
-        for key_index in range(keys):
-            builder.read(key_base + (key_index * WORD_BYTES) % (1 << 20))
-            # Radix scatters into bucket runs: a fresh random run every
-            # two dozen keys, line-dense read-modify-writes within it.
-            if key_index % keys_per_run == 0:
-                run_start = rng.randint(
-                    0, bucket_words // run_words - 1) * run_words
-            bucket = run_start + rng.randint(0, run_words - 1)
-            address = SHARED_BASE + bucket * WORD_BYTES
-            builder.read(address)
-            builder.write(address)
-            if key_index % 64 == 63:
-                # Rank exchange: peek at a neighbour's dense counters.
-                neighbour = (cpu + 1) % num_cpus
-                counter = (SHARED_BASE + bucket_bytes
-                           + neighbour * 4096
-                           + rng.randint(0, 63) * WORD_BYTES)
-                builder.read(counter)
-    return assemble("radix", builders, scale=scale, seed=seed,
-                    shared_bytes=bucket_bytes, keys_per_cpu=keys)
+    rng = builder._rng
+    key_base = private_base(cpu) + 8192
+    run_start = 0
+    for key_index in count():
+        builder.read(key_base + (key_index * WORD_BYTES) % (1 << 20))
+        # Radix scatters into bucket runs: a fresh random run every
+        # two dozen keys, line-dense read-modify-writes within it.
+        if key_index % keys_per_run == 0:
+            run_start = rng.randint(
+                0, bucket_words // run_words - 1) * run_words
+        bucket = run_start + rng.randint(0, run_words - 1)
+        address = SHARED_BASE + bucket * WORD_BYTES
+        builder.read(address)
+        builder.write(address)
+        if key_index % 64 == 63:
+            # Rank exchange: peek at a neighbour's dense counters.
+            neighbour = (cpu + 1) % num_cpus
+            counter = (SHARED_BASE + RADIX_BUCKET_BYTES
+                       + neighbour * 4096
+                       + rng.randint(0, 63) * WORD_BYTES)
+            builder.read(counter)
+        yield
 
 
-def barnes(num_cpus: int, scale: float = 1.0, seed: int = 3) -> Workload:
-    """Read-mostly tree walks with hot upper levels and path reuse."""
-    builders = make_builders(num_cpus, seed * 6151 + 17)
-    tree_bytes = 2 << 20                         # shared tree ~2 MB
-    tree_words = _words(tree_bytes)
+RADIX = Program(
+    "radix", (104729, 13),
+    units=lambda scale: max(1, int(9000 * scale)),    # keys per CPU
+    fields=lambda num_cpus, units: dict(shared_bytes=RADIX_BUCKET_BYTES,
+                                        keys_per_cpu=units),
+    loop=_radix_keys, per_cpu=True)
+
+
+# -- barnes ------------------------------------------------------------------
+
+BARNES_TREE_BYTES = 2 << 20                      # shared tree ~2 MB
+
+
+def _barnes_walks(builder: TraceBuilder, cpu: int,
+                  num_cpus: int) -> Iterator[None]:
+    """Read-mostly tree walks with hot upper levels and path reuse; one
+    unit per walk."""
+    tree_words = _words(BARNES_TREE_BYTES)
     hot_words = tree_words // 256                # upper tree levels
-    walks = max(1, int(900 * scale))
     walk_length = 8
     reuse_probability = 0.95
-
-    for cpu, builder in enumerate(builders):
-        rng = builder._rng
-        body_base = private_base(cpu) + 16384
-        recent: list = []
-        for walk in range(walks):
-            for depth in range(walk_length):
-                if depth < 3 or (recent
-                                 and rng.random() < reuse_probability):
-                    if depth < 3:
-                        node = rng.randint(0, hot_words - 1)
-                    else:
-                        node = rng.choice(recent)
+    rng = builder._rng
+    body_base = private_base(cpu) + 16384
+    recent: list = []
+    for walk in count():
+        for depth in range(walk_length):
+            if depth < 3 or (recent
+                             and rng.random() < reuse_probability):
+                if depth < 3:
+                    node = rng.randint(0, hot_words - 1)
                 else:
-                    node = rng.randint(0, tree_words - 4)
-                    recent.append(node)
-                    if len(recent) > 192:
-                        recent.pop(0)
-                address = SHARED_BASE + node * WORD_BYTES
-                # A tree node spans several words: read a few fields.
-                builder.read(address)
-                builder.read(address + WORD_BYTES)
-                builder.read(address + 2 * WORD_BYTES)
-            if walk % 64 == 0:
-                # Periodic centre-of-mass summary exchange through the
-                # capacity-sensitive region (rotating writer).
-                epoch = walk // 64
-                if cpu == epoch % num_cpus:
-                    for line in range(8):
-                        builder.write(conflict_block(epoch % 12)
-                                      + line * 64)
-                if cpu == (epoch + 1) % num_cpus:
-                    block = conflict_block((epoch - 6) % 12)
-                    for line in range(8):
-                        builder.read(block + line * 64)
-            # Update our body's fields (private) and occasionally the
-            # shared cell the body hangs off (5% of walks).
-            body = body_base + (walk % 128) * 64
-            builder.read(body)
-            builder.write(body)
-            if rng.random() < 0.05:
-                node = rng.randint(0, hot_words - 1)
-                builder.write(SHARED_BASE + node * WORD_BYTES)
-    return assemble("barnes", builders, scale=scale, seed=seed,
-                    shared_bytes=tree_bytes, walks_per_cpu=walks)
+                    node = rng.choice(recent)
+            else:
+                node = rng.randint(0, tree_words - 4)
+                recent.append(node)
+                if len(recent) > 192:
+                    recent.pop(0)
+            address = SHARED_BASE + node * WORD_BYTES
+            # A tree node spans several words: read a few fields.
+            builder.read(address)
+            builder.read(address + WORD_BYTES)
+            builder.read(address + 2 * WORD_BYTES)
+        if walk % 64 == 0:
+            # Periodic centre-of-mass summary exchange through the
+            # capacity-sensitive region (rotating writer).
+            epoch = walk // 64
+            if cpu == epoch % num_cpus:
+                for line in range(8):
+                    builder.write(conflict_block(epoch % 12)
+                                  + line * 64)
+            if cpu == (epoch + 1) % num_cpus:
+                block = conflict_block((epoch - 6) % 12)
+                for line in range(8):
+                    builder.read(block + line * 64)
+        # Update our body's fields (private) and occasionally the
+        # shared cell the body hangs off (5% of walks).
+        body = body_base + (walk % 128) * 64
+        builder.read(body)
+        builder.write(body)
+        if rng.random() < 0.05:
+            node = rng.randint(0, hot_words - 1)
+            builder.write(SHARED_BASE + node * WORD_BYTES)
+        yield
 
 
-def lu(num_cpus: int, scale: float = 1.0, seed: int = 4) -> Workload:
-    """Rotating pivot-row producer with all-consumer readers."""
-    builders = make_builders(num_cpus, seed * 3571 + 19)
-    matrix_bytes = 2 << 20                       # shared matrix ~2 MB
+BARNES = Program(
+    "barnes", (6151, 17),
+    units=lambda scale: max(1, int(900 * scale)),     # walks per CPU
+    fields=lambda num_cpus, units: dict(shared_bytes=BARNES_TREE_BYTES,
+                                        walks_per_cpu=units),
+    loop=_barnes_walks, per_cpu=True)
+
+
+# -- lu ----------------------------------------------------------------------
+
+LU_MATRIX_BYTES = 2 << 20                        # shared matrix ~2 MB
+
+
+def _lu_iterations(builders: List[TraceBuilder]) -> Iterator[None]:
+    """Rotating pivot-row producer with all-consumer readers; one unit
+    per iteration."""
+    num_cpus = len(builders)
     row_bytes = 2048
-    rows = matrix_bytes // row_bytes
-    iterations = max(2, int(55 * scale))
+    rows = LU_MATRIX_BYTES // row_bytes
     row_words = _words(row_bytes)
     block_rows = 8                               # each CPU's warm block
 
-    for iteration in range(iterations):
+    for iteration in count():
         owner = iteration % num_cpus
         pivot_row = SHARED_BASE + (iteration % rows) * row_bytes
         # Producer updates the pivot row at the head of the iteration.
@@ -230,27 +359,37 @@ def lu(num_cpus: int, scale: float = 1.0, seed: int = 4) -> Workload:
                 builder.compute(400)  # barrier slack
                 for word in range(0, row_words, 2):
                     builder.read(pivot_row + word * WORD_BYTES)
-    return assemble("lu", builders, scale=scale, seed=seed,
-                    shared_bytes=matrix_bytes, iterations=iterations)
+        yield
 
 
-def ocean(num_cpus: int, scale: float = 1.0, seed: int = 5) -> Workload:
-    """Strip-partitioned stencil with boundary-row exchange."""
-    builders = make_builders(num_cpus, seed * 2887 + 23)
-    row_bytes = 4096
-    rows_per_cpu = 32
-    grid_rows = rows_per_cpu * num_cpus
-    iterations = max(2, int(8 * scale))
-    row_words = _words(row_bytes)
+LU = Program(
+    "lu", (3571, 19),
+    units=lambda scale: max(2, int(55 * scale)),      # iterations
+    fields=lambda num_cpus, units: dict(shared_bytes=LU_MATRIX_BYTES,
+                                        iterations=units),
+    loop=_lu_iterations)
+
+
+# -- ocean -------------------------------------------------------------------
+
+OCEAN_ROW_BYTES = 4096
+OCEAN_ROWS_PER_CPU = 32
+
+
+def _ocean_iterations(builders: List[TraceBuilder]) -> Iterator[None]:
+    """Strip-partitioned stencil with boundary-row exchange; one unit
+    per iteration."""
+    grid_rows = OCEAN_ROWS_PER_CPU * len(builders)
+    row_words = _words(OCEAN_ROW_BYTES)
     sweep_step = 2
 
     def row_address(row: int) -> int:
-        return SHARED_BASE + (row % grid_rows) * row_bytes
+        return SHARED_BASE + (row % grid_rows) * OCEAN_ROW_BYTES
 
-    for iteration in range(iterations):
+    while True:
         for cpu, builder in enumerate(builders):
-            first = cpu * rows_per_cpu
-            last = first + rows_per_cpu - 1
+            first = cpu * OCEAN_ROWS_PER_CPU
+            last = first + OCEAN_ROWS_PER_CPU - 1
             for row in range(first, last + 1):
                 mine = row_address(row)
                 # Neighbour rows: interior rows read within the strip,
@@ -263,6 +402,52 @@ def ocean(num_cpus: int, scale: float = 1.0, seed: int = 5) -> Workload:
                     builder.read(below + word * WORD_BYTES)
                     builder.read(mine + word * WORD_BYTES)
                     builder.write(mine + word * WORD_BYTES)
-    return assemble("ocean", builders, scale=scale, seed=seed,
-                    shared_bytes=grid_rows * row_bytes,
-                    iterations=iterations)
+        yield
+
+
+OCEAN = Program(
+    "ocean", (2887, 23),
+    units=lambda scale: max(2, int(8 * scale)),       # iterations
+    fields=lambda num_cpus, units: dict(
+        shared_bytes=OCEAN_ROWS_PER_CPU * num_cpus * OCEAN_ROW_BYTES,
+        iterations=units),
+    loop=_ocean_iterations)
+
+
+#: every model by name, in the paper's order
+PROGRAMS = {program.name: program
+            for program in (FFT, RADIX, BARNES, LU, OCEAN)}
+
+
+# -- one-shot generation -----------------------------------------------------
+
+
+def _one_shot(program: Program, num_cpus: int, scale: float,
+              seed: int) -> Workload:
+    return Family(program, num_cpus, seed,
+                  program.units(scale)).workload(scale)
+
+
+def fft(num_cpus: int, scale: float = 1.0, seed: int = 1) -> Workload:
+    """Tiled butterfly phases + all-to-all transpose of a shared matrix."""
+    return _one_shot(FFT, num_cpus, scale, seed)
+
+
+def radix(num_cpus: int, scale: float = 1.0, seed: int = 2) -> Workload:
+    """Streaming key reads with dense-run shared-bucket writes."""
+    return _one_shot(RADIX, num_cpus, scale, seed)
+
+
+def barnes(num_cpus: int, scale: float = 1.0, seed: int = 3) -> Workload:
+    """Read-mostly tree walks with hot upper levels and path reuse."""
+    return _one_shot(BARNES, num_cpus, scale, seed)
+
+
+def lu(num_cpus: int, scale: float = 1.0, seed: int = 4) -> Workload:
+    """Rotating pivot-row producer with all-consumer readers."""
+    return _one_shot(LU, num_cpus, scale, seed)
+
+
+def ocean(num_cpus: int, scale: float = 1.0, seed: int = 5) -> Workload:
+    """Strip-partitioned stencil with boundary-row exchange."""
+    return _one_shot(OCEAN, num_cpus, scale, seed)

@@ -1,5 +1,9 @@
 """Deterministic RNG tests."""
 
+import random
+
+import pytest
+
 from repro.sim.rng import DeterministicRng
 
 
@@ -44,6 +48,30 @@ def test_geometric_mean_is_roughly_right():
 def test_geometric_degenerate_mean():
     rng = DeterministicRng(3)
     assert all(rng.geometric(1.0) == 1 for _ in range(10))
+
+
+def _frozen_geometric(source: random.Random, mean: float) -> int:
+    """The sampler's loop as first written: the reference its faster
+    form must match draw for draw."""
+    if mean <= 1.0:
+        return 1
+    probability = 1.0 / mean
+    value = 1
+    while source.random() > probability and value < 64 * mean:
+        value += 1
+    return value
+
+
+@pytest.mark.parametrize("mean", [1.5, 2, 2.5, 3, 6, 8, 12])
+def test_geometric_matches_frozen_loop(mean):
+    """Every trace gap comes from ``geometric``: the same draws in the
+    same order, and the stream left in the same state afterwards."""
+    rng = DeterministicRng(11)
+    reference = random.Random(11)
+    draws = 100_000
+    assert ([rng.geometric(mean) for _ in range(draws)]
+            == [_frozen_geometric(reference, mean) for _ in range(draws)])
+    assert rng._random.getstate() == reference.getstate()
 
 
 def test_choice_and_sample():
