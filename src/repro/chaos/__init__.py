@@ -19,7 +19,7 @@ serve`` subprocess through them:
   (exercises the client's resumable stream).
 
 Worker-side faults are injected through one env-gated seam in
-:func:`repro.sim.sweep._run_point_timed` (``REPRO_CHAOS_PLAN`` names
+:class:`repro.sim.sweep.PointRunner` (``REPRO_CHAOS_PLAN`` names
 the plan file; a marker directory makes each fault fire exactly
 once), so production runs pay a single dict lookup.
 

@@ -1,8 +1,9 @@
 """Worker-side fault injection: the receiving end of a chaos plan.
 
 :func:`apply_worker_faults` is called by
-:func:`repro.sim.sweep._run_point_timed` (and the recording runner)
-at the top of every point execution, but only when the
+:class:`repro.sim.sweep.PointRunner` — the one runner of sweep, chain,
+recorded and served points — at the top of every point execution,
+but only when the
 ``REPRO_CHAOS_PLAN`` environment variable names a plan file — the
 production path pays one dict lookup and never imports this module.
 

@@ -42,7 +42,7 @@ import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BackpressureError, ServeError
-from ..sim.sweep import SweepPoint
+from ..sim.sweep import SweepPoint, backoff_delay
 from ..smp.metrics import SimulationResult
 from .jobs import job_request_dict, result_from_dict
 
@@ -78,9 +78,8 @@ class ServeClient:
         """Seeded exponential backoff with jitter — deterministic per
         (client seed, operation, attempt), so retry traffic is
         reproducible in tests and decorrelated across clients."""
-        rng = random.Random(f"{self.seed}:{what}:{attempt}")
-        return self.backoff_s * (2 ** (attempt - 1)) \
-            * (1.0 + rng.random())
+        return backoff_delay(self.backoff_s, attempt, random.Random(
+            f"{self.seed}:{what}:{attempt}"))
 
     @staticmethod
     def _send_request(sock: socket.socket, method: str, path: str,
@@ -123,17 +122,15 @@ class ServeClient:
             raise BackpressureError(message)
         raise ServeError(message, status=status)
 
-    def _request(self, method: str, path: str,
-                 payload: Optional[dict] = None) -> dict:
-        """One request with transport-level retry.
+    def _exchange(self, method: str, path: str,
+                  body: Optional[bytes] = None) -> bytes:
+        """One request with transport-level retry; the response body.
 
         Idempotent methods retry on any transport failure; ``POST``
         retries only when the connection itself failed (the request
         was provably never sent, so a duplicate submission is
         impossible). Exhausted retries re-raise the original error.
         """
-        body = None if payload is None else \
-            json.dumps(payload).encode("utf-8")
         idempotent = method in ("GET", "DELETE")
         for attempt in range(self.retries + 1):
             connected = False
@@ -156,8 +153,15 @@ class ServeClient:
                     f"{method} {path}", attempt + 1))
                 continue
             self._raise_for_status(status, data)
-            return json.loads(data.decode("utf-8")) if data else {}
+            return data
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _request(self, method: str, path: str,
+                 payload: Optional[dict] = None) -> dict:
+        body = None if payload is None else \
+            json.dumps(payload).encode("utf-8")
+        data = self._exchange(method, path, body)
+        return json.loads(data.decode("utf-8")) if data else {}
 
     # -- API -----------------------------------------------------------
 
@@ -230,25 +234,8 @@ class ServeClient:
         artifact verbatim, so these bytes equal the on-disk file
         (the chaos harness compares them byte-for-byte against a
         clean run's recordings)."""
-        path = f"/v1/jobs/{job_id}/recordings/{index}"
-        for attempt in range(self.retries + 1):
-            try:
-                with self._connect() as sock:
-                    self._send_request(sock, "GET", path, None)
-                    with sock.makefile("rb") as handle:
-                        status, headers = self._read_head(handle)
-                        length = headers.get("content-length")
-                        data = handle.read(int(length)) \
-                            if length is not None else handle.read()
-            except OSError:
-                if attempt >= self.retries:
-                    raise
-                time.sleep(self._backoff_delay(
-                    f"GET {path}", attempt + 1))
-                continue
-            self._raise_for_status(status, data)
-            return data
-        raise AssertionError("unreachable")  # pragma: no cover
+        return self._exchange(
+            "GET", f"/v1/jobs/{job_id}/recordings/{index}")
 
     def stream_events(self, job_id: str) -> Iterator[dict]:
         """Yield the job's NDJSON progress events; the stream replays

@@ -64,8 +64,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import BackpressureError, ServeError
-from ..sim.sweep import ResultCache, SweepPoint, _recorded_runner, \
-    _run_point_timed, point_key
+from ..sim.sweep import PointRunner, ResultCache, SweepPoint, \
+    backoff_delay, point_key
 from .fairqueue import WeightedFairQueue
 from .jobs import JobSpec, job_request_dict, parse_job_request, \
     result_to_dict
@@ -166,9 +166,10 @@ class Scheduler:
     ``executor``/``runner`` are injectable for tests (a thread pool
     plus a controllable runner gives deterministic contention); the
     production path is a warm ``ProcessPoolExecutor`` running
-    :func:`repro.sim.sweep._run_point_timed` under worker
-    supervision. ``journal`` (a :class:`JobJournal` or a path) turns
-    on the durable WAL; ``point_timeout`` arms the per-point
+    :class:`repro.sim.sweep.PointRunner` under worker supervision
+    (record jobs run cold through a recording ``PointRunner``).
+    ``journal`` (a :class:`JobJournal` or a path) turns on the
+    durable WAL; ``point_timeout`` arms the per-point
     deadline; ``retries``/``backoff_s``/``seed`` shape the seeded
     retry schedule and ``quarantine_after`` the circuit breaker.
     """
@@ -190,13 +191,9 @@ class Scheduler:
         self.record_dir = None if record_dir is None else Path(record_dir)
         self.checkpoint_dir = None if checkpoint_dir is None \
             else Path(checkpoint_dir)
-        if record_runner is not None:
-            self._record_runner = record_runner
-        elif record_dir is not None:
-            self._record_runner = functools.partial(
-                _recorded_runner, str(record_dir))
-        else:
-            self._record_runner = None
+        if record_runner is None and record_dir is not None:
+            record_runner = PointRunner(record_dir=str(record_dir))
+        self._record_runner = record_runner
         self.max_workers = max(1, max_workers)
         self.max_queued_per_tenant = max_queued_per_tenant
         if journal is None or isinstance(journal, JobJournal):
@@ -217,20 +214,17 @@ class Scheduler:
             executor=executor, executor_factory=executor_factory,
             heartbeat_s=heartbeat_s)
         self._supervisor.on_restart = self._on_worker_restart
-        if runner is not None:
-            self._runner = runner
-        elif checkpoint_dir is not None:
+        if runner is None and checkpoint_dir is not None:
             # Prefix-sharing execution (docs/checkpointing.md): the
             # worker probes its in-process hot LRU, then the shared
             # disk store, and forks instead of re-simulating warm-up.
             # Checkpoints are keyed by prefix fingerprint, not tenant,
             # so they are shared across tenants like the result cache.
-            from ..sim.checkpoint import serve_checkpoint_runner
-            self._runner = functools.partial(
-                serve_checkpoint_runner, str(checkpoint_dir),
-                max(1, checkpoint_hot))
-        else:
-            self._runner = _run_point_timed
+            from ..sim.checkpoint import CheckpointStore
+            runner = PointRunner(
+                checkpoints=CheckpointStore(checkpoint_dir),
+                hot_capacity=max(1, checkpoint_hot))
+        self._runner = runner if runner is not None else PointRunner()
         self._running = 0
         self._serial = 0
         self._draining = False
@@ -578,8 +572,8 @@ class Scheduler:
     def _merge_worker_counters(self, extra) -> None:
         """Fold counter deltas a runner shipped back alongside its
         result (third tuple element, e.g. ``serve.checkpoint_*`` from
-        :func:`repro.sim.checkpoint.serve_checkpoint_runner`) into the
-        scheduler's counters. Plain two-tuple runners ship none."""
+        a checkpointing :class:`repro.sim.sweep.PointRunner`) into
+        the scheduler's counters. Two-tuple runners ship none."""
         for delta in extra:
             if not isinstance(delta, dict):
                 continue
@@ -631,9 +625,8 @@ class Scheduler:
         a given (scheduler seed, point, attempt), decorrelated across
         points so a mass worker loss doesn't thunder back as one
         herd."""
-        rng = random.Random(f"{self.seed}:{key}:{failures}")
-        return self.backoff_s * (2 ** (failures - 1)) \
-            * (1.0 + rng.random())
+        return backoff_delay(self.backoff_s, failures, random.Random(
+            f"{self.seed}:{key}:{failures}"))
 
     def _schedule_retry(self, execution: _Execution,
                         pairs: List[Tuple[Job, int]]) -> None:

@@ -19,14 +19,18 @@ per point. This module factors the shared part out:
   run — are bit-identical to cold runs (pinned by
   tests/sim/test_checkpoint.py).
 - :class:`CheckpointStore` is the disk-backed, LRU-bounded store next
-  to the :class:`~repro.sim.sweep.ResultCache`;
+  to the :class:`~repro.sim.sweep.ResultCache` (both are key and
+  encoding schemes over one :class:`~repro.sim.store.BlobStore`);
   :func:`run_chain` executes a *family* of scale-axis points
   smallest→largest, emitting a checkpoint at each point's
   first-trace-exhaustion instant (the last state shared with every
   larger scale) and forking each successor from the best one.
-- :func:`serve_checkpoint_runner` is the serve plane's worker runner:
-  a process-global in-memory LRU of hot snapshots over the shared
-  disk store, shared across tenants like the result cache.
+- :func:`run_forked` is what :class:`~repro.sim.sweep.PointRunner`
+  calls for a forked or recorded point — in sweeps, chains and the
+  serve plane alike. Serve workers add a process-global in-memory LRU
+  of hot snapshots over the shared disk store, shared across tenants
+  like the result cache; both pick a snapshot by one rule
+  (:func:`deepest_valid`).
 
 Soundness is checked, not assumed: a snapshot records a sha256
 digest of each CPU's *consumed trace prefix* (write flags, addresses,
@@ -55,10 +59,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -68,8 +70,9 @@ from ..errors import CheckpointError
 from ..smp.fastpath import _finish_run, _run_loop, new_counters
 from ..smp.metrics import SimulationResult
 from ..smp.trace import Workload, as_columns
-from .sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
-                    build_system, lru_gc, point_key)
+from .store import BlobStore, sha256
+from .sweep import (ENGINE_VERSION, PointRunner, ResultCache, SweepPoint,
+                    build_system, point_key)
 
 #: Bump when the snapshot payload or meta layout changes — or when a
 #: soundness fix must bust stores written by older code; snapshots
@@ -178,7 +181,7 @@ def capture(system, workload: Workload, point: SweepPoint,
         "accesses": int(sum(cursors)),
         "digests": trace_digests(workload, cursors),
         "recorded": bool(recorded),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+        "blob_sha256": sha256(blob),
         "extra": dict(extra or {}),
     }
     return MachineSnapshot(meta=meta, blob=blob)
@@ -213,7 +216,7 @@ def restore(snapshot: MachineSnapshot):
     """
     blob = snapshot.blob
     expected = snapshot.meta.get("blob_sha256")
-    if expected != hashlib.sha256(blob).hexdigest():
+    if expected != sha256(blob):
         raise CheckpointError(
             f"checkpoint blob checksum mismatch (tag "
             f"{snapshot.meta.get('tag')!r})")
@@ -235,19 +238,58 @@ def restore(snapshot: MachineSnapshot):
     return system, clocks, cursors, counters
 
 
-class CheckpointStore:
-    """Disk-backed snapshot store, sibling of the ResultCache.
+def _decode_meta(handle) -> Dict[str, object]:
+    """The magic line and JSON meta line of a checkpoint file."""
+    if handle.readline() != MAGIC:
+        raise ValueError("bad magic")
+    meta = json.loads(handle.readline().decode())
+    if not isinstance(meta, dict):
+        raise ValueError("meta is not an object")
+    return meta
+
+
+def _decode_snapshot(handle) -> MachineSnapshot:
+    meta = _decode_meta(handle)
+    blob = handle.read()
+    if meta.get("blob_sha256") != sha256(blob):
+        raise ValueError("blob checksum mismatch")
+    return MachineSnapshot(meta=meta, blob=blob)
+
+
+def deepest_valid(metas: Sequence[Dict[str, object]],
+                  workload: Workload, load):
+    """The deepest snapshot whose prefix validates against
+    ``workload``: candidates (snapshot metas) are tried deepest first,
+    ties broken by tag, and the first that validates *and* that
+    ``load(meta)`` returns (None means unreadable) wins; None means run
+    cold. The one selection rule of the disk store and the hot LRU.
+
+    Validation is lazy: each check hashes the candidate's whole
+    consumed prefix, so validating every candidate of a long scale
+    chain up front would cost quadratically in chain length — and the
+    deepest candidate is the one that validates in every non-corrupt
+    case anyway.
+    """
+    for meta in sorted(metas, key=lambda meta: (
+            -int(meta.get("accesses", 0)), str(meta.get("tag")))):
+        if validates_against(meta, workload):
+            snapshot = load(meta)
+            if snapshot is not None:
+                return snapshot
+    return None
+
+
+class CheckpointStore(BlobStore):
+    """Disk-backed snapshot store, sibling of the ResultCache over the
+    same :class:`~repro.sim.store.BlobStore`.
 
     Entries are ``<family>-<tag>.ckpt`` files: a magic line, one JSON
-    meta line (readable without touching the pickle), then the blob.
-    Writers stage into a pid-unique temp file and publish with atomic
-    ``os.replace`` — concurrent workers of one sweep/serve plane may
-    share a store. A file that fails magic, meta, or blob checksum is
-    renamed to ``.corrupt`` and treated as a miss.
-
-    ``max_mb`` bounds the store: after every write, oldest-mtime
-    entries are evicted until under budget (loads touch mtime, so
-    eviction is LRU). Hit/miss/store counts persist best-effort in a
+    meta line (readable without touching the pickle), then the blob,
+    whose sha256 the meta carries and every load verifies. Atomic
+    publish (concurrent workers and threads of one sweep/serve plane
+    may share a store), ``.corrupt`` quarantine of a file failing
+    magic, meta or checksum, and the ``max_mb`` LRU budget are the
+    BlobStore's. Hit/miss/store counts persist best-effort in a
     ``_stats.json`` sidecar — concurrent increments may race and lose
     counts, so the reported hit rate is approximate by design.
     """
@@ -256,161 +298,63 @@ class CheckpointStore:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CHECKPOINT_DIR,
                  max_mb: Optional[float] = None):
-        self.root = Path(root)
-        self.max_mb = max_mb
-        self.evicted = 0
+        super().__init__(root, max_mb)
 
     def _path(self, family: str, tag: str) -> Path:
         return self.root / f"{family}-{tag}{self.SUFFIX}"
 
-    # -- persistence ----------------------------------------------------
-
     def store(self, snapshot: MachineSnapshot) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(snapshot.family, snapshot.tag)
-        scratch = path.with_suffix(f".tmp.{os.getpid()}")
-        data = (MAGIC
-                + json.dumps(snapshot.meta, sort_keys=True).encode()
-                + b"\n" + snapshot.blob)
-        try:
-            scratch.write_bytes(data)
-            scratch.replace(path)
-        finally:
-            if scratch.exists():
-                try:
-                    scratch.unlink()
-                except OSError:
-                    pass
+        self._publish(path, MAGIC
+                      + json.dumps(snapshot.meta, sort_keys=True).encode()
+                      + b"\n" + snapshot.blob)
         self._note("stores")
         self.gc()
         return path
 
-    def _read(self, path: Path) -> Optional[MachineSnapshot]:
-        try:
-            with path.open("rb") as handle:
-                if handle.readline() != MAGIC:
-                    raise ValueError("bad magic")
-                meta = json.loads(handle.readline().decode())
-                blob = handle.read()
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError):
-            self._quarantine(path)
-            return None
-        snapshot = MachineSnapshot(meta=meta, blob=blob)
-        if meta.get("blob_sha256") \
-                != hashlib.sha256(blob).hexdigest():
-            self._quarantine(path)
-            return None
-        return snapshot
-
     def load(self, family: str, tag: str) -> Optional[MachineSnapshot]:
-        snapshot = self._read(self._path(family, tag))
-        if snapshot is None:
-            self._note("misses")
-            return None
-        self._touch(self._path(family, tag))
-        self._note("hits")
+        snapshot = self._read(self._path(family, tag), _decode_snapshot)
+        self._note("misses" if snapshot is None else "hits")
         return snapshot
-
-    def _quarantine(self, path: Path) -> None:
-        try:
-            path.replace(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        try:
-            os.utime(path)  # LRU recency for gc()
-        except OSError:
-            pass
-
-    # -- queries --------------------------------------------------------
 
     def metas(self, family: str) -> List[Dict[str, object]]:
         """Meta lines of every entry in ``family`` (blob untouched)."""
-        if not self.root.is_dir():
-            return []
-        metas = []
-        for path in sorted(self.root.glob(
-                f"{family}-*{self.SUFFIX}")):
-            try:
-                with path.open("rb") as handle:
-                    if handle.readline() != MAGIC:
-                        continue
-                    metas.append(json.loads(
-                        handle.readline().decode()))
-            except (OSError, ValueError):
-                continue
-        return metas
+        metas = [self._read(path, _decode_meta, touch=False)
+                 for path in self._paths(f"{family}-")]
+        return [meta for meta in metas if meta is not None]
 
     def best(self, family: str, workload: Workload
              ) -> Optional[MachineSnapshot]:
-        """The deepest stored snapshot whose prefix validates against
-        ``workload``; candidates that fail validation or loading fall
-        through to the next-best, then to ``None`` (= run cold).
+        """:func:`deepest_valid` over the family's stored metas; only
+        the chosen candidate's blob is read."""
+        loaded = []
 
-        Validation is lazy, deepest-first: each check hashes the
-        candidate's whole consumed prefix, so validating every entry
-        of a long scale chain up front would cost quadratically in
-        chain length — and the deepest candidate is the one that
-        validates in every non-corrupt case anyway.
-        """
-        candidates = sorted(
-            self.metas(family),
-            key=lambda meta: (-int(meta.get("accesses", 0)),
-                              str(meta.get("tag"))))
-        loads_counted = False
-        for meta in candidates:
-            if not validates_against(meta, workload):
-                continue
-            hit = self.load(family, str(meta.get("tag")))
-            loads_counted = True
-            if hit is not None:
-                return hit
-        if not loads_counted:
+        def load(meta):
+            loaded.append(meta)
+            return self.load(family, str(meta.get("tag")))
+
+        hit = deepest_valid(self.metas(family), workload, load)
+        if not loaded:
             self._note("misses")  # load() never ran, count the probe
-        return None
-
-    # -- bounding + stats ----------------------------------------------
-
-    def gc(self) -> int:
-        """Evict oldest entries until under ``max_mb``; returns count."""
-        if self.max_mb is None:
-            return 0
-        evicted = lru_gc(self.root, int(self.max_mb * 1024 * 1024),
-                         f"*{self.SUFFIX}")
-        self.evicted += evicted
-        return evicted
+        return hit
 
     def _note(self, field: str, delta: int = 1) -> None:
         """Best-effort sidecar counter bump (approximate under races)."""
         path = self.root / "_stats.json"
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
             try:
                 payload = json.loads(path.read_text())
             except (OSError, ValueError):
                 payload = {}
             payload[field] = int(payload.get(field, 0)) + delta
-            scratch = path.with_suffix(f".tmp.{os.getpid()}")
-            scratch.write_text(json.dumps(payload, sort_keys=True))
-            scratch.replace(path)
+            self._publish(path,
+                          json.dumps(payload, sort_keys=True).encode())
         except OSError:
             pass
 
     def stats(self) -> Dict[str, object]:
         """Entry count, byte size and (approximate) hit rate."""
-        count = 0
-        size = 0
-        if self.root.is_dir():
-            for path in self.root.glob(f"*{self.SUFFIX}"):
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    continue
-                count += 1
+        entries = self._entries()
         try:
             sidecar = json.loads(
                 (self.root / "_stats.json").read_text())
@@ -420,28 +364,13 @@ class CheckpointStore:
         misses = int(sidecar.get("misses", 0))
         probes = hits + misses
         return {
-            "count": count,
-            "bytes": size,
+            "count": len(entries),
+            "bytes": sum(size for _mtime, size, _path in entries),
             "hits": hits,
             "misses": misses,
             "stores": int(sidecar.get("stores", 0)),
             "hit_rate": round(hits / probes, 4) if probes else None,
         }
-
-    def clear(self) -> int:
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob(f"*{self.SUFFIX}"):
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    continue
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob(f"*{self.SUFFIX}")) \
-            if self.root.is_dir() else 0
 
 
 def _scale_tag(scale: float) -> str:
@@ -552,64 +481,64 @@ def run_chain(points: Sequence[SweepPoint], store: CheckpointStore,
     deepest stored snapshot that validates against its traces and
     emits its own first-exhaustion snapshot for its successors. One
     point failing never aborts the chain — later points still fork
-    from whatever snapshots exist. Cache probe/store happen here,
-    worker-side, so a retried chain (e.g. after a mid-fork worker
-    kill) resumes from both the finished results and the on-disk
-    snapshots of its first life.
+    from whatever snapshots exist. With a ``cache``, each point's
+    result is stored as soon as it exists, so a chain killed halfway
+    keeps both the results and the on-disk snapshots of its first
+    life. This is the loop ``run_sweep`` runs for every unit
+    (:meth:`~repro.sim.sweep.PointRunner.run_all`).
 
     Returns ``[(result | None, seconds, error | None), ...]`` in
     input order.
     """
+    return PointRunner(
+        cache=cache, checkpoints=store,
+        record_dir=None if record_dir is None else str(record_dir),
+    ).run_all(points)
+
+
+def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
+               record_dir: Optional[str], hot_capacity: int = 0
+               ) -> Tuple[SimulationResult, Dict[str, int]]:
+    """The checkpoint and recording half of
+    :class:`~repro.sim.sweep.PointRunner`: returns ``(result,
+    counters)``.
+
+    With a ``store``, picks the deepest valid snapshot — from the
+    per-process hot LRU first when ``hot_capacity`` is non-zero, then
+    from the store — forks from it (cold when none validates), emits
+    this point's seam snapshot, and reports ``serve.checkpoint_*``
+    counter deltas. With ``record_dir``, a recorder rides in the
+    machine (pickled with the prefix, appending through the tail), so
+    the recording covers the run from cycle zero — byte-identical to a
+    cold recorded run — and is saved next to the result cache's key.
+    """
     recorded = record_dir is not None
-    outcomes: List[Tuple[Optional[SimulationResult], float,
-                         Optional[str]]] = []
-    for point in points:
-        # Chaos-harness seam, same as _run_point_timed: a chain run
-        # must be killable mid-fork (docs/resilience.md).
-        if "REPRO_CHAOS_PLAN" in os.environ:
-            from ..chaos.hooks import apply_worker_faults
-            apply_worker_faults(point)
-        start = time.perf_counter()
-        try:
-            if cache is not None:
-                cached = cache.load(point)
-                if cached is not None and (
-                        not recorded
-                        or (Path(record_dir)
-                            / f"{point_key(point)}.rec.json").exists()):
-                    outcomes.append(
-                        (cached, time.perf_counter() - start, None))
-                    continue
-            workload = _generate(point)
-            snapshot = store.best(
-                family_key(point, recorded=recorded), workload)
-            outcome = fork_point(point, snapshot, workload=workload,
-                                 store=store, recorded=recorded)
-            result = outcome.result
-            if recorded:
-                from ..obs.recording import Recording
-                # The recorder travelled inside the machine (pickled
-                # with the prefix, appending through the tail), so
-                # the recording covers the run from cycle zero —
-                # byte-identical to a cold recorded run.
-                recorder = outcome.system._obs
-                if recorder is None:
-                    raise CheckpointError(
-                        "recorded chain point finished without a "
-                        f"recorder: {point.workload}@{point.scale}")
-                recording = Recording.build(point, recorder, result)
-                Path(record_dir).mkdir(parents=True, exist_ok=True)
-                recording.save(Path(record_dir)
-                               / f"{point_key(point)}.rec.json")
-                result = recording.to_result()
-            if cache is not None:
-                cache.store(point, result)
-            outcomes.append(
-                (result, time.perf_counter() - start, None))
-        except Exception as exc:  # captured per point, chain goes on
-            outcomes.append(
-                (None, 0.0, f"{type(exc).__name__}: {exc}"))
-    return outcomes
+    workload = _generate(point)
+    snapshot = hot = None
+    if store is not None:
+        family = family_key(point, recorded=recorded)
+        if hot_capacity:
+            hot = _hot_lru(hot_capacity)
+            snapshot = hot.best(family, workload)
+        if snapshot is None:
+            snapshot = store.best(family, workload)
+            if snapshot is not None and hot is not None:
+                hot.put(snapshot)
+    outcome = fork_point(point, snapshot, workload=workload, store=store,
+                         recorded=recorded, hot=hot)
+    result = outcome.result
+    if recorded:
+        from ..obs.recording import Recording
+        recording = Recording.build(point, outcome.system._obs, result)
+        recording.save(Path(record_dir) / f"{point_key(point)}.rec.json")
+        result = recording.to_result()
+    if store is None:
+        return result, {}
+    return result, {
+        "serve.checkpoint_hits": int(outcome.forked),
+        "serve.checkpoint_misses": int(not outcome.forked),
+        "serve.checkpoint_stores": int(outcome.emitted),
+    }
 
 
 class HotSnapshotLRU:
@@ -638,19 +567,18 @@ class HotSnapshotLRU:
 
     def best(self, family: str, workload: Workload
              ) -> Optional[MachineSnapshot]:
+        """:func:`deepest_valid` over the family's hot snapshots."""
         with self._lock:
-            candidates = [snap for (fam, _tag), snap
-                          in self._entries.items() if fam == family]
-        candidates = [snap for snap in candidates
-                      if validates_against(snap.meta, workload)]
-        if not candidates:
-            return None
-        candidates.sort(key=lambda snap: (-snap.accesses, snap.tag))
-        hit = candidates[0]
-        with self._lock:
-            key = (hit.family, hit.tag)
-            if key in self._entries:
-                self._entries.move_to_end(key)
+            candidates = {tag: snap for (fam, tag), snap
+                          in self._entries.items() if fam == family}
+        hit = deepest_valid([snap.meta for snap in candidates.values()],
+                            workload,
+                            lambda meta: candidates[str(meta["tag"])])
+        if hit is not None:
+            with self._lock:
+                key = (hit.family, hit.tag)
+                if key in self._entries:
+                    self._entries.move_to_end(key)
         return hit
 
     def __len__(self) -> int:
@@ -671,38 +599,3 @@ def _hot_lru(capacity: int) -> HotSnapshotLRU:
         if _HOT is None:
             _HOT = HotSnapshotLRU(capacity)
         return _HOT
-
-
-def serve_checkpoint_runner(checkpoint_dir: str, hot_capacity: int,
-                            point: SweepPoint
-                            ) -> Tuple[SimulationResult, float,
-                                       Dict[str, int]]:
-    """Worker runner for the serve plane's checkpoint mode.
-
-    Drop-in for ``repro.sim.sweep._run_point_timed`` (module-level,
-    ``functools.partial``-able into process pools) that probes the
-    per-process hot LRU, then the shared disk store, forks when a
-    prefix validates, and ships ``serve.checkpoint_*`` counter deltas
-    back for ``/v1/metrics`` and the Perfetto counter track.
-    """
-    if "REPRO_CHAOS_PLAN" in os.environ:
-        from ..chaos.hooks import apply_worker_faults
-        apply_worker_faults(point)
-    start = time.perf_counter()
-    store = CheckpointStore(checkpoint_dir)
-    hot = _hot_lru(hot_capacity)
-    workload = _generate(point)
-    family = family_key(point)
-    snapshot = hot.best(family, workload)
-    if snapshot is None:
-        snapshot = store.best(family, workload)
-        if snapshot is not None:
-            hot.put(snapshot)
-    outcome = fork_point(point, snapshot, workload=workload,
-                         store=store, hot=hot)
-    counters = {
-        "serve.checkpoint_hits": 1 if outcome.forked else 0,
-        "serve.checkpoint_misses": 0 if outcome.forked else 1,
-        "serve.checkpoint_stores": 1 if outcome.emitted else 0,
-    }
-    return outcome.result, time.perf_counter() - start, counters

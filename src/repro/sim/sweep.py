@@ -15,6 +15,14 @@ table. This module runs such sweeps:
   to the machine configuration or the engine's timing semantics
   invalidates exactly the affected entries.
 
+Execution has one shape: a point runs through the one
+:class:`PointRunner` (plain, recorded, forked from a checkpoint, with
+or without a cache), a *unit* is an ordered list of points — a family
+chain with ``checkpoint_dir``, a single point otherwise — and every
+unit runs through one executor pair (:func:`_units_serial`,
+:func:`_units_parallel`). The serve plane's workers run the same
+:class:`PointRunner`.
+
 Cache invalidation rules: bump :data:`ENGINE_VERSION` whenever a change
 alters simulated *timing or statistics* (it is part of every key; stale
 entries are simply never hit again). Entries are plain JSON files named
@@ -39,24 +47,25 @@ Environment knobs:
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
 import json
 import os
 import random
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, \
-    Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, \
+    Sequence, Tuple, Union
 
 from ..config import SystemConfig
 from ..errors import ConfigError, SweepError
 from ..smp.metrics import SimulationResult
+from .store import BlobStore, sha256
+
+if TYPE_CHECKING:
+    from .checkpoint import CheckpointStore
 
 #: Bump when a change alters simulated timing or statistics; cached
 #: results from other versions are never returned.
@@ -108,9 +117,10 @@ def run_point(point: SweepPoint) -> SimulationResult:
 class SweepTimings:
     """Wall-clock and robustness accounting for :func:`run_sweep`.
 
-    ``run_s`` sums per-point worker seconds (it exceeds ``wall_s``
-    when points ran in parallel); ``cache_s`` is time spent probing
-    and loading the result cache in the coordinating process.
+    ``run_s`` sums per-point worker seconds, including the worker's
+    result-cache store (it exceeds ``wall_s`` when points ran in
+    parallel); ``cache_s`` is time spent probing and loading the
+    result cache in the coordinating process.
     ``points_failed`` counts points with no result after all retries,
     ``points_retried`` counts points that needed more than one
     attempt, ``points_timed_out`` counts individual timeout events,
@@ -157,81 +167,94 @@ class SweepPointFailure:
     timed_out: bool = False
 
 
+def backoff_delay(base_s: float, attempt: int,
+                  rng: random.Random) -> float:
+    """Exponential backoff with seeded jitter, the one retry schedule
+    of the sweep runner, the serve scheduler and the serve client:
+    ``base_s · 2^(attempt−1) · (1 + r)`` with ``r`` drawn from
+    ``rng``, so a caller that seeds ``rng`` from its input gets a
+    reproducible schedule that is still decorrelated across inputs."""
+    return base_s * (2 ** (attempt - 1)) * (1.0 + rng.random())
+
+
+@dataclass(frozen=True)
+class PointRunner:
+    """The one way a point executes, composed from the sweep options.
+
+    - no options: ``run_point`` (looked up as a module global, so
+      monkeypatched replacements are honored);
+    - ``checkpoints`` (a :class:`~repro.sim.checkpoint.CheckpointStore`):
+      fork from the deepest stored snapshot that validates against the
+      point's traces, probing the per-process hot LRU of
+      ``hot_capacity`` snapshots first when that is non-zero (the
+      serve plane), and emit this point's seam snapshot for larger
+      scales (docs/checkpointing.md);
+    - ``record_dir``: also write a deterministic recording to
+      ``<record_dir>/<point_key>.rec.json`` (docs/record_replay.md),
+      named like the cache entry so the two pair by filename;
+    - ``cache``: store the result once it exists. The cache is
+      written here, where the point ran, so a unit that dies halfway
+      keeps its finished points (``run_sweep`` reloads them before a
+      retry).
+
+    Calling it returns ``(result, seconds, counters)``; ``counters``
+    holds ``serve.checkpoint_*`` deltas when forking (the scheduler
+    folds them into ``/v1/metrics``) and is empty otherwise. Forked
+    and recorded results are bit-identical to ``run_point``.
+
+    Instances pickle (stores pickle as their directory and budget), so
+    the same runner crosses into pool workers. The chaos-harness seam
+    (:mod:`repro.chaos`) sits at the top of every call: one
+    environment lookup when no plan is set.
+    """
+
+    cache: Optional[ResultCache] = None
+    record_dir: Optional[str] = None
+    checkpoints: Optional[CheckpointStore] = None
+    hot_capacity: int = 0
+
+    def __call__(self, point: SweepPoint
+                 ) -> Tuple[SimulationResult, float, Dict[str, int]]:
+        if "REPRO_CHAOS_PLAN" in os.environ:
+            from ..chaos.hooks import apply_worker_faults
+            apply_worker_faults(point)
+        start = time.perf_counter()
+        counters: Dict[str, int] = {}
+        if self.checkpoints is None and self.record_dir is None:
+            result = run_point(point)
+        else:
+            from .checkpoint import run_forked
+            result, counters = run_forked(
+                point, self.checkpoints, self.record_dir,
+                self.hot_capacity)
+        if self.cache is not None:
+            self.cache.store(point, result)
+        return result, time.perf_counter() - start, counters
+
+    def run_all(self, points: Sequence[SweepPoint]
+                ) -> List[Tuple[Optional[SimulationResult], float,
+                                Optional[str]]]:
+        """Run ``points`` in order, capturing each failure so one
+        point never aborts the rest; ``[(result | None, seconds,
+        error | None), ...]`` in input order."""
+        rows: List[Tuple[Optional[SimulationResult], float,
+                         Optional[str]]] = []
+        for point in points:
+            try:
+                result, seconds, _counters = self(point)
+            except Exception as exc:
+                rows.append((None, 0.0, f"{type(exc).__name__}: {exc}"))
+            else:
+                rows.append((result, seconds, None))
+        return rows
+
+
 def _run_point_timed(point: SweepPoint
                      ) -> Tuple[SimulationResult, float]:
-    """``run_point`` plus its worker-side wall-clock seconds.
-
-    Looks ``run_point`` up as a module global (not a closed-over
-    reference) so monkeypatched replacements are honored, and ships
-    the measurement back with the result so the coordinator can
-    aggregate per-point timings across process boundaries.
-    """
-    # Chaos-harness seam (repro.chaos): one env lookup when disabled,
-    # so the production path stays at the noise floor.
-    if "REPRO_CHAOS_PLAN" in os.environ:
-        from ..chaos.hooks import apply_worker_faults
-        apply_worker_faults(point)
-    start = time.perf_counter()
-    result = run_point(point)
-    return result, time.perf_counter() - start
-
-
-def _recorded_runner(record_dir: str, point: SweepPoint
-                     ) -> Tuple[SimulationResult, float]:
-    """``_run_point_timed`` that also persists a deterministic
-    recording (docs/record_replay.md) of the run as a sweep artifact.
-
-    Module-level (wrapped in ``functools.partial`` with a string
-    directory) so it pickles into worker processes. The artifact is
-    named by :func:`point_key`, matching the result cache's naming, so
-    a recording pairs with its cache entry by filename. Attaching the
-    recorder never changes simulated timing (DESIGN.md §6d), so the
-    returned result is bit-identical to an unrecorded run and safe to
-    cache as usual.
-    """
-    from ..obs.recording import record_run
-    if "REPRO_CHAOS_PLAN" in os.environ:
-        from ..chaos.hooks import apply_worker_faults
-        apply_worker_faults(point)
-    start = time.perf_counter()
-    recording = record_run(point)
-    recording.save(Path(record_dir) / f"{point_key(point)}.rec.json")
-    return recording.to_result(), time.perf_counter() - start
-
-
-def lru_gc(root: Path, max_bytes: int, pattern: str) -> int:
-    """Evict oldest-``mtime`` files matching ``pattern`` under ``root``
-    until their total size fits ``max_bytes``; returns eviction count.
-
-    Shared by the :class:`ResultCache` and the
-    :class:`~repro.sim.checkpoint.CheckpointStore` (loads touch mtime,
-    so "oldest mtime" is least-recently-used). Tolerant of concurrent
-    sweeps racing on the same directory: a file vanishing mid-scan or
-    mid-unlink is someone else's eviction, not an error.
-    """
-    if not root.is_dir():
-        return 0
-    entries = []
-    total = 0
-    for path in root.glob(pattern):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-        total += stat.st_size
-    entries.sort()
-    evicted = 0
-    for _mtime, size, path in entries:
-        if total <= max_bytes:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        evicted += 1
-    return evicted
+    """``run_point`` plus its worker-side wall-clock seconds: the
+    option-free :class:`PointRunner` call."""
+    result, seconds, _counters = PointRunner()(point)
+    return result, seconds
 
 
 def point_key(point: SweepPoint) -> str:
@@ -247,93 +270,54 @@ def point_key(point: SweepPoint) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class ResultCache:
+class ResultCache(BlobStore):
     """Content-addressed JSON store of completed simulation results.
 
-    Every stored entry embeds a checksum over its own payload; a file
-    that cannot be read, parsed, checksummed, or shaped into a
-    :class:`SimulationResult` is renamed to ``<key>.json.corrupt``
-    (counted in :attr:`quarantined`) so the damage is inspectable and
-    the sweep re-simulates the point exactly once instead of
-    re-tripping on the same bad file every run.
+    Entries are ``<point_key>.json`` files embedding a sha256 checksum
+    over their own payload. Every load verifies it: an entry that
+    cannot be read, parsed, verified — including one that carries no
+    checksum — or shaped into a :class:`SimulationResult` is
+    quarantined (counted in :attr:`quarantined`) and the sweep
+    re-simulates the point exactly once instead of re-tripping on the
+    same bad file every run.
 
-    The cache is safe for **concurrent writers and readers** — sweep
-    worker processes, server threads and an asyncio loop may all share
-    one directory. Writers stage into a uniquely-named temp file
-    (pid + thread id + a process-local counter, so same-process
-    threads never collide) and publish with atomic ``os.replace``;
-    readers therefore only ever see absent or complete entries, never
-    torn JSON. Two writers racing on the same key both publish a
-    complete entry and the last rename wins — entries for a key are
-    identical by construction (same simulation input), so either
-    winner is correct. Counter updates are lock-protected so shared
-    instances report exact quarantine/eviction counts.
-
-    ``max_mb`` bounds the directory: every :meth:`store` runs an LRU
-    sweep (loads touch mtime) evicting oldest entries until under
-    budget; evictions are counted in :attr:`evicted`. Unbounded by
-    default for compatibility — the CLI surfaces ``--cache-max-mb``.
+    Safe for concurrent writers and readers — sweep worker processes,
+    server threads and an asyncio loop may all share one directory
+    (atomic publish; :mod:`repro.sim.store`). ``max_mb`` bounds the
+    directory with an LRU sweep after every :meth:`store` (loads
+    touch mtime); evictions are counted in :attr:`evicted`. Unbounded
+    by default — the CLI surfaces ``--cache-max-mb``.
     """
+
+    SUFFIX = ".json"
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR,
                  max_mb: Optional[float] = None):
-        self.root = Path(root)
-        self.max_mb = max_mb
-        self.quarantined = 0
-        self.evicted = 0
-        self._lock = threading.Lock()
-        self._scratch_serial = itertools.count()
+        super().__init__(root, max_mb)
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        return self.root / f"{key}{self.SUFFIX}"
 
     @staticmethod
     def _checksum(payload: Dict[str, object]) -> str:
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return sha256(json.dumps(payload, sort_keys=True).encode())
 
-    def _quarantine(self, path: Path) -> None:
-        try:
-            path.replace(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            return  # already moved or removed by a concurrent sweep
-        with self._lock:
-            self.quarantined += 1
+    @classmethod
+    def _decode(cls, handle) -> SimulationResult:
+        payload = json.load(handle)
+        if payload.pop("checksum", None) != cls._checksum(payload):
+            raise ValueError("missing or mismatched checksum")
+        return SimulationResult(
+            workload=payload["workload"],
+            num_cpus=payload["num_cpus"],
+            cycles=payload["cycles"],
+            per_cpu_cycles=list(payload["per_cpu_cycles"]),
+            stats=dict(payload["stats"].items()))
 
     def load(self, point: SweepPoint) -> Optional[SimulationResult]:
-        path = self._path(point_key(point))
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None  # a plain miss
-        except (OSError, ValueError):
-            self._quarantine(path)  # unreadable or torn entry
-            return None
-        checksum = None
-        if isinstance(payload, dict):
-            checksum = payload.pop("checksum", None)
-        if checksum is not None and checksum != self._checksum(payload):
-            self._quarantine(path)  # bit-rot or a tampered entry
-            return None
-        try:
-            os.utime(path)  # LRU recency for gc()
-        except OSError:
-            pass
-        try:
-            return SimulationResult(
-                workload=payload["workload"],
-                num_cpus=payload["num_cpus"],
-                cycles=payload["cycles"],
-                per_cpu_cycles=list(payload["per_cpu_cycles"]),
-                stats={name: value
-                       for name, value in payload["stats"].items()})
-        except (KeyError, TypeError):
-            self._quarantine(path)  # parses but is not a result
-            return None
+        return self._read(self._path(point_key(point)), self._decode)
 
     def store(self, point: SweepPoint, result: SimulationResult) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(point_key(point))
         payload = {
             "workload": result.workload,
             "num_cpus": result.num_cpus,
@@ -342,52 +326,9 @@ class ResultCache:
             "stats": dict(result.stats),
         }
         payload["checksum"] = self._checksum(payload)
-        # Stage-then-rename so concurrent readers never observe torn
-        # JSON. The scratch name is unique per (process, thread,
-        # call): a bare pid suffix would collide across threads of
-        # one server process, leaving interleaved bytes to publish.
-        scratch = path.with_suffix(
-            f".tmp.{os.getpid()}.{threading.get_ident()}."
-            f"{next(self._scratch_serial)}")
-        try:
-            scratch.write_text(json.dumps(payload, sort_keys=True))
-            scratch.replace(path)
-        finally:
-            # A failed write (disk full, interrupt) must not leave
-            # scratch litter that later globs could trip over.
-            if scratch.exists():
-                try:
-                    scratch.unlink()
-                except OSError:
-                    pass
+        self._publish(self._path(point_key(point)),
+                      json.dumps(payload, sort_keys=True).encode())
         self.gc()
-
-    def gc(self) -> int:
-        """Evict least-recently-used entries until under ``max_mb``."""
-        if self.max_mb is None:
-            return 0
-        evicted = lru_gc(self.root, int(self.max_mb * 1024 * 1024),
-                         "*.json")
-        if evicted:
-            with self._lock:
-                self.evicted += evicted
-        return evicted
-
-    def clear(self) -> int:
-        """Delete all cached entries; returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    continue  # a concurrent clear got there first
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json")) \
-            if self.root.is_dir() else 0
 
 
 def _default_workers(num_points: int) -> int:
@@ -407,20 +348,6 @@ class _Outcome(NamedTuple):
     seconds: float
     error: Optional[str]
     timed_out: bool
-
-
-def _round_serial(points: Sequence[SweepPoint],
-                  runner=_run_point_timed) -> List[_Outcome]:
-    outcomes = []
-    for point in points:
-        try:
-            result, seconds = runner(point)
-        except Exception as exc:
-            outcomes.append(_Outcome(
-                None, 0.0, f"{type(exc).__name__}: {exc}", False))
-        else:
-            outcomes.append(_Outcome(result, seconds, None, False))
-    return outcomes
 
 
 def _await_with_deadlines(futures, budgets: Sequence[Optional[float]],
@@ -497,41 +424,6 @@ def _reap(pool: ProcessPoolExecutor, hung: bool) -> None:
                 pass
 
 
-def _round_parallel(points: Sequence[SweepPoint], workers: int,
-                    timeout: Optional[float],
-                    runner=_run_point_timed) -> List[_Outcome]:
-    """One attempt per point on a fresh pool; captures every failure.
-
-    A fresh pool per round means a worker crash (BrokenProcessPool
-    poisons the whole executor) costs at most the current round: every
-    in-flight future fails fast, is captured, and retries run on a
-    clean pool. Per-point budgets are enforced as absolute deadlines
-    from submission (:func:`_await_with_deadlines`); timed-out futures
-    are cancelled if still queued, and a truly hung worker is
-    terminated at round end (:func:`_reap`), not waited on.
-    """
-    count = min(workers, len(points))
-    pool = ProcessPoolExecutor(max_workers=count)
-    hung = False
-    try:
-        futures = [pool.submit(runner, point) for point in points]
-        slots, hung = _await_with_deadlines(
-            futures, [timeout] * len(points), count)
-    finally:
-        _reap(pool, hung)
-    outcomes = []
-    for status, value in slots:
-        if status == "ok":
-            result, seconds = value
-            outcomes.append(_Outcome(result, seconds, None, False))
-        elif status == "timeout":
-            outcomes.append(_Outcome(
-                None, 0.0, f"timed out after {timeout:g}s", True))
-        else:
-            outcomes.append(_Outcome(None, 0.0, value, False))
-    return outcomes
-
-
 def _family_units(points: Sequence[SweepPoint],
                   recorded: bool = False) -> List[List[SweepPoint]]:
     """Group points into prefix-sharing chains, smallest scale first.
@@ -551,45 +443,29 @@ def _family_units(points: Sequence[SweepPoint],
             for unit in units.values()]
 
 
-def _chain_runner(checkpoint_dir: str, cache_dir: Optional[str],
-                  record_dir: Optional[str],
-                  points: Sequence[SweepPoint]):
-    """Worker-side entry for one family chain (partial-able, like
-    ``_run_point_timed``). Builds fresh store/cache handles in the
-    worker — only strings cross the process boundary."""
-    from .checkpoint import CheckpointStore, run_chain
-    store = CheckpointStore(checkpoint_dir)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    return run_chain(points, store, cache=cache,
-                     record_dir=record_dir)
-
-
 def _units_serial(units: Sequence[Sequence[SweepPoint]],
                   runner) -> List[List[_Outcome]]:
-    unit_outcomes = []
-    for unit in units:
-        try:
-            rows = runner(unit)
-        except Exception as exc:
-            rows = [(None, 0.0, f"{type(exc).__name__}: {exc}")] \
-                * len(unit)
-        unit_outcomes.append([
-            _Outcome(result, seconds, error, False)
-            for result, seconds, error in rows])
-    return unit_outcomes
+    """Run every unit in this process (``timeout`` cannot apply)."""
+    return [[_Outcome(result, seconds, error, False)
+             for result, seconds, error in runner(unit)]
+            for unit in units]
 
 
 def _units_parallel(units: Sequence[Sequence[SweepPoint]],
                     workers: int, timeout: Optional[float],
                     runner) -> List[List[_Outcome]]:
-    """One chain per pool task; a unit's timeout budget scales with
-    its length (``timeout`` stays per-point, as in ``_round_parallel``)
-    and is enforced as an absolute deadline from submission
-    (:func:`_await_with_deadlines`), so a slow or hung chain cannot
-    grant later chains unbounded wall-clock. A failed or timed-out
-    chain fails all its points — they retry on the next round,
-    cheaply, because the chain's worker-side cache stores and
-    checkpoints survive the crash (and its worker, if hung, is
+    """One unit per task on a fresh pool; captures every failure.
+
+    A fresh pool per round means a worker crash (BrokenProcessPool
+    poisons the whole executor) costs at most the current round: every
+    in-flight future fails fast, is captured, and retries run on a
+    clean pool. A unit's timeout budget scales with its length
+    (``timeout`` stays per-point) and is enforced as an absolute
+    deadline from submission (:func:`_await_with_deadlines`), so a
+    slow or hung unit cannot grant later units unbounded wall-clock.
+    A failed or timed-out unit fails all its points — they retry on
+    the next round, cheaply, because the points it finished were
+    cached and checkpointed worker-side (and its worker, if hung, is
     terminated by :func:`_reap`)."""
     count = min(workers, len(units))
     pool = ProcessPoolExecutor(max_workers=count)
@@ -633,21 +509,23 @@ def run_sweep(points: Sequence[SweepPoint],
     """Run every point, in parallel where possible; results in order.
 
     Duplicate points are simulated once. With a ``cache``, previously
-    completed points are loaded instead of re-run and fresh results are
-    stored for the next sweep. Pass a :class:`SweepTimings` to collect
-    wall-clock phase accounting (per-worker simulation seconds are
-    measured inside the workers and aggregated here).
+    completed points are loaded instead of re-run and each executed
+    point is stored exactly once, by the worker that ran it (within
+    the cache's ``max_mb`` budget). Pass a :class:`SweepTimings` to
+    collect wall-clock phase accounting (per-worker simulation seconds
+    are measured inside the workers and aggregated here).
 
     A point that raises — or, in parallel mode, whose worker process
     dies or takes longer than ``timeout`` seconds — never aborts the
     sweep: it is retried up to ``retries`` more times with exponential
-    backoff (``backoff_s`` doubling per round, on a fresh worker pool
-    so one crashed worker cannot poison the retry). The backoff jitter
-    is **seeded** — from ``backoff_seed`` when given, else from the
-    content hash of the pending points — so a crash-recovery run's
-    retry schedule is deterministic and reproducible under ``repro
-    record``, yet decorrelated across different sweeps. Results
-    completed before a failure are cached regardless. If failures remain,
+    backoff (:func:`backoff_delay` from ``backoff_s``, on a fresh
+    worker pool so one crashed worker cannot poison the retry). The
+    backoff jitter is **seeded** — from ``backoff_seed`` when given,
+    else from the content hash of the pending points — so a
+    crash-recovery run's retry schedule is deterministic and
+    reproducible under ``repro record``, yet decorrelated across
+    different sweeps. Results completed before a failure are cached
+    regardless, and reloaded before a retry. If failures remain,
     ``on_error="raise"`` raises :class:`~repro.errors.SweepError`
     listing them; ``on_error="none"`` returns ``None`` in the failed
     points' slots. ``timeout`` needs worker processes and is ignored
@@ -658,43 +536,51 @@ def run_sweep(points: Sequence[SweepPoint],
     deterministic recording to ``<record_dir>/<point_key>.rec.json``
     — replayable and diffable via ``repro replay`` / ``repro diff``.
 
-    With ``checkpoint_dir``, pending points are grouped into
-    prefix-sharing *family chains* (same workload/seed/config,
-    different scale) and executed smallest→largest through
-    :func:`repro.sim.checkpoint.run_chain`: each point forks from the
-    deepest stored snapshot that validates against its traces instead
-    of re-simulating the shared warm-up, and results stay
+    Each pending point is a unit of its own, so parallelism is across
+    points. With ``checkpoint_dir``, pending points instead group
+    into prefix-sharing *family chains* (same workload/seed/config,
+    different scale) executed smallest→largest: each point forks from
+    the deepest stored snapshot that validates against its traces
+    instead of re-simulating the shared warm-up, and results stay
     bit-identical to cold runs (docs/checkpointing.md). Parallelism is
-    then across chains rather than points, and ``timeout`` budgets a
-    whole chain at ``timeout × len(chain)``.
+    then across chains, and ``timeout`` budgets a whole chain at
+    ``timeout × len(chain)``.
     """
     if on_error not in ("raise", "none"):
         raise ConfigError(
             f"on_error must be 'raise' or 'none', got {on_error!r}")
     sweep_start = time.perf_counter()
     points = list(points)
-    results: dict = {}
-    first_index: Dict[str, int] = {}
-    pending: List[SweepPoint] = []
-    pending_keys: set = set()
+    keys = [point_key(point) for point in points]
+    unique: Dict[str, SweepPoint] = {}
+    for key, point in zip(keys, points):
+        unique.setdefault(key, point)
+    results: Dict[str, SimulationResult] = {}
+    failures: Dict[str, SweepPointFailure] = {}
     quarantined_before = cache.quarantined if cache is not None else 0
-    cache_start = time.perf_counter()
-    for position, point in enumerate(points):
-        key = point_key(point)
-        first_index.setdefault(key, position)
-        if key in results or key in pending_keys:
-            continue
-        cached = cache.load(point) if cache is not None else None
-        if cached is not None:
-            results[key] = cached
-        else:
-            pending.append(point)
-            pending_keys.add(key)
-    cache_seconds = time.perf_counter() - cache_start
+    cache_seconds = 0.0
 
+    def probe(candidates: Dict[str, SweepPoint]
+              ) -> Dict[str, SweepPoint]:
+        """Move cached points into ``results``; return the misses."""
+        nonlocal cache_seconds
+        if cache is None:
+            return candidates
+        start = time.perf_counter()
+        misses = {}
+        for key, point in candidates.items():
+            cached = cache.load(point)
+            if cached is None:
+                misses[key] = point
+            else:
+                results[key] = cached
+                failures.pop(key, None)
+        cache_seconds += time.perf_counter() - start
+        return misses
+
+    pending = probe(unique)
     workers = 0
     point_seconds: List[float] = []
-    failures: Dict[str, SweepPointFailure] = {}
     retried_keys: set = set()
     timeout_events = 0
     if pending:
@@ -705,18 +591,16 @@ def run_sweep(points: Sequence[SweepPoint],
         use_pool = parallel and workers > 1 and len(pending) > 1
         if not use_pool:
             workers = 1
-        runner = _run_point_timed
         if record_dir is not None:
             Path(record_dir).mkdir(parents=True, exist_ok=True)
-            runner = functools.partial(_recorded_runner,
-                                       str(record_dir))
-        chain_runner = None
+        checkpoints = None
         if checkpoint_dir is not None:
-            chain_runner = functools.partial(
-                _chain_runner, str(checkpoint_dir),
-                str(cache.root) if cache is not None else None,
-                str(record_dir) if record_dir is not None else None)
-        remaining = list(pending)
+            from .checkpoint import CheckpointStore
+            checkpoints = CheckpointStore(checkpoint_dir)
+        runner = PointRunner(
+            cache=cache, checkpoints=checkpoints,
+            record_dir=None if record_dir is None else str(record_dir))
+        remaining = pending
         attempts: Dict[str, int] = {}
         # Seeded jitter: a fixed seed (or, by default, the content
         # hash of what's pending) makes the retry schedule a pure
@@ -724,63 +608,49 @@ def run_sweep(points: Sequence[SweepPoint],
         # re-run, different across unrelated sweeps so their retries
         # don't synchronize.
         if backoff_seed is None:
-            digest = hashlib.sha256("\n".join(
-                sorted(pending_keys)).encode()).hexdigest()
+            digest = sha256("\n".join(sorted(pending)).encode())
             backoff_rng = random.Random(int(digest[:16], 16))
         else:
             backoff_rng = random.Random(backoff_seed)
         for round_number in range(max(0, retries) + 1):
+            if round_number:
+                # What a failed unit finished is already cached.
+                remaining = probe(remaining)
+                if remaining:
+                    retried_keys.update(remaining)
+                    time.sleep(backoff_delay(backoff_s, round_number,
+                                             backoff_rng))
             if not remaining:
                 break
-            if round_number:
-                retried_keys.update(point_key(p) for p in remaining)
-                time.sleep(backoff_s * (2 ** (round_number - 1))
-                           * (1.0 + backoff_rng.random()))
-            if chain_runner is not None:
-                units = _family_units(
-                    remaining, recorded=record_dir is not None)
-                unit_outcomes = (
-                    _units_parallel(units, workers, timeout,
-                                    chain_runner)
-                    if use_pool
-                    else _units_serial(units, chain_runner))
-                round_points = [point for unit in units
-                                for point in unit]
-                outcomes = [outcome for unit in unit_outcomes
-                            for outcome in unit]
+            if checkpoints is not None:
+                units = _family_units(list(remaining.values()),
+                                      recorded=record_dir is not None)
             else:
-                round_points = remaining
-                outcomes = (
-                    _round_parallel(remaining, workers, timeout,
-                                    runner=runner)
-                    if use_pool else _round_serial(remaining,
-                                                   runner=runner))
-            next_round: List[SweepPoint] = []
-            for point, outcome in zip(round_points, outcomes):
-                key = point_key(point)
-                attempts[key] = attempts.get(key, 0) + 1
-                if outcome.error is None:
-                    point_seconds.append(outcome.seconds)
-                    results[key] = outcome.result
-                    failures.pop(key, None)
-                    if cache is not None:
-                        store_start = time.perf_counter()
-                        cache.store(point, outcome.result)
-                        cache_seconds += \
-                            time.perf_counter() - store_start
-                else:
+                units = [[point] for point in remaining.values()]
+            unit_outcomes = (
+                _units_parallel(units, workers, timeout, runner.run_all)
+                if use_pool else _units_serial(units, runner.run_all))
+            remaining = {}
+            for unit, outcomes in zip(units, unit_outcomes):
+                for point, outcome in zip(unit, outcomes):
+                    key = point_key(point)
+                    attempts[key] = attempts.get(key, 0) + 1
+                    if outcome.error is None:
+                        point_seconds.append(outcome.seconds)
+                        results[key] = outcome.result
+                        failures.pop(key, None)
+                        continue
                     if outcome.timed_out:
                         timeout_events += 1
                     failures[key] = SweepPointFailure(
-                        index=first_index[key],
+                        index=keys.index(key),
                         workload=point.workload,
                         error=outcome.error,
                         attempts=attempts[key],
                         timed_out=outcome.timed_out)
-                    next_round.append(point)
-            remaining = next_round
+                    remaining[key] = point
 
-    ordered = [results.get(point_key(point)) for point in points]
+    ordered = [results.get(key) for key in keys]
     if timings is not None:
         timings.wall_s += time.perf_counter() - sweep_start
         timings.run_s += sum(point_seconds)

@@ -4,7 +4,7 @@ Same injection strategy as test_scheduler.py: a thread-pool executor
 plus synchronous runners make queue state and counters deterministic.
 The record runner is injected too, writing real recording-shaped
 files named by point_key — exactly the contract
-``repro.sim.sweep._recorded_runner`` fulfils in production.
+a recording ``repro.sim.sweep.PointRunner`` fulfils in production.
 """
 
 import asyncio
@@ -36,7 +36,7 @@ def plain_runner(point):
 
 
 class RecordingRunner:
-    """Stands in for ``_recorded_runner``: same result contract plus
+    """Stands in for a recording ``PointRunner``: same result contract plus
     a recording artifact named by point_key."""
 
     def __init__(self, record_dir):

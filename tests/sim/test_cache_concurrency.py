@@ -9,6 +9,7 @@ see absent or complete, checksum-valid entries — never quarantine a
 file a concurrent writer was publishing.
 """
 
+import sys
 import threading
 
 from repro.sim.sweep import ResultCache, SweepPoint, point_key
@@ -137,3 +138,47 @@ class TestConcurrentQuarantine:
             thread.join()
         assert sum(removed) == 8
         assert len(cache) == 0
+
+
+class TestConcurrentCheckpointWriters:
+    def test_same_snapshot_many_threads(self, tmp_path):
+        """Threads of one process storing one snapshot: each publish
+        (and each stats-sidecar bump) stages into its own scratch
+        file, so no writer renames another's file out from under it,
+        nothing is left behind, and the entry loads."""
+        from repro.sim.checkpoint import CheckpointStore, capture
+        from repro.sim.sweep import build_system
+        from repro.smp.fastpath import new_counters
+        from repro.workloads.registry import generate
+        target = SweepPoint("radix", e6000_config(num_processors=2),
+                            scale=0.02)
+        workload = generate("radix", 2, scale=0.02)
+        snapshot = capture(build_system(target.config), workload,
+                           target, [0, 0], [0, 0], new_counters(2),
+                           tag="t")
+        store = CheckpointStore(tmp_path)
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(30):
+                    store.store(snapshot)
+            except Exception as exc:  # pragma: no cover - fail path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writers densely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert not list(tmp_path.glob("*.tmp.*"))
+        assert not list(tmp_path.glob("*.corrupt"))
+        loaded = store.load(snapshot.family, snapshot.tag)
+        assert loaded is not None and loaded.blob == snapshot.blob

@@ -21,11 +21,10 @@ from repro.obs.recording import record_run
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointStore,
                                   HotSnapshotLRU, capture, family_key,
                                   fork_point, restore, run_chain,
-                                  serve_checkpoint_runner,
                                   trace_digests, validates_against)
-from repro.sim.sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
-                             build_system, point_key, run_point,
-                             run_sweep)
+from repro.sim.sweep import (ENGINE_VERSION, PointRunner, ResultCache,
+                             SweepPoint, build_system, point_key,
+                             run_point, run_sweep)
 from repro.smp.fastpath import _finish_run, _run_loop, new_counters
 from repro.workloads.registry import generate
 
@@ -372,6 +371,42 @@ class TestForkChain:
             assert_same_result(reference, a)
             assert_same_result(reference, b)
 
+    def test_checkpoint_sweep_stores_each_point_once(
+            self, tmp_path, monkeypatch):
+        """The runner that executed a point is its only cache writer:
+        one store() per executed point, none by run_sweep again."""
+        stored = []
+        real_store = ResultCache.store
+        monkeypatch.setattr(
+            ResultCache, "store",
+            lambda cache, target, result: (
+                stored.append(target), real_store(cache, target,
+                                                  result))[1])
+        points = [point(scale=scale) for scale in self.SCALES]
+        run_sweep(points, cache=ResultCache(tmp_path / "cache"),
+                  checkpoint_dir=tmp_path / "ckpt", parallel=False)
+        assert sorted(p.scale for p in stored) == self.SCALES
+
+    def test_bounded_cache_under_checkpoint_dir_stays_within_budget(
+            self, tmp_path):
+        """Pool workers write the caller's cache with its budget."""
+        points = [point(seed=seed, scale=scale) for seed in (0, 1)
+                  for scale in self.SCALES]
+        cold = run_sweep(points, parallel=False)
+        probe = ResultCache(tmp_path / "probe")
+        probe.store(points[0], cold[0])
+        entry_bytes = probe._path(point_key(points[0])).stat().st_size
+        budget_mb = 2.5 * entry_bytes / (1024 * 1024)
+        cache = ResultCache(tmp_path / "bounded", max_mb=budget_mb)
+        results = run_sweep(points, cache=cache,
+                            checkpoint_dir=tmp_path / "ckpt",
+                            parallel=True, max_workers=2)
+        assert results == cold
+        sizes = [path.stat().st_size
+                 for path in (tmp_path / "bounded").glob("*.json")]
+        assert 0 < len(sizes) < len(points)
+        assert sum(sizes) <= budget_mb * 1024 * 1024
+
     def test_mixed_families_stay_separate(self, tmp_path):
         """Points from different families interleaved in one sweep
         each chain within their own family only."""
@@ -451,6 +486,12 @@ class TestCampaignFork:
         assert self.stripped(forked) == self.stripped(cold)
 
 
+def serve_runner(root, hot_capacity=4):
+    """The serve plane's checkpoint-mode worker runner."""
+    return PointRunner(checkpoints=CheckpointStore(root),
+                       hot_capacity=hot_capacity)
+
+
 class TestServeRunner:
     def test_second_call_forks_and_reports_counters(self, tmp_path,
                                                     monkeypatch):
@@ -458,10 +499,8 @@ class TestServeRunner:
         target_a = point(scale=0.02, seed=7)
         target_b = point(scale=0.04, seed=7)
         cold_b = run_point(target_b)
-        result_a, _, counters_a = serve_checkpoint_runner(
-            str(tmp_path), 4, target_a)
-        result_b, _, counters_b = serve_checkpoint_runner(
-            str(tmp_path), 4, target_b)
+        result_a, _, counters_a = serve_runner(tmp_path)(target_a)
+        result_b, _, counters_b = serve_runner(tmp_path)(target_b)
         assert counters_a["serve.checkpoint_misses"] == 1
         assert counters_a["serve.checkpoint_stores"] == 1
         assert counters_b["serve.checkpoint_hits"] == 1
@@ -483,18 +522,40 @@ class TestServeRunner:
         big = point(name="lu", scale=0.06)
         cold_small = run_point(small)
         cold_big = run_point(big)
-        first, _, _ = serve_checkpoint_runner(str(tmp_path), 4, small)
-        second, _, counters = serve_checkpoint_runner(
-            str(tmp_path), 4, small)
+        first, _, _ = serve_runner(tmp_path)(small)
+        second, _, counters = serve_runner(tmp_path)(small)
         assert counters["serve.checkpoint_hits"] == 1
         # The seam snapshot for this scale is already stored; the
         # resumed run must emit nothing, not overwrite it.
         assert counters["serve.checkpoint_stores"] == 0
-        forked_big, _, _ = serve_checkpoint_runner(
-            str(tmp_path), 4, big)
+        forked_big, _, _ = serve_runner(tmp_path)(big)
         assert_same_result(cold_small, first)
         assert_same_result(cold_small, second)
         assert_same_result(cold_big, forked_big)
+
+    def test_hot_lru_validates_only_the_deepest_candidate(
+            self, monkeypatch):
+        """Validation hashes a candidate's whole consumed prefix, so
+        the hot LRU, like the disk store, validates deepest-first and
+        stops at the first candidate that validates."""
+        import repro.sim.checkpoint as checkpoint
+        lru = HotSnapshotLRU(capacity=8)
+        shots = []
+        for scale, chunk in [(0.02, 100), (0.03, 200), (0.04, 300)]:
+            shot, _ = TestValidation().make_snapshot(
+                point(scale=scale), chunk=chunk)
+            shots.append(shot)
+            lru.put(shot)
+        bigger = generate("radix", 2, scale=0.08, seed=0)
+        calls = []
+        real = checkpoint.validates_against
+        monkeypatch.setattr(
+            checkpoint, "validates_against",
+            lambda meta, workload: (calls.append(meta),
+                                    real(meta, workload))[1])
+        best = lru.best(shots[0].family, bigger)
+        assert best is shots[-1]
+        assert len(calls) == 1
 
     def test_hot_lru_bounds_and_prefers_deepest(self):
         lru = HotSnapshotLRU(capacity=2)

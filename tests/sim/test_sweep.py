@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -307,16 +308,38 @@ class TestSweepCrashes:
             run_sweep([point()], on_error="explode")
 
 
-def _sleep_point_runner(seconds):
-    """Fake point runner: the 'point' is its own sleep duration."""
-    time.sleep(seconds)
-    return "done", 0.01
-
-
 def _sleep_chain_runner(points):
     """Fake chain runner: the unit's first 'point' is the sleep."""
     time.sleep(points[0])
     return [("done", 0.01, None)] * len(points)
+
+
+class TestBackoff:
+    def test_formula(self):
+        from repro.sim.sweep import backoff_delay
+        jitter = random.Random(7).random()
+        assert backoff_delay(0.5, 3, random.Random(7)) \
+            == 0.5 * 4 * (1.0 + jitter)
+
+    def test_sweep_retry_sleeps_on_the_seeded_schedule(self,
+                                                      monkeypatch):
+        from repro.sim.sweep import backoff_delay
+        real = run_point
+        attempts = []
+
+        def flaky(target):
+            attempts.append(target)
+            if len(attempts) < 3:
+                raise ValueError("transient")
+            return real(target)
+        slept = []
+        monkeypatch.setattr("repro.sim.sweep.run_point", flaky)
+        monkeypatch.setattr("repro.sim.sweep.time.sleep", slept.append)
+        run_sweep([point()], parallel=False, retries=2,
+                  backoff_s=0.25, backoff_seed=3)
+        rng = random.Random(3)
+        assert slept == [backoff_delay(0.25, 1, rng),
+                         backoff_delay(0.25, 2, rng)]
 
 
 class TestDeadlineCollection:
@@ -338,18 +361,6 @@ class TestDeadlineCollection:
         assert outcomes[1][0].result == "done"
         assert outcomes[1][0].error is None
         assert outcomes[2][0].timed_out
-
-    def test_round_hung_points_time_out_others_succeed(self):
-        from repro.sim.sweep import _round_parallel
-        start = time.perf_counter()
-        outcomes = _round_parallel([30.0, 0.01], workers=2,
-                                   timeout=0.5,
-                                   runner=_sleep_point_runner)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10
-        assert outcomes[0].timed_out
-        assert "timed out" in outcomes[0].error
-        assert outcomes[1].result == "done"
 
     def test_queued_chains_get_packing_allowance_not_false_timeouts(
             self):
@@ -391,6 +402,29 @@ class TestCacheQuarantine:
         assert cache.load(target) is None
         assert cache.quarantined == 1
         assert path.with_name(path.name + ".corrupt").exists()
+
+    def test_entry_without_checksum_quarantined_and_rerun(
+            self, tmp_path):
+        """Every entry must verify: one carrying no checksum at all
+        is quarantined like a tampered one, and the point re-runs."""
+        cache = ResultCache(tmp_path)
+        target = point()
+        cache.store(target, run_point(target))
+        path = cache._path(point_key(target))
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
+        payload["cycles"] += 1
+        path.write_text(json.dumps(payload, sort_keys=True))
+        assert cache.load(target) is None
+        assert cache.quarantined == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+        path.write_text(json.dumps(payload, sort_keys=True))
+        timings = SweepTimings()
+        results = run_sweep([target], cache=cache, parallel=False,
+                            timings=timings)
+        assert results[0] == run_point(target)
+        assert timings.points_run == 1
+        assert cache.load(target) == results[0]
 
     def test_missing_entry_is_not_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
