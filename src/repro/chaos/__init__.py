@@ -9,7 +9,7 @@ serve`` subprocess through them:
 - ``worker-kill`` — a worker process SIGKILLs itself mid-point
   (exercises BrokenProcessPool recovery + pool respawn + retry);
 - ``point-hang`` — a point sleeps past the server's
-  ``--point-timeout`` (exercises the watchdog deadline +
+  ``--point-timeout`` (exercises the per-point deadline timer +
   kill-and-respawn);
 - ``cache-corrupt`` — a result-cache entry is garbled on disk
   (exercises checksum quarantine + re-execution);

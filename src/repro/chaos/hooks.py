@@ -22,9 +22,9 @@ Faults:
   pool sees a vanished worker (``BrokenProcessPool``); the server
   must respawn the pool and retry the point.
 - ``point-hang`` — sleep far past the server's ``--point-timeout``.
-  The watchdog must declare the point dead, kill the pool and retry.
-  (The sleeping process is killed with the pool, so the sleep never
-  actually runs to completion.)
+  Its deadline timer must declare the point dead, kill the pool and
+  retry. (The sleeping process is killed with the pool, so the sleep
+  never actually runs to completion.)
 """
 
 from __future__ import annotations

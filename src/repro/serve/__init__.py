@@ -22,7 +22,7 @@ warmup again. This package turns that into a long-lived service:
   WAL behind ``repro serve --state-dir``/``--resume`` (crashed
   servers re-admit incomplete jobs; docs/resilience.md);
 - :class:`~repro.serve.supervisor.WorkerSupervisor` — deadline
-  watchdog + kill-and-respawn over the worker pool.
+  timers + kill-and-respawn over the worker pool.
 
 Results served over the wire are bit-identical — cycles, per-CPU
 clocks and every statistic — to a direct :func:`run_sweep` call

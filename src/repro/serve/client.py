@@ -36,7 +36,6 @@ retries are exhausted — callers probing for an up server keep their
 from __future__ import annotations
 
 import json
-import random
 import socket
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -73,13 +72,6 @@ class ServeClient:
             (self.host, self.port), timeout=self.connect_timeout)
         sock.settimeout(self.read_timeout)
         return sock
-
-    def _backoff_delay(self, what: str, attempt: int) -> float:
-        """Seeded exponential backoff with jitter — deterministic per
-        (client seed, operation, attempt), so retry traffic is
-        reproducible in tests and decorrelated across clients."""
-        return backoff_delay(self.backoff_s, attempt, random.Random(
-            f"{self.seed}:{what}:{attempt}"))
 
     @staticmethod
     def _send_request(sock: socket.socket, method: str, path: str,
@@ -149,8 +141,9 @@ class ServeClient:
                 retryable = idempotent or not connected
                 if attempt >= self.retries or not retryable:
                     raise
-                time.sleep(self._backoff_delay(
-                    f"{method} {path}", attempt + 1))
+                time.sleep(backoff_delay(
+                    self.backoff_s, attempt + 1, f"{method} {path}",
+                    self.seed))
                 continue
             self._raise_for_status(status, data)
             return data
@@ -292,8 +285,8 @@ class ServeClient:
                 raise ServeError(
                     f"event stream for {job_id} dropped "
                     f"{drops} times; giving up", status=503)
-            time.sleep(self._backoff_delay(
-                f"stream {job_id}", drops))
+            time.sleep(backoff_delay(
+                self.backoff_s, drops, f"stream {job_id}", self.seed))
 
     def wait(self, job_id: str) -> dict:
         """Block until the job is terminal (via the event stream);

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import random
 import sys
 import time
 from pathlib import Path
@@ -70,9 +69,7 @@ from .fairqueue import WeightedFairQueue
 from .jobs import JobSpec, job_request_dict, parse_job_request, \
     result_to_dict
 from .journal import JobJournal
-from .supervisor import WorkerSupervisor, _warm_worker  # noqa: F401
-# (_warm_worker re-exported: it lived here before the supervisor
-# split and external callers warm pools through it.)
+from .supervisor import WorkerSupervisor
 
 #: job lifecycle states (terminal: done / failed / cancelled)
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -150,7 +147,7 @@ class _Execution:
         self.subscribers: Set[Tuple[Job, int]] = set()
         self.started_us = started_us
         # An execution settles exactly once: either its future
-        # completes or the watchdog declares it timed out —
+        # completes or its deadline timer declares it timed out —
         # whichever comes second is ignored (the slot was already
         # refunded, the subscribers already routed).
         self.settled = False
@@ -184,7 +181,7 @@ class Scheduler:
                  point_timeout: Optional[float] = None,
                  retries: int = 2, backoff_s: float = 0.05,
                  seed: int = 0, quarantine_after: int = 5,
-                 executor_factory=None, heartbeat_s: float = 0.1,
+                 executor_factory=None,
                  checkpoint_dir: Optional[Union[str, Path]] = None,
                  checkpoint_hot: int = 8):
         self.cache = cache
@@ -211,8 +208,7 @@ class Scheduler:
         self._inflight: Dict[str, _Execution] = {}
         self._supervisor = WorkerSupervisor(
             max_workers=self.max_workers, warmup=warmup,
-            executor=executor, executor_factory=executor_factory,
-            heartbeat_s=heartbeat_s)
+            executor=executor, executor_factory=executor_factory)
         self._supervisor.on_restart = self._on_worker_restart
         if runner is None and checkpoint_dir is not None:
             # Prefix-sharing execution (docs/checkpointing.md): the
@@ -503,10 +499,10 @@ class Scheduler:
         self._inflight.pop(execution.key, None)
 
     def _on_execution_timeout(self, execution: _Execution) -> None:
-        """Watchdog verdict: the point blew its deadline. The worker
-        under it is presumed hung, so the whole pool is killed and
-        respawned (a hung process future can never complete); other
-        in-flight points die with it and take the retry path as
+        """Deadline timer verdict: the point blew its deadline. The
+        worker under it is presumed hung, so the whole pool is killed
+        and respawned (a hung process future can never complete);
+        other in-flight points die with it and take the retry path as
         worker-loss failures."""
         if execution.settled:
             return
@@ -621,12 +617,7 @@ class Scheduler:
                 self._fail_point(job, index, error)
 
     def _backoff_delay(self, key: str, failures: int) -> float:
-        """Exponential backoff with seeded jitter: deterministic for
-        a given (scheduler seed, point, attempt), decorrelated across
-        points so a mass worker loss doesn't thunder back as one
-        herd."""
-        return backoff_delay(self.backoff_s, failures, random.Random(
-            f"{self.seed}:{key}:{failures}"))
+        return backoff_delay(self.backoff_s, failures, key, self.seed)
 
     def _schedule_retry(self, execution: _Execution,
                         pairs: List[Tuple[Job, int]]) -> None:

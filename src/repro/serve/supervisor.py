@@ -11,12 +11,12 @@ could not survive:
   never completes and the slot it occupies is gone forever.
 
 :class:`WorkerSupervisor` wraps the pool with both covered. Every
-submission is tracked as a :class:`_Flight` carrying an optional
-deadline; a single watchdog task (started lazily with the first
-deadline, self-terminating when none remain — so schedulers in unit
-tests that never ``start()`` spawn no background work) ticks every
-``heartbeat_s`` and fires each flight's ``on_timeout`` callback
-exactly once when it blows its deadline. The scheduler's callback
+submission is tracked until its future completes; a submission with
+a deadline also arms one event-loop timer (``loop.call_later``) that
+fires its ``on_timeout`` callback exactly once, when the deadline
+expires, and is cancelled the moment the future completes. There is
+no periodic wakeup and no background task, and one callback that
+raises cannot stop another flight's timer. The scheduler's callback
 decides policy (retry / quarantine) and calls :meth:`restart`, which
 kills the old pool's processes outright (they are hung or dead —
 graceful shutdown would block forever), swaps in a fresh executor,
@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Optional
 
 
 def _worker_context():
@@ -79,27 +78,28 @@ def _warm_worker() -> int:
         workload).cycles
 
 
-class _Flight:
-    """One submitted execution under watchdog supervision."""
-
-    __slots__ = ("future", "deadline_monotonic", "on_timeout",
-                 "timed_out")
-
-    def __init__(self, future: asyncio.Future,
-                 deadline_monotonic: Optional[float],
-                 on_timeout: Optional[Callable[[], None]]):
-        self.future = future
-        self.deadline_monotonic = deadline_monotonic
-        self.on_timeout = on_timeout
-        self.timed_out = False
+def _kill_pool(executor) -> None:
+    """Kill an owned pool's worker processes outright, then shut it
+    down without waiting: its workers may be hung or already dead,
+    and a graceful shutdown would join them forever (or leave
+    forkserver-spawned workers running as orphans)."""
+    processes = getattr(executor, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.kill()
+        except Exception:
+            pass
+    try:
+        executor.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
 
 
 class WorkerSupervisor:
     """A self-healing wrapper around the scheduler's worker pool."""
 
     def __init__(self, max_workers: int = 2, warmup: bool = True,
-                 executor=None, executor_factory=None,
-                 heartbeat_s: float = 0.1):
+                 executor=None, executor_factory=None):
         self.max_workers = max(1, max_workers)
         self._warmup = warmup
         self._executor = executor
@@ -107,11 +107,12 @@ class WorkerSupervisor:
         # is never killed/replaced unless a factory says how.
         self._injected = executor is not None
         self._factory = executor_factory
-        self.heartbeat_s = heartbeat_s
         self.restarts = 0
         self.on_restart: Optional[Callable[[str], None]] = None
-        self._flights: List[_Flight] = []
-        self._watchdog: Optional[asyncio.Task] = None
+        #: in-flight future -> its armed deadline timer (None: no
+        #: deadline, or the deadline already fired)
+        self._flights: Dict[asyncio.Future,
+                            Optional[asyncio.TimerHandle]] = {}
         self._context = None
 
     # -- pool lifecycle ------------------------------------------------
@@ -179,19 +180,8 @@ class WorkerSupervisor:
             return False
         if self._executor is not None and self.alive and not force:
             return False
-        old = self._executor
-        self._executor = None
-        if old is not None:
-            processes = getattr(old, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.kill()
-                except Exception:
-                    pass
-            try:
-                old.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+        if self._executor is not None:
+            _kill_pool(self._executor)
         self._executor = self._make_executor()
         # Skip warmup on restart: recovery latency beats the first
         # point paying import cost again.
@@ -201,26 +191,17 @@ class WorkerSupervisor:
         return True
 
     def stop(self) -> None:
-        """Cancel the watchdog and shut down an owned pool.
+        """Cancel every deadline timer and kill an owned pool.
 
-        Worker processes are terminated explicitly: the caller has
-        already drained (or given up on) outstanding work, and
-        ``shutdown(wait=False)`` alone leaves workers exiting
-        asynchronously — forkserver-spawned workers that outlive
-        their parent leak as orphans.
+        The caller has already drained (or given up on) outstanding
+        work, so no flight's ``on_timeout`` may fire after this.
         """
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-            self._watchdog = None
+        for timer in self._flights.values():
+            if timer is not None:
+                timer.cancel()
+        self._flights.clear()
         if self._executor is not None and not self._injected:
-            processes = getattr(self._executor, "_processes",
-                                None) or {}
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
+            _kill_pool(self._executor)
 
     # -- supervised submission -----------------------------------------
 
@@ -230,10 +211,11 @@ class WorkerSupervisor:
         """Submit ``fn(arg)`` to the pool under supervision.
 
         A broken pool is restarted transparently before submitting.
-        When ``deadline_s`` is set, ``on_timeout`` fires (once, from
-        the event loop) if the flight is still running past it — the
-        future itself is left to the caller's policy, since a hung
-        process future can never be cancelled cleanly.
+        When ``deadline_s`` and ``on_timeout`` are set, ``on_timeout``
+        fires (once, from an event-loop timer) if the flight is still
+        running when the deadline expires — the future itself is left
+        to the caller's policy, since a hung process future can never
+        be cancelled cleanly.
         """
         if self._executor is None or not self.alive:
             self.restart(reason="submit on broken pool")
@@ -243,44 +225,27 @@ class WorkerSupervisor:
             self.restart(reason="submit raised")
             raw = self._executor.submit(fn, arg)
         future = asyncio.wrap_future(raw)
-        deadline = None if deadline_s is None \
-            else time.monotonic() + deadline_s
-        flight = _Flight(future, deadline, on_timeout)
-        self._flights.append(flight)
-        future.add_done_callback(
-            lambda _done, flight=flight: self._untrack(flight))
-        if deadline is not None:
-            self._ensure_watchdog()
+        timer = None
+        if deadline_s is not None and on_timeout is not None:
+            timer = asyncio.get_running_loop().call_later(
+                deadline_s, self._expire, future, on_timeout)
+        self._flights[future] = timer
+        future.add_done_callback(self._untrack)
         return future
 
-    def _untrack(self, flight: _Flight) -> None:
-        try:
-            self._flights.remove(flight)
-        except ValueError:
-            pass
+    def _untrack(self, future: asyncio.Future) -> None:
+        timer = self._flights.pop(future, None)
+        if timer is not None:
+            timer.cancel()
 
-    # -- watchdog ------------------------------------------------------
-
-    def _ensure_watchdog(self) -> None:
-        if self._watchdog is None or self._watchdog.done():
-            self._watchdog = asyncio.get_running_loop().create_task(
-                self._watch())
-
-    async def _watch(self) -> None:
-        """Tick until no deadline-carrying flight remains; fire each
-        overdue flight's timeout callback exactly once."""
-        while any(flight.deadline_monotonic is not None
-                  for flight in self._flights):
-            await asyncio.sleep(self.heartbeat_s)
-            now = time.monotonic()
-            for flight in list(self._flights):
-                if (flight.deadline_monotonic is not None
-                        and not flight.timed_out
-                        and not flight.future.done()
-                        and now >= flight.deadline_monotonic):
-                    flight.timed_out = True
-                    if flight.on_timeout is not None:
-                        flight.on_timeout()
+    def _expire(self, future: asyncio.Future,
+                on_timeout: Callable[[], None]) -> None:
+        # The future may have completed in this loop iteration, ahead
+        # of its (already scheduled) done-callback.
+        if future.done():
+            return
+        self._flights[future] = None
+        on_timeout()
 
     # -- observability -------------------------------------------------
 
@@ -289,6 +254,6 @@ class WorkerSupervisor:
             "alive": self.alive,
             "restarts": self.restarts,
             "supervised_inflight": len(self._flights),
-            "watching": self._watchdog is not None
-            and not self._watchdog.done(),
+            "watching": any(timer is not None
+                            for timer in self._flights.values()),
         }

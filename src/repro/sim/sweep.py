@@ -19,9 +19,9 @@ Execution has one shape: a point runs through the one
 :class:`PointRunner` (plain, recorded, forked from a checkpoint, with
 or without a cache), a *unit* is an ordered list of points — a family
 chain with ``checkpoint_dir``, a single point otherwise — and every
-unit runs through one executor pair (:func:`_units_serial`,
-:func:`_units_parallel`). The serve plane's workers run the same
-:class:`PointRunner`.
+unit runs in this process or, one unit per task, on a fresh worker
+pool (:func:`_units_parallel`). The serve plane's workers run the
+same :class:`PointRunner`.
 
 Cache invalidation rules: bump :data:`ENGINE_VERSION` whenever a change
 alters simulated *timing or statistics* (it is part of every key; stale
@@ -32,10 +32,10 @@ fails to read, parse, or checksum is *quarantined* — renamed to
 treated as a miss. Deleting the cache directory is always safe.
 
 The runner is crash-proof: a sweep point that raises (or, in parallel
-mode, whose worker dies or exceeds ``timeout`` seconds) does not abort
-the sweep. Failed points are retried with exponential backoff up to
-``retries`` times; completed points are cached before any failure is
-reported. ``on_error="raise"`` (the default) raises
+mode, whose worker dies) does not abort the sweep. Failed points are
+retried with exponential backoff up to ``retries`` times; completed
+points are cached before any failure is reported.
+``on_error="raise"`` (the default) raises
 :class:`~repro.errors.SweepError` carrying the per-point failures,
 ``on_error="none"`` returns ``None`` placeholders in their slots.
 
@@ -52,12 +52,11 @@ import json
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as _futures_wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, \
-    Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, \
+    Tuple, Union
 
 from ..config import SystemConfig
 from ..errors import ConfigError, SweepError
@@ -123,9 +122,8 @@ class SweepTimings:
     result cache in the coordinating process.
     ``points_failed`` counts points with no result after all retries,
     ``points_retried`` counts points that needed more than one
-    attempt, ``points_timed_out`` counts individual timeout events,
-    and ``cache_quarantined`` counts corrupt cache entries renamed
-    aside during this sweep.
+    attempt, and ``cache_quarantined`` counts corrupt cache entries
+    renamed aside during this sweep.
     """
 
     wall_s: float = 0.0
@@ -136,7 +134,6 @@ class SweepTimings:
     points_cached: int = 0
     points_failed: int = 0
     points_retried: int = 0
-    points_timed_out: int = 0
     cache_quarantined: int = 0
     workers: int = 0
 
@@ -150,7 +147,6 @@ class SweepTimings:
             "sweep.points_cached": self.points_cached,
             "sweep.points_failed": self.points_failed,
             "sweep.points_retried": self.points_retried,
-            "sweep.points_timed_out": self.points_timed_out,
             "sweep.cache_quarantined": self.cache_quarantined,
             "sweep.workers": self.workers,
         }
@@ -162,19 +158,21 @@ class SweepPointFailure:
 
     index: int          # first position of the point in the sweep
     workload: str
-    error: str          # "ExcType: message" or a timeout description
+    error: str          # "ExcType: message"
     attempts: int = 1
-    timed_out: bool = False
 
 
-def backoff_delay(base_s: float, attempt: int,
-                  rng: random.Random) -> float:
+def backoff_delay(base_s: float, attempt: int, key: str,
+                  seed: int = 0) -> float:
     """Exponential backoff with seeded jitter, the one retry schedule
     of the sweep runner, the serve scheduler and the serve client:
-    ``base_s · 2^(attempt−1) · (1 + r)`` with ``r`` drawn from
-    ``rng``, so a caller that seeds ``rng`` from its input gets a
-    reproducible schedule that is still decorrelated across inputs."""
-    return base_s * (2 ** (attempt - 1)) * (1.0 + rng.random())
+    ``base_s · 2^(attempt−1) · (1 + r)`` with ``r`` the first draw of
+    ``random.Random(f"{seed}:{key}:{attempt}")``. The schedule is a
+    pure function of (seed, key, attempt): reproducible for one
+    input, decorrelated across keys so mass failures don't retry as
+    one herd."""
+    jitter = random.Random(f"{seed}:{key}:{attempt}").random()
+    return base_s * (2 ** (attempt - 1)) * (1.0 + jitter)
 
 
 @dataclass(frozen=True)
@@ -341,89 +339,6 @@ def _parallel_enabled() -> bool:
     return os.environ.get("REPRO_SWEEP_PARALLEL", "1") != "0"
 
 
-class _Outcome(NamedTuple):
-    """One attempt at one point: a result or a captured failure."""
-
-    result: Optional[SimulationResult]
-    seconds: float
-    error: Optional[str]
-    timed_out: bool
-
-
-def _await_with_deadlines(futures, budgets: Sequence[Optional[float]],
-                          workers: int) -> Tuple[list, bool]:
-    """Resolve every future against a per-future absolute deadline.
-
-    Future ``i``'s clock starts at submission, not at its sequential
-    collection turn: ``deadline_i = start + (sum of earlier budgets) /
-    workers + budget_i``. The prefix-sum term is the worst-case list
-    scheduling start bound (some worker frees once the earlier
-    futures' budgets, spread across the pool, are spent), so a task
-    that respects its own budget never falsely times out behind
-    queue-mates — while a hung worker can no longer grant every later
-    future unbounded wall-clock the way sequential
-    ``result(timeout=...)`` collection did.
-
-    Returns ``(slots, hung)`` where ``slots[i]`` is ``("ok", value)``,
-    ``("error", message)`` or ``("timeout", None)`` in input order,
-    and ``hung`` is True when a timed-out future could not be
-    cancelled (its worker is still running and should be reaped).
-    """
-    start = time.monotonic()
-    ahead = 0.0
-    deadlines: List[Optional[float]] = []
-    for budget in budgets:
-        if budget is None:
-            deadlines.append(None)
-        else:
-            deadlines.append(start + ahead / max(1, workers) + budget)
-            ahead += budget
-    slots: list = [None] * len(futures)
-    pending = set(range(len(futures)))
-    hung = False
-    while pending:
-        live = [deadlines[i] for i in pending
-                if deadlines[i] is not None]
-        wait_s = max(0.0, min(live) - time.monotonic()) if live \
-            else None
-        done, _ = _futures_wait({futures[i] for i in pending},
-                                timeout=wait_s,
-                                return_when=FIRST_COMPLETED)
-        now = time.monotonic()
-        for i in sorted(pending):
-            future = futures[i]
-            if future in done:
-                try:
-                    slots[i] = ("ok", future.result())
-                except Exception as exc:
-                    slots[i] = ("error",
-                                f"{type(exc).__name__}: {exc}")
-            elif deadlines[i] is not None and now >= deadlines[i]:
-                if not future.cancel():
-                    hung = True
-                slots[i] = ("timeout", None)
-            else:
-                continue
-            pending.discard(i)
-    return slots, hung
-
-
-def _reap(pool: ProcessPoolExecutor, hung: bool) -> None:
-    """Shut the pool down; terminate workers left running by abandoned
-    (timed-out, uncancellable) futures. Only called once every tracked
-    future is resolved, so no live work can be lost — worker-side
-    cache/checkpoint writes publish atomically, so a terminate mid-
-    write leaves at most a stale temp file."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    if hung:
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except OSError:
-                pass
-
-
 def _family_units(points: Sequence[SweepPoint],
                   recorded: bool = False) -> List[List[SweepPoint]]:
     """Group points into prefix-sharing chains, smallest scale first.
@@ -443,54 +358,30 @@ def _family_units(points: Sequence[SweepPoint],
             for unit in units.values()]
 
 
-def _units_serial(units: Sequence[Sequence[SweepPoint]],
-                  runner) -> List[List[_Outcome]]:
-    """Run every unit in this process (``timeout`` cannot apply)."""
-    return [[_Outcome(result, seconds, error, False)
-             for result, seconds, error in runner(unit)]
-            for unit in units]
-
-
 def _units_parallel(units: Sequence[Sequence[SweepPoint]],
-                    workers: int, timeout: Optional[float],
-                    runner) -> List[List[_Outcome]]:
+                    workers: int, runner) -> List[list]:
     """One unit per task on a fresh pool; captures every failure.
 
     A fresh pool per round means a worker crash (BrokenProcessPool
     poisons the whole executor) costs at most the current round: every
     in-flight future fails fast, is captured, and retries run on a
-    clean pool. A unit's timeout budget scales with its length
-    (``timeout`` stays per-point) and is enforced as an absolute
-    deadline from submission (:func:`_await_with_deadlines`), so a
-    slow or hung unit cannot grant later units unbounded wall-clock.
-    A failed or timed-out unit fails all its points — they retry on
-    the next round, cheaply, because the points it finished were
-    cached and checkpointed worker-side (and its worker, if hung, is
-    terminated by :func:`_reap`)."""
-    count = min(workers, len(units))
-    pool = ProcessPoolExecutor(max_workers=count)
-    budgets = [timeout * len(unit) if timeout is not None else None
-               for unit in units]
-    hung = False
+    clean pool. A failed unit fails all its points — they retry on the
+    next round, cheaply, because the points it finished were cached
+    and checkpointed worker-side."""
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(units)))
+    unit_rows = []
     try:
         futures = [pool.submit(runner, list(unit)) for unit in units]
-        slots, hung = _await_with_deadlines(futures, budgets, count)
+        for unit, future in zip(units, futures):
+            try:
+                unit_rows.append(future.result())
+            except Exception as exc:
+                unit_rows.append(
+                    [(None, 0.0, f"{type(exc).__name__}: {exc}")]
+                    * len(unit))
     finally:
-        _reap(pool, hung)
-    unit_outcomes = []
-    for unit, budget, (status, value) in zip(units, budgets, slots):
-        if status == "ok":
-            unit_outcomes.append([
-                _Outcome(result, seconds, error, False)
-                for result, seconds, error in value])
-        elif status == "timeout":
-            unit_outcomes.append([_Outcome(
-                None, 0.0, f"chain timed out after {budget:g}s",
-                True)] * len(unit))
-        else:
-            unit_outcomes.append([_Outcome(None, 0.0, value, False)]
-                                 * len(unit))
-    return unit_outcomes
+        pool.shutdown(wait=False, cancel_futures=True)
+    return unit_rows
 
 
 def run_sweep(points: Sequence[SweepPoint],
@@ -498,7 +389,6 @@ def run_sweep(points: Sequence[SweepPoint],
               parallel: Optional[bool] = None,
               max_workers: Optional[int] = None,
               timings: Optional[SweepTimings] = None,
-              timeout: Optional[float] = None,
               retries: int = 1,
               backoff_s: float = 0.05,
               backoff_seed: Optional[int] = None,
@@ -516,20 +406,18 @@ def run_sweep(points: Sequence[SweepPoint],
     are measured inside the workers and aggregated here).
 
     A point that raises — or, in parallel mode, whose worker process
-    dies or takes longer than ``timeout`` seconds — never aborts the
-    sweep: it is retried up to ``retries`` more times with exponential
-    backoff (:func:`backoff_delay` from ``backoff_s``, on a fresh
-    worker pool so one crashed worker cannot poison the retry). The
-    backoff jitter is **seeded** — from ``backoff_seed`` when given,
-    else from the content hash of the pending points — so a
-    crash-recovery run's retry schedule is deterministic and
-    reproducible under ``repro record``, yet decorrelated across
-    different sweeps. Results completed before a failure are cached
-    regardless, and reloaded before a retry. If failures remain,
-    ``on_error="raise"`` raises :class:`~repro.errors.SweepError`
-    listing them; ``on_error="none"`` returns ``None`` in the failed
-    points' slots. ``timeout`` needs worker processes and is ignored
-    on the in-process serial path.
+    dies — never aborts the sweep: it is retried up to ``retries``
+    more times with exponential backoff (:func:`backoff_delay` from
+    ``backoff_s``, on a fresh worker pool so one crashed worker cannot
+    poison the retry). The backoff jitter is **seeded** — keyed by the
+    content hash of the initially pending points, seeded by
+    ``backoff_seed`` (default 0) — so a crash-recovery run's retry
+    schedule is deterministic and reproducible under ``repro
+    record``, yet decorrelated across different sweeps. Results
+    completed before a failure are cached regardless, and reloaded
+    before a retry. If failures remain, ``on_error="raise"`` raises
+    :class:`~repro.errors.SweepError` listing them;
+    ``on_error="none"`` returns ``None`` in the failed points' slots.
 
     With ``record_dir``, every point that actually *runs* (cache hits
     don't re-run, so they leave no recording) also writes a
@@ -543,8 +431,7 @@ def run_sweep(points: Sequence[SweepPoint],
     the deepest stored snapshot that validates against its traces
     instead of re-simulating the shared warm-up, and results stay
     bit-identical to cold runs (docs/checkpointing.md). Parallelism is
-    then across chains, and ``timeout`` budgets a whole chain at
-    ``timeout × len(chain)``.
+    then across chains.
     """
     if on_error not in ("raise", "none"):
         raise ConfigError(
@@ -582,7 +469,6 @@ def run_sweep(points: Sequence[SweepPoint],
     workers = 0
     point_seconds: List[float] = []
     retried_keys: set = set()
-    timeout_events = 0
     if pending:
         if parallel is None:
             parallel = _parallel_enabled()
@@ -602,16 +488,11 @@ def run_sweep(points: Sequence[SweepPoint],
             record_dir=None if record_dir is None else str(record_dir))
         remaining = pending
         attempts: Dict[str, int] = {}
-        # Seeded jitter: a fixed seed (or, by default, the content
-        # hash of what's pending) makes the retry schedule a pure
-        # function of the sweep's input — identical on a recorded
-        # re-run, different across unrelated sweeps so their retries
-        # don't synchronize.
-        if backoff_seed is None:
-            digest = sha256("\n".join(sorted(pending)).encode())
-            backoff_rng = random.Random(int(digest[:16], 16))
-        else:
-            backoff_rng = random.Random(backoff_seed)
+        # Keyed by the content hash of what's pending, the retry
+        # schedule is a pure function of the sweep's input: identical
+        # on a recorded re-run, different across unrelated sweeps so
+        # their retries don't synchronize.
+        backoff_key = sha256("\n".join(sorted(pending)).encode())
         for round_number in range(max(0, retries) + 1):
             if round_number:
                 # What a failed unit finished is already cached.
@@ -619,7 +500,8 @@ def run_sweep(points: Sequence[SweepPoint],
                 if remaining:
                     retried_keys.update(remaining)
                     time.sleep(backoff_delay(backoff_s, round_number,
-                                             backoff_rng))
+                                             backoff_key,
+                                             backoff_seed or 0))
             if not remaining:
                 break
             if checkpoints is not None:
@@ -627,27 +509,23 @@ def run_sweep(points: Sequence[SweepPoint],
                                       recorded=record_dir is not None)
             else:
                 units = [[point] for point in remaining.values()]
-            unit_outcomes = (
-                _units_parallel(units, workers, timeout, runner.run_all)
-                if use_pool else _units_serial(units, runner.run_all))
+            unit_rows = (
+                _units_parallel(units, workers, runner.run_all)
+                if use_pool else [runner.run_all(unit) for unit in units])
             remaining = {}
-            for unit, outcomes in zip(units, unit_outcomes):
-                for point, outcome in zip(unit, outcomes):
+            for unit, rows in zip(units, unit_rows):
+                for point, (result, seconds, error) in zip(unit, rows):
                     key = point_key(point)
                     attempts[key] = attempts.get(key, 0) + 1
-                    if outcome.error is None:
-                        point_seconds.append(outcome.seconds)
-                        results[key] = outcome.result
+                    if error is None:
+                        point_seconds.append(seconds)
+                        results[key] = result
                         failures.pop(key, None)
                         continue
-                    if outcome.timed_out:
-                        timeout_events += 1
                     failures[key] = SweepPointFailure(
                         index=keys.index(key),
                         workload=point.workload,
-                        error=outcome.error,
-                        attempts=attempts[key],
-                        timed_out=outcome.timed_out)
+                        error=error, attempts=attempts[key])
                     remaining[key] = point
 
     ordered = [results.get(key) for key in keys]
@@ -661,7 +539,6 @@ def run_sweep(points: Sequence[SweepPoint],
         timings.points_cached += len(points) - len(pending)
         timings.points_failed += len(failures)
         timings.points_retried += len(retried_keys)
-        timings.points_timed_out += timeout_events
         if cache is not None:
             timings.cache_quarantined += \
                 cache.quarantined - quarantined_before

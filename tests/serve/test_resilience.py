@@ -225,8 +225,7 @@ class TestPointDeadline:
         async def scenario():
             runner = GatedRunner()  # never released: a hung point
             scheduler, pool = make_scheduler(
-                runner, retries=0, point_timeout=0.05,
-                heartbeat_s=0.01)
+                runner, retries=0, point_timeout=0.05)
             try:
                 job = scheduler.submit(spec("t", [7]))
                 await wait_until(lambda: job.terminal)
@@ -243,7 +242,7 @@ class TestPointDeadline:
         async def scenario():
             runner = FlakyRunner(fail_times=0)
             scheduler, pool = make_scheduler(
-                runner, point_timeout=30.0, heartbeat_s=0.01)
+                runner, point_timeout=30.0)
             try:
                 job = scheduler.submit(spec("t", [1, 2]))
                 await wait_until(lambda: job.terminal)
@@ -459,8 +458,7 @@ class TestWorkerSupervisor:
     def test_watchdog_fires_once_per_overdue_flight(self):
         async def scenario():
             pool = ThreadPoolExecutor(max_workers=1)
-            supervisor = WorkerSupervisor(executor=pool,
-                                          heartbeat_s=0.01)
+            supervisor = WorkerSupervisor(executor=pool)
             fired = []
             gate = threading.Semaphore(0)
             try:

@@ -2,10 +2,8 @@
 
 import json
 import os
-import random
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -308,21 +306,20 @@ class TestSweepCrashes:
             run_sweep([point()], on_error="explode")
 
 
-def _sleep_chain_runner(points):
-    """Fake chain runner: the unit's first 'point' is the sleep."""
-    time.sleep(points[0])
-    return [("done", 0.01, None)] * len(points)
-
-
 class TestBackoff:
     def test_formula(self):
+        """The keyed rule the sweep, the scheduler and the client
+        share, pinned so no caller's retry schedule drifts."""
         from repro.sim.sweep import backoff_delay
-        jitter = random.Random(7).random()
-        assert backoff_delay(0.5, 3, random.Random(7)) \
-            == 0.5 * 4 * (1.0 + jitter)
+        assert backoff_delay(0.05, 1, "k", 0) == 0.08721721301997142
+        assert backoff_delay(0.05, 3, "k", 0) == 0.20003480145675667
+        assert backoff_delay(0.001, 2, "j", 1) == 0.0021025123313249995
+        assert backoff_delay(0.2, 1, "GET /v1/jobs", 7) \
+            == 0.2546397658655809
 
     def test_sweep_retry_sleeps_on_the_seeded_schedule(self,
                                                       monkeypatch):
+        from repro.sim.store import sha256
         from repro.sim.sweep import backoff_delay
         real = run_point
         attempts = []
@@ -337,41 +334,9 @@ class TestBackoff:
         monkeypatch.setattr("repro.sim.sweep.time.sleep", slept.append)
         run_sweep([point()], parallel=False, retries=2,
                   backoff_s=0.25, backoff_seed=3)
-        rng = random.Random(3)
-        assert slept == [backoff_delay(0.25, 1, rng),
-                         backoff_delay(0.25, 2, rng)]
-
-
-class TestDeadlineCollection:
-    """Per-future deadlines run from submission, not from each
-    future's sequential collection turn — a hung chain/point must not
-    grant later ones unbounded wall-clock, and its abandoned worker
-    must be terminated rather than left running."""
-
-    def test_units_hung_chains_time_out_others_succeed(self):
-        from repro.sim.sweep import _units_parallel
-        start = time.perf_counter()
-        outcomes = _units_parallel([[30.0], [0.01], [30.0]],
-                                   workers=3, timeout=0.5,
-                                   runner=_sleep_chain_runner)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 10  # nobody waited on the 30s sleepers
-        assert outcomes[0][0].timed_out
-        assert "chain timed out" in outcomes[0][0].error
-        assert outcomes[1][0].result == "done"
-        assert outcomes[1][0].error is None
-        assert outcomes[2][0].timed_out
-
-    def test_queued_chains_get_packing_allowance_not_false_timeouts(
-            self):
-        """More chains than workers: queued chains must not burn
-        their budget while waiting for a slot (the deadline carries
-        the earlier chains' budgets spread across the pool)."""
-        from repro.sim.sweep import _units_parallel
-        outcomes = _units_parallel([[0.05]] * 6, workers=2,
-                                   timeout=2.0,
-                                   runner=_sleep_chain_runner)
-        assert all(unit[0].error is None for unit in outcomes)
+        key = sha256(point_key(point()).encode())
+        assert slept == [backoff_delay(0.25, 1, key, 3),
+                         backoff_delay(0.25, 2, key, 3)]
 
 
 class TestCacheQuarantine:
