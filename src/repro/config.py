@@ -23,8 +23,8 @@ All latencies are in CPU cycles of the 1 GHz clock unless noted.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
 
@@ -282,13 +282,30 @@ _NESTED_SECTIONS = {
 }
 
 
+#: config class -> its field names in declaration order, so encoding
+#: walks a tuple instead of calling ``dataclasses.fields`` per object
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (SystemConfig, *_NESTED_SECTIONS.values())}
+
+
 def config_to_dict(config: SystemConfig) -> dict:
     """Serialize a config to plain JSON-safe dicts (wire format).
 
     The output round-trips through :func:`config_from_dict`; it is the
-    shape ``repro.serve`` jobs carry per sweep point.
+    shape ``repro.serve`` jobs carry per sweep point, and the config
+    part of every point and family key. It equals
+    ``dataclasses.asdict(config)``, key order included, without the
+    deep copy: every leaf field is already a JSON atom (int, float,
+    bool, str or None), so only the nested sections need a new dict.
     """
-    return asdict(config)
+    encoded = {}
+    for name in _FIELD_NAMES[type(config)]:
+        value = getattr(config, name)
+        if type(value) in _FIELD_NAMES:
+            value = config_to_dict(value)
+        encoded[name] = value
+    return encoded
 
 
 def _section_from_dict(cls, name: str, payload) -> object:

@@ -44,10 +44,20 @@ config, :data:`~repro.sim.sweep.ENGINE_VERSION`
 and :data:`CHECKPOINT_VERSION`, so any semantic change invalidates
 the store wholesale.
 
-Trust model: snapshots are **pickles** and must only be loaded from
-directories the local user controls — the same trust domain as the
-ResultCache (both live under ``.benchmarks/`` by default). They are
-not a wire format; the serve plane never accepts snapshots from
+Trust model: snapshots are **pickles**, read back by a restricted
+unpickler (:func:`restore`). Its ``find_class`` admits only classes
+defined in ``repro`` modules — minus the modules that touch files,
+processes or sockets — and a named list of stdlib globals derived
+from real snapshots. ``builtins.getattr``, which every snapshot names
+because bound methods pickle as ``getattr(obj, name)``, maps to a
+guard that only binds a non-dunder method of an admitted instance.
+A tampered file can therefore not run code: it fails to restore and
+the point runs cold. It can still describe a wrong machine — the
+blob's sha256 sits next to it in the same file, so it catches
+corruption, not tampering — so stores should still live in
+directories the local user controls, the trust domain of the
+ResultCache (both sit under ``.benchmarks/`` by default). Snapshots
+are not a wire format; the serve plane never accepts them from
 clients, it only shares a store across its own workers.
 
 Forks execute on the same resumable loop as every other run
@@ -57,22 +67,27 @@ cold result by construction.
 
 from __future__ import annotations
 
+import array
+import functools
 import hashlib
+import io
 import json
 import pickle
 import threading
+import types
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..config import config_to_dict
 from ..errors import CheckpointError
 from ..smp.fastpath import _finish_run, _run_loop, new_counters
 from ..smp.metrics import SimulationResult
 from ..smp.trace import Workload, as_columns
 from .store import BlobStore, sha256
 from .sweep import (ENGINE_VERSION, PointRunner, ResultCache, SweepPoint,
-                    build_system, point_key)
+                    build_system, content_key, point_key)
 
 #: Bump when the snapshot payload or meta layout changes — or when a
 #: soundness fix must bust stores written by older code; snapshots
@@ -102,16 +117,14 @@ def family_key(point: SweepPoint, recorded: bool = False) -> str:
     inside the pickled machine, so it must never be forked into a
     plain (unrecorded) run, and vice versa.
     """
-    payload = {
+    return content_key({
         "engine": ENGINE_VERSION,
         "checkpoint": CHECKPOINT_VERSION,
         "workload": point.workload,
         "seed": point.seed,
         "recorded": bool(recorded),
-        "config": asdict(point.config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+        "config": config_to_dict(point.config),
+    })
 
 
 def trace_digests(workload: Workload, cursors: Sequence[int]
@@ -207,12 +220,85 @@ def validates_against(meta: Dict[str, object],
     return trace_digests(workload, cursors) == digests
 
 
+#: The stdlib globals a snapshot may name besides ``builtins.getattr``:
+#: every global in snapshots of baseline, SENSS, mask-limited,
+#: integrated, recorded and fault-campaign machines, listed with
+#: ``pickletools`` (tests/sim/test_checkpoint.py re-derives the list).
+_STDLIB_GLOBALS = {
+    ("collections", "OrderedDict"): OrderedDict,
+    ("array", "array"): array.array,
+    ("array", "_array_reconstructor"): array._array_reconstructor,
+}
+
+#: repro modules (and packages) whose classes touch files, processes or
+#: sockets, and the one such class elsewhere. No machine holds one.
+_IO_MODULES = ("repro.chaos", "repro.cli", "repro.serve",
+               "repro.sim.checkpoint", "repro.sim.store",
+               "repro.sim.sweep", "repro.workloads.tracefile")
+_IO_CLASSES = {("repro.obs.recording", "Recording")}
+
+
+def _admitted_name(module: str, name: str) -> bool:
+    """May a snapshot name ``module.name``? Only a top-level class
+    name in a ``repro`` module outside :data:`_IO_MODULES`."""
+    parts = module.split(".")
+    return (parts[0] == "repro"
+            and not any(part.startswith("__") for part in parts)
+            and not any(module == io_module
+                        or module.startswith(io_module + ".")
+                        for io_module in _IO_MODULES)
+            and (module, name) not in _IO_CLASSES
+            and name.isidentifier() and not name.startswith("__"))
+
+
+@functools.lru_cache(maxsize=256)
+def _admitted_class(cls) -> bool:
+    return (isinstance(cls, type)
+            and _admitted_name(cls.__module__, cls.__qualname__))
+
+
+def _guarded_getattr(obj, name):
+    """``builtins.getattr`` as snapshots use it: rebind a pickled
+    bound method. Binds only a plain function defined on an admitted
+    repro class to an instance of it, under a non-dunder name."""
+    if not (_admitted_class(type(obj)) and isinstance(name, str)
+            and not name.startswith("__")
+            and isinstance(getattr(type(obj), name, None),
+                           types.FunctionType)):
+        raise pickle.UnpicklingError(
+            f"snapshot binds a forbidden attribute {name!r} of "
+            f"{type(obj).__qualname__}")
+    return types.MethodType(getattr(type(obj), name), obj)
+
+
+#: every global the unpickler has admitted, so each repro class is
+#: imported and checked once per process, not once per restore
+_ADMITTED = {("builtins", "getattr"): _guarded_getattr, **_STDLIB_GLOBALS}
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Unpickles machine snapshots and nothing else (module
+    docstring, trust model)."""
+
+    def find_class(self, module: str, name: str):
+        found = _ADMITTED.get((module, name))
+        if found is None and _admitted_name(module, name):
+            cls = super().find_class(module, name)
+            if isinstance(cls, type) and \
+                    (cls.__module__, cls.__qualname__) == (module, name):
+                found = _ADMITTED[(module, name)] = cls
+        if found is None:
+            raise pickle.UnpicklingError(
+                f"snapshot names a forbidden global {module}.{name}")
+        return found
+
+
 def restore(snapshot: MachineSnapshot):
     """Unpickle a snapshot into ``(system, clocks, cursors, counters)``.
 
-    Raises :class:`~repro.errors.CheckpointError` on a corrupt blob.
-    Only restore snapshots from trusted local stores (module
-    docstring) — this executes a pickle.
+    Raises :class:`~repro.errors.CheckpointError` on a corrupt blob
+    and on one naming a global the restricted unpickler refuses
+    (module docstring, trust model) — before any of it runs.
     """
     blob = snapshot.blob
     expected = snapshot.meta.get("blob_sha256")
@@ -221,7 +307,7 @@ def restore(snapshot: MachineSnapshot):
             f"checkpoint blob checksum mismatch (tag "
             f"{snapshot.meta.get('tag')!r})")
     try:
-        payload = pickle.loads(blob)
+        payload = _SnapshotUnpickler(io.BytesIO(blob)).load()
         system = payload["system"]
         clocks = list(payload["clocks"])
         cursors = list(payload["cursors"])
@@ -416,27 +502,30 @@ def fork_point(point: SweepPoint,
                hot: Optional["HotSnapshotLRU"] = None) -> ForkOutcome:
     """Run ``point`` to completion, from ``snapshot`` if it validates.
 
-    ``forked`` is False when the snapshot was absent or failed digest
-    validation and the run went cold. With a ``store`` (and/or a
-    ``hot`` in-memory LRU), a new snapshot is emitted at the run's
-    first-trace-exhaustion instant, tagged by this point's scale,
-    extending the family's prefix chain for larger scales — **unless**
-    some cursor already sits at its trace end when the run starts
-    (e.g. resuming from this scale's own seam snapshot): the run's
-    next exhaustion event is then a *later* one, not the
-    family-shared seam, so emitting would overwrite the valid
-    same-tag snapshot with a state no cold run of a larger scale
-    ever passes through. In that case nothing is emitted; the seam
-    for this scale is already stored.
+    ``forked`` is False when the snapshot was absent, failed digest
+    validation or failed to :func:`restore`, and the run went cold.
+    With a ``store`` (and/or a ``hot`` in-memory LRU), a new snapshot
+    is emitted at the run's first-trace-exhaustion instant, tagged by
+    this point's scale, extending the family's prefix chain for larger
+    scales — **unless** some cursor already sits at its trace end when
+    the run starts (e.g. resuming from this scale's own seam
+    snapshot): the run's next exhaustion event is then a *later* one,
+    not the family-shared seam, so emitting would overwrite the valid
+    same-tag snapshot with a state no cold run of a larger scale ever
+    passes through. In that case nothing is emitted; the seam for this
+    scale is already stored.
     """
     if workload is None:
         workload = _generate(point)
     forked = False
     if snapshot is not None and validates_against(snapshot.meta,
                                                   workload):
-        system, clocks, cursors, counters = restore(snapshot)
-        forked = True
-    else:
+        try:
+            system, clocks, cursors, counters = restore(snapshot)
+            forked = True
+        except CheckpointError:
+            pass  # unreadable or refused blob: run cold
+    if not forked:
         system, clocks, cursors, counters = _fresh_state(
             point, workload, recorded)
 

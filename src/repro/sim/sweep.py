@@ -13,7 +13,9 @@ table. This module runs such sweeps:
 - cache keys hash the *full* simulation input — workload name, scale,
   seed, every config field, and :data:`ENGINE_VERSION` — so any change
   to the machine configuration or the engine's timing semantics
-  invalidates exactly the affected entries.
+  invalidates exactly the affected entries. A point computes its key
+  once (:attr:`SweepPoint.key`) and carries it, into pool workers
+  too, so a warm sweep costs one cache-file read per point.
 
 Execution has one shape: a point runs through the one
 :class:`PointRunner` (plain, recorded, forked from a checkpoint, with
@@ -47,18 +49,18 @@ Environment knobs:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, \
     Tuple, Union
 
-from ..config import SystemConfig
+from ..config import SystemConfig, config_to_dict
 from ..errors import ConfigError, SweepError
 from ..smp.metrics import SimulationResult
 from .store import BlobStore, sha256
@@ -84,6 +86,13 @@ ENGINE_VERSION = 5
 DEFAULT_CACHE_DIR = Path(".benchmarks") / "cache"
 
 
+def content_key(payload: Dict[str, object]) -> str:
+    """sha256 of ``payload`` as canonical JSON: the one hashing rule
+    of point and family keys."""
+    return sha256(json.dumps(payload, sort_keys=True,
+                             default=str).encode())
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     """One independent simulation in a sweep."""
@@ -92,6 +101,22 @@ class SweepPoint:
     config: SystemConfig
     scale: float = 1.0
     seed: int = 0
+
+    @cached_property
+    def key(self) -> str:
+        """Content hash of the point's complete simulation input,
+        computed on first use and kept: a point is a frozen dataclass
+        of frozen configs and atoms, so the hash cannot go stale.
+        ``dataclasses.replace`` builds a new point with a new key,
+        equality and hashing ignore the cached value, and a pickled
+        point carries it (pool workers never recompute it)."""
+        return content_key({
+            "engine": ENGINE_VERSION,
+            "workload": self.workload,
+            "scale": self.scale,
+            "seed": self.seed,
+            "config": config_to_dict(self.config),
+        })
 
 
 def build_system(config: SystemConfig):
@@ -256,16 +281,13 @@ def _run_point_timed(point: SweepPoint
 
 
 def point_key(point: SweepPoint) -> str:
-    """Content hash identifying a point's complete simulation input."""
-    payload = {
-        "engine": ENGINE_VERSION,
-        "workload": point.workload,
-        "scale": point.scale,
-        "seed": point.seed,
-        "config": asdict(point.config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Content hash identifying a point's complete simulation input.
+
+    The point computes it once (:attr:`SweepPoint.key`); every later
+    call — the sweep's key list, each cache load and store, the
+    scheduler's queue — reads the cached value.
+    """
+    return point.key
 
 
 class ResultCache(BlobStore):
@@ -440,8 +462,10 @@ def run_sweep(points: Sequence[SweepPoint],
     points = list(points)
     keys = [point_key(point) for point in points]
     unique: Dict[str, SweepPoint] = {}
-    for key, point in zip(keys, points):
+    first_index: Dict[str, int] = {}
+    for index, (key, point) in enumerate(zip(keys, points)):
         unique.setdefault(key, point)
+        first_index.setdefault(key, index)
     results: Dict[str, SimulationResult] = {}
     failures: Dict[str, SweepPointFailure] = {}
     quarantined_before = cache.quarantined if cache is not None else 0
@@ -523,7 +547,7 @@ def run_sweep(points: Sequence[SweepPoint],
                         failures.pop(key, None)
                         continue
                     failures[key] = SweepPointFailure(
-                        index=keys.index(key),
+                        index=first_index[key],
                         workload=point.workload,
                         error=error, attempts=attempts[key])
                     remaining[key] = point

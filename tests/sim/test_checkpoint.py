@@ -8,7 +8,10 @@ stats, same recording bytes. The speedup is worthless without that.
 """
 
 import hashlib
+import io
 import os
+import pickle
+import pickletools
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,13 @@ from repro.config import e6000_config
 from repro.errors import CheckpointError
 from repro.faults.campaign import run_campaign
 from repro.obs.recording import record_run
+from repro.sim import checkpoint
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointStore,
-                                  HotSnapshotLRU, capture, family_key,
-                                  fork_point, restore, run_chain,
-                                  trace_digests, validates_against)
+                                  HotSnapshotLRU, MachineSnapshot,
+                                  capture, family_key, fork_point,
+                                  restore, run_chain, trace_digests,
+                                  validates_against)
+from repro.sim.store import sha256
 from repro.sim.sweep import (ENGINE_VERSION, PointRunner, ResultCache,
                              SweepPoint, build_system, point_key,
                              run_point, run_sweep)
@@ -185,6 +191,174 @@ class TestSnapshotRoundTrip:
         snapshot.blob = snapshot.blob[:-1] + b"\x00"
         with pytest.raises(CheckpointError, match="checksum"):
             restore(snapshot)
+
+
+def pickled_globals(blob):
+    """Every ``(module, name)`` a protocol-4 pickle names, read with
+    ``pickletools``: a STACK_GLOBAL takes the last two strings pushed,
+    directly or from the memo."""
+    names, strings, memo, last = set(), [], {}, None
+    for opcode, arg, _pos in pickletools.genops(blob):
+        if opcode.name in ("SHORT_BINUNICODE", "BINUNICODE",
+                           "BINUNICODE8", "UNICODE"):
+            strings.append(arg)
+        elif opcode.name == "MEMOIZE":
+            if last in ("SHORT_BINUNICODE", "BINUNICODE",
+                        "BINUNICODE8", "UNICODE"):
+                memo[len(memo)] = strings[-1]
+            else:
+                memo[len(memo)] = None
+        elif opcode.name in ("BINGET", "LONG_BINGET") \
+                and memo.get(arg) is not None:
+            strings.append(memo[arg])
+        elif opcode.name == "STACK_GLOBAL":
+            names.add((strings[-2], strings[-1]))
+        elif opcode.name == "GLOBAL":
+            names.add(tuple(arg.split(" ")))
+        last = opcode.name
+    return names
+
+
+class _RunsShell:
+    """Pickles as a call to ``os.system``."""
+
+    def __init__(self, command):
+        self.command = command
+
+    def __reduce__(self):
+        return os.system, (self.command,)
+
+
+class _WalksGlobals:
+    """Pickles as ``getattr(<bound method>, "__globals__")``: the first
+    step from an admitted object to every builtin."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __reduce__(self):
+        return getattr, (self.method, "__globals__")
+
+
+def tampered(snapshot, payload):
+    """``snapshot`` with its blob replaced by ``payload`` pickled, and
+    a checksum that matches: the file an attacker would write."""
+    blob = pickle.dumps({"system": payload, "clocks": [0, 0],
+                         "cursors": [0, 0],
+                         "counters": [[0, 0]] * 4}, protocol=4)
+    meta = dict(snapshot.meta, blob_sha256=sha256(blob))
+    return MachineSnapshot(meta=meta, blob=blob)
+
+
+class TestRestrictedUnpickler:
+    def blank_snapshot(self):
+        target = point()
+        workload = generate(target.workload, 2, scale=target.scale)
+        return capture(build_system(target.config), workload, target,
+                       [0, 0], [0, 0], new_counters(2), tag="t")
+
+    def test_stdlib_list_is_what_snapshots_name(self, tmp_path,
+                                                monkeypatch):
+        """The admitted stdlib globals are exactly those named by
+        snapshots of baseline, SENSS, mask-limited, integrated,
+        recorded and fault-campaign machines, and every one of those
+        snapshots restores."""
+        blobs = []
+        real_capture = checkpoint.capture
+
+        def keep(*args, **kwargs):
+            snapshot = real_capture(*args, **kwargs)
+            blobs.append(snapshot.blob)
+            return snapshot
+        monkeypatch.setattr("repro.sim.checkpoint.capture", keep)
+        base = e6000_config(num_processors=2)
+        integrated = base.with_memprotect(encryption_enabled=True,
+                                          integrity_enabled=True)
+        flavours = [(base.with_senss(False), False), (base, False),
+                    (base.with_masks(2), False), (integrated, False),
+                    (integrated, True)]
+        for index, (config, recorded) in enumerate(flavours):
+            run_chain([SweepPoint("radix", config, scale=scale)
+                       for scale in (0.02, 0.04)],
+                      CheckpointStore(tmp_path / str(index)),
+                      record_dir=tmp_path / "rec" if recorded else None)
+        run_campaign(kinds=("drop", "merkle-flip"), policies=("halt",),
+                     workload="radix", cpus=2, scale=0.02, trigger=40,
+                     record_diff=True)
+        named = set()
+        for blob in blobs:
+            named |= pickled_globals(blob)
+            restore(MachineSnapshot(meta={"blob_sha256": sha256(blob)},
+                                    blob=blob))
+        outside = {name for name in named if name[0] != "repro"
+                   and not name[0].startswith("repro.")}
+        assert outside == set(checkpoint._STDLIB_GLOBALS) \
+            | {("builtins", "getattr")}
+        assert all(checkpoint._admitted_name(*name)
+                   for name in named - outside)
+
+    @pytest.mark.parametrize("module,name", [
+        ("posix", "system"), ("builtins", "eval"),
+        ("repro.sim.store", "BlobStore"),
+        ("repro.sim.sweep", "ResultCache"),
+        ("repro.obs.recording", "Recording"),
+        ("repro.serve.scheduler", "Scheduler"),
+        ("repro.config", "replace"),           # a function, imported
+        ("repro.smp.system", "SmpSystem.__init__"),
+        ("repro.__main__", "main"),
+    ])
+    def test_refuses_globals(self, module, name):
+        unpickler = checkpoint._SnapshotUnpickler(io.BytesIO(b""))
+        with pytest.raises(pickle.UnpicklingError):
+            unpickler.find_class(module, name)
+
+    def test_os_system_payload_raises_without_running(self, tmp_path):
+        marker = tmp_path / "ran"
+        snapshot = tampered(self.blank_snapshot(),
+                            _RunsShell(f"touch {marker}"))
+        with pytest.raises(CheckpointError, match="forbidden global"):
+            restore(snapshot)
+        assert not marker.exists()
+
+    def test_globals_walk_payload_raises(self):
+        system = build_system(point().config)
+        snapshot = tampered(self.blank_snapshot(),
+                            _WalksGlobals(system._flush_stats))
+        with pytest.raises(CheckpointError, match="__globals__"):
+            restore(snapshot)
+
+    def test_bound_methods_still_round_trip(self):
+        system = build_system(point().config)
+        snapshot = tampered(self.blank_snapshot(), system._flush_stats)
+        method = restore(snapshot)[0]
+        assert method.__func__ is type(system)._flush_stats
+        assert type(method.__self__) is type(system)
+
+    def test_tampered_store_entry_runs_cold(self, tmp_path, monkeypatch):
+        """A store entry that validates but whose blob calls
+        ``os.system`` is refused, and the sweep point runs cold."""
+        small, large = point(scale=0.02), point(scale=0.04)
+        store = CheckpointStore(tmp_path / "ckpt")
+        run_chain([small], store)
+        (meta,) = store.metas(family_key(small))
+        marker = tmp_path / "ran"
+        store.store(tampered(MachineSnapshot(meta=meta, blob=b""),
+                             _RunsShell(f"touch {marker}")))
+        refused = []
+        real_restore = checkpoint.restore
+
+        def watch(snapshot):
+            try:
+                return real_restore(snapshot)
+            except CheckpointError as exc:
+                refused.append(exc)
+                raise
+        monkeypatch.setattr("repro.sim.checkpoint.restore", watch)
+        results = run_sweep([large], cache=None, parallel=False,
+                            checkpoint_dir=tmp_path / "ckpt")
+        assert len(refused) == 1
+        assert not marker.exists()
+        assert_same_result(results[0], run_point(large))
 
 
 class TestValidation:

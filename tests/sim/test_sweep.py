@@ -2,12 +2,16 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.config import e6000_config
+from repro.sim import sweep
+from repro.sim.checkpoint import family_key
 from repro.sim.sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
                              SweepTimings, point_key, run_cached,
                              run_point, run_sweep)
@@ -36,11 +40,60 @@ class TestPointKey:
                             ENGINE_VERSION + 1)
         assert point_key(point()) != before
 
+    def test_replace_gets_a_new_key(self):
+        base = point()
+        assert base.key == point_key(base)
+        moved = replace(base, scale=0.1)
+        assert point_key(moved) != point_key(base)
+        assert point_key(moved) == point_key(point(scale=0.1))
+
+    def test_pickle_keeps_the_key_and_ignores_it_in_eq_and_hash(self):
+        fresh, keyed = point(), point()
+        key = point_key(keyed)
+        restored = pickle.loads(pickle.dumps(keyed))
+        assert restored.__dict__["key"] == key  # carried, not recomputed
+        assert restored == keyed == fresh
+        assert hash(restored) == hash(keyed) == hash(fresh)
+        assert "key" not in fresh.__dict__
+        assert {restored, fresh} == {keyed}
+
     def test_engine_version_covers_memprotect_rewrite(self):
         """The flattened hash tree / fused memprotect node path shipped
         as engine 3; any cache written by an older engine must miss.
         (Floor, not equality: later bumps must not un-bust this one.)"""
         assert ENGINE_VERSION >= 3
+
+
+class TestKeyIdentity:
+    """Point and family keys name every result-cache entry, recording
+    and snapshot written so far: they must never change silently.
+    Each row is ``(point, point_key, family_key, family_key(recorded=
+    True))`` at ``e6000_config``, scale 0.5."""
+
+    ROWS = [
+        (SweepPoint("fft", e6000_config(2, 1, senss_enabled=False),
+                    0.5, 0),
+         "f332deeb153e113a48d8ea29cff95ed959e98e8aa0270f240168c38119e43ab1",
+         "2d99678b827b29af47442c31724bdaa0e66cb000137565164cb2c9c98d25bfd3",
+         "72b6161db3b3b849ee1f1f05d6c01a79c7f059cda7d51778c18161cab3fe9ebd"),
+        (SweepPoint("ocean", e6000_config(4, 4).with_masks(2), 0.5, 0),
+         "cc1598dc07a64be9b943c6e144eddae3ea6e11dd4189ada1f3fb90da702fc56a",
+         "3b51334362c00162652d32fbfb81f26dd376aea078b8653d65c6368a1c5ee18e",
+         "cb7d272360017c106aa07f624046a8b54dd9f1a80b184c10acf3f99783cf7c93"),
+        (SweepPoint("lu", e6000_config(4, 1).with_memprotect(
+            encryption_enabled=True, integrity_enabled=True), 0.5, 1),
+         "afaf0d2f6d52bbdbe96d4d6ca4a6098b94bc8bdd2c5e86dac82fbd8aaeb27fc0",
+         "8b900e45ba517b876d768f47e74468268e34b434f3e9f9c31078c8617eff334f",
+         "f7a279c81b7bddf1ef5f572aa0ffc688bccabbdf5414020c777b3c9d11ede80c"),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS,
+                             ids=[row[0].workload for row in ROWS])
+    def test_keys_are_pinned(self, row):
+        target, key, family, recorded_family = row
+        assert point_key(target) == key
+        assert family_key(target) == family
+        assert family_key(target, recorded=True) == recorded_family
 
 
 def test_simulation_never_imports_numpy():
@@ -120,6 +173,26 @@ class TestRunSweep:
         second = run_sweep([point()], cache=cache, parallel=False)
         assert second[0].cycles == first[0].cycles
         assert second[0].stats == first[0].stats
+
+    def test_warm_sweep_encodes_each_point_once(self, tmp_path,
+                                                monkeypatch):
+        """A point's key is computed once: the first sweep over a
+        filled cache encodes each point's config once (not once for
+        the key list and again per cache load), the second none."""
+        cache = ResultCache(tmp_path)
+        run_sweep([point(seed=seed) for seed in range(3)], cache=cache,
+                  parallel=False)
+        encoded = []
+        real = sweep.config_to_dict
+        monkeypatch.setattr(
+            "repro.sim.sweep.config_to_dict",
+            lambda config: (encoded.append(config), real(config))[1])
+        points = [point(seed=seed) for seed in range(3)]
+        first = run_sweep(points, cache=cache, parallel=False)
+        assert len(encoded) == len(points)
+        encoded.clear()
+        assert run_sweep(points, cache=cache, parallel=False) == first
+        assert encoded == []
 
     def test_engine_version_bump_misses_the_cache(self, tmp_path,
                                                   monkeypatch):
@@ -263,6 +336,22 @@ class TestSweepCrashes:
         assert failures[0].workload == "fft"
         assert "simulated point crash" in failures[0].error
         assert failures[0].attempts == 1
+
+    def test_failure_index_is_the_first_position(self, monkeypatch):
+        from repro.errors import SweepError
+        real = run_point
+
+        def odd_seeds_crash(target):
+            if target.seed % 2:
+                raise ValueError("odd seed")
+            return real(target)
+        monkeypatch.setattr("repro.sim.sweep.run_point", odd_seeds_crash)
+        points = [point(seed=0), point(seed=1), point(seed=0),
+                  point(seed=1), point(seed=3)]
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(points, parallel=False, retries=0)
+        assert [failure.index for failure in excinfo.value.failures] \
+            == [1, 4]
 
     def test_crash_retried_with_backoff_then_succeeds(self, tmp_path,
                                                       monkeypatch):

@@ -1,9 +1,14 @@
 """Configuration dataclass tests."""
 
+from dataclasses import asdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import (KB, MB, BusConfig, CacheConfig, MemProtectConfig,
-                          SenssConfig, SystemConfig, e6000_config)
+                          SenssConfig, SystemConfig, config_from_dict,
+                          config_to_dict, e6000_config)
 from repro.errors import ConfigError
 
 
@@ -110,3 +115,57 @@ class TestSystemConfig:
         assert config.l2.size_bytes == 4 * MB
         assert not config.senss.enabled
         assert config.senss.auth_interval == 10
+
+
+@st.composite
+def configs(draw):
+    """Configs from the ``e6000_config`` knobs and the ``with_*``
+    modifiers, optionally through a wire round trip."""
+    config = e6000_config(
+        num_processors=draw(st.integers(1, 32)),
+        l2_mb=draw(st.sampled_from([1, 2, 4])),
+        senss_enabled=draw(st.booleans()),
+        auth_interval=draw(st.integers(1, 1000)))
+    if draw(st.booleans()):
+        config = config.with_masks(
+            draw(st.one_of(st.none(), st.integers(1, 8))))
+    if draw(st.booleans()):
+        config = config.with_memprotect(
+            encryption_enabled=draw(st.booleans()),
+            integrity_enabled=draw(st.booleans()),
+            pad_cache_entries=draw(
+                st.one_of(st.none(), st.integers(1, 4096))),
+            hash_tree_arity=draw(st.integers(2, 16)),
+            lazy_verification=draw(st.booleans()),
+            pad_protocol=draw(
+                st.sampled_from(["write-invalidate", "write-update"])),
+            encryption_mode=draw(st.sampled_from(["otp", "direct"])))
+    if draw(st.booleans()):
+        config = config.with_protocol(
+            draw(st.sampled_from(["MESI", "MSI", "MOESI"])))
+    if draw(st.booleans()):
+        config = config.with_l2_size(
+            draw(st.sampled_from([64 * KB, 256 * KB, 2 * MB])))
+    if draw(st.booleans()):
+        config = config_from_dict(config_to_dict(config))
+    return config
+
+
+class TestConfigToDict:
+    @settings(max_examples=200, deadline=None)
+    @given(configs())
+    def test_equals_asdict_with_key_order(self, config):
+        encoded = config_to_dict(config)
+        expected = asdict(config)
+        assert encoded == expected
+        assert list(encoded) == list(expected)
+        for name, section in expected.items():
+            if isinstance(section, dict):
+                assert list(encoded[name]) == list(section)
+        assert config_from_dict(encoded) == config
+
+    def test_sections_are_fresh_dicts(self):
+        config = e6000_config()
+        encoded = config_to_dict(config)
+        encoded["senss"]["auth_interval"] = 1
+        assert config_to_dict(config)["senss"]["auth_interval"] == 100
