@@ -269,10 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "workers fork points from shared "
                             "simulation prefixes stored here, across "
                             "jobs and tenants (docs/checkpointing.md)")
-    serve.add_argument("--checkpoint-hot", type=int, default=8,
-                       metavar="N",
-                       help="per-worker in-memory hot-snapshot LRU "
-                            "capacity (default 8)")
     serve.add_argument("--max-queued", type=int, default=1024,
                        metavar="N",
                        help="per-tenant queued-point budget; a job "
@@ -891,8 +887,7 @@ def _cmd_serve(args) -> int:
                               journal=journal,
                               point_timeout=args.point_timeout,
                               retries=args.retries,
-                              checkpoint_dir=args.checkpoint_dir,
-                              checkpoint_hot=args.checkpoint_hot)
+                              checkpoint_dir=args.checkpoint_dir)
         await scheduler.start()
         if args.resume:
             resumed = scheduler.resume()

@@ -16,9 +16,11 @@ machine snapshots (``repro.sim.checkpoint``). Each cell then forks
 from the deepest snapshot that still precedes its trigger, and the
 injector's cursors are primed from the snapshot's counts — cell
 results, scoreboards and recordings stay bit-identical to cold runs
-(pinned by tests/sim/test_checkpoint.py). Cells whose trigger falls
-before the first snapshot simply run cold, so the default shallow
-triggers lose nothing.
+(pinned by tests/sim/test_checkpoint.py). A cell starts like every
+forked run (``repro.sim.checkpoint.start_state``): cells whose
+trigger falls before the first snapshot, or whose snapshot fails to
+restore, simply run cold, so the default shallow triggers lose
+nothing.
 
 ``verify_identity`` is the bit-identity half of the acceptance
 criterion: a system with an injector attached whose plan never
@@ -146,9 +148,8 @@ def _pick_snapshot(snapshots, spec: FaultSpec):
     return max(usable, key=lambda snapshot: snapshot.accesses)
 
 
-def _simulate_prefix(config: SystemConfig, bench_workload, point,
-                     specs: Sequence[FaultSpec], record_diff: bool,
-                     chunk: Optional[int] = None):
+def _simulate_prefix(bench_workload, point, specs: Sequence[FaultSpec],
+                     record_diff: bool, chunk: Optional[int] = None):
     """Run the clean (fault-free) prefix once, snapshotting as it goes.
 
     Returns ``(snapshots, clean_recording)``. Without ``record_diff``
@@ -157,26 +158,18 @@ def _simulate_prefix(config: SystemConfig, bench_workload, point,
     completion so its recording replaces the separate clean
     ``record_run`` the un-forked path pays for.
     """
-    from ..sim.checkpoint import capture
-    from ..sim.sweep import build_system
-    from ..smp.fastpath import _finish_run, _run_loop, new_counters
+    from ..sim.checkpoint import capture, start_state
+    from ..smp.fastpath import _finish_run, _run_loop
 
-    system = build_system(config)
-    recorder = None
-    if record_diff:
-        from ..obs.recording import Recorder
-        # Recorder first, hook second — mirrors the cold cells, and
-        # the recorder travels inside every captured snapshot.
-        recorder = Recorder().attach(system)
+    # Recorder first, hook second — mirrors the cold cells, and the
+    # recorder travels inside every captured snapshot.
+    _forked, (system, clocks, cursors, counters) = start_state(
+        point, bench_workload, recorded=record_diff)
     hook = _PrefixCountingHook()
     system.bus.fault_hook = hook
     if system.memprotect is not None:
         system.memprotect.fault_hook = hook
 
-    num_cpus = bench_workload.num_cpus
-    clocks = [0] * num_cpus
-    cursors = [0] * num_cpus
-    counters = new_counters(num_cpus)
     if chunk is None:
         chunk = max(512, bench_workload.total_accesses // 12)
 
@@ -201,7 +194,7 @@ def _simulate_prefix(config: SystemConfig, bench_workload, point,
     if record_diff:
         from ..obs.recording import Recording
         result = _finish_run(system, bench_workload, clocks, counters)
-        clean_recording = Recording.build(point, recorder, result)
+        clean_recording = Recording.build(point, system._obs, result)
     return snapshots, clean_recording
 
 
@@ -258,7 +251,9 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     timeline first departs from the clean one and by how much (the
     full machinery is ``repro.obs.diff``; see docs/record_replay.md).
     """
-    from ..sim.sweep import SweepPoint, build_system
+    from ..sim.checkpoint import start_state
+    from ..sim.sweep import SweepPoint
+    from ..smp.fastpath import _finish_run, _run_loop
     from ..workloads.registry import generate
 
     for policy in policies:
@@ -275,8 +270,8 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     clean_recording = None
     if fork:
         snapshots, clean_recording = _simulate_prefix(
-            config, bench_workload, clean_point,
-            list(cell_specs.values()), record_diff)
+            bench_workload, clean_point, list(cell_specs.values()),
+            record_diff)
     elif record_diff:
         from ..obs.recording import record_run
         clean_recording = record_run(clean_point)
@@ -287,50 +282,34 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
             spec = cell_specs[kind]
             plan = FaultPlan(specs=(spec,), seed=seed)
             snapshot = _pick_snapshot(snapshots, spec)
+            forked, (system, clocks, cursors, counters) = start_state(
+                clean_point, bench_workload, snapshot,
+                recorded=record_diff)
+            # Recorder first (fresh, or riding inside the snapshot),
+            # injector second: its inject/detect events route through
+            # system._obs.
+            recorder = system._obs if record_diff else None
+            injector = FaultInjector(plan, policy=policy).attach(system)
+            if forked:
+                injector.prime(**snapshot.meta["extra"])
             halted, error, cycles = False, "", -1
             result = None
-            if snapshot is not None:
-                from ..sim.checkpoint import restore
-                from ..smp.fastpath import _finish_run, _run_loop
-                system, clocks, cursors, counters = restore(snapshot)
-                # The recorder (when present) rides inside the
-                # snapshot; injector second, as in the cold path.
-                recorder = system._obs if record_diff else None
-                injector = FaultInjector(plan,
-                                         policy=policy).attach(system)
-                injector.prime(**snapshot.meta["extra"])
-                try:
-                    _run_loop(system, bench_workload, clocks,
-                              cursors, counters)
-                    result = _finish_run(system, bench_workload,
-                                         clocks, counters)
-                    cycles = result.cycles
-                except ReproError as exc:
-                    halted = True
-                    error = f"{type(exc).__name__}: {exc}"
-            else:
-                system = build_system(config)
-                recorder = None
-                if record_diff:
-                    from ..obs.recording import Recorder
-                    # Recorder first, injector second: the injector's
-                    # inject/detect events route through system._obs.
-                    recorder = Recorder().attach(system)
-                injector = FaultInjector(plan,
-                                         policy=policy).attach(system)
-                try:
-                    result = system.run(bench_workload)
-                    cycles = result.cycles
-                except ReproError as exc:
-                    halted = True
-                    error = f"{type(exc).__name__}: {exc}"
+            try:
+                _run_loop(system, bench_workload, clocks, cursors,
+                          counters)
+                result = _finish_run(system, bench_workload, clocks,
+                                     counters)
+                cycles = result.cycles
+            except ReproError as exc:
+                halted = True
+                error = f"{type(exc).__name__}: {exc}"
             scoreboard = injector.finalize()
             records = scoreboard.records
             record = records[0] if records else None
             entries.append({
                 "kind": kind,
                 "policy": policy,
-                "forked": snapshot is not None,
+                "forked": forked,
                 "triggered": bool(records),
                 "detected": record.detected if record else False,
                 "mechanism": record.mechanism if record else None,

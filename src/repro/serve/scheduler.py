@@ -182,8 +182,7 @@ class Scheduler:
                  retries: int = 2, backoff_s: float = 0.05,
                  seed: int = 0, quarantine_after: int = 5,
                  executor_factory=None,
-                 checkpoint_dir: Optional[Union[str, Path]] = None,
-                 checkpoint_hot: int = 8):
+                 checkpoint_dir: Optional[Union[str, Path]] = None):
         self.cache = cache
         self.record_dir = None if record_dir is None else Path(record_dir)
         self.checkpoint_dir = None if checkpoint_dir is None \
@@ -212,14 +211,13 @@ class Scheduler:
         self._supervisor.on_restart = self._on_worker_restart
         if runner is None and checkpoint_dir is not None:
             # Prefix-sharing execution (docs/checkpointing.md): the
-            # worker probes its in-process hot LRU, then the shared
-            # disk store, and forks instead of re-simulating warm-up.
-            # Checkpoints are keyed by prefix fingerprint, not tenant,
-            # so they are shared across tenants like the result cache.
+            # worker forks from the shared disk store, as sweeps do,
+            # instead of re-simulating warm-up. Checkpoints are keyed
+            # by prefix fingerprint, not tenant, so they are shared
+            # across tenants like the result cache.
             from ..sim.checkpoint import CheckpointStore
             runner = PointRunner(
-                checkpoints=CheckpointStore(checkpoint_dir),
-                hot_capacity=max(1, checkpoint_hot))
+                checkpoints=CheckpointStore(checkpoint_dir))
         self._runner = runner if runner is not None else PointRunner()
         self._running = 0
         self._serial = 0

@@ -27,10 +27,12 @@ per point. This module factors the shared part out:
   larger scale) and forking each successor from the best one.
 - :func:`run_forked` is what :class:`~repro.sim.sweep.PointRunner`
   calls for a forked or recorded point — in sweeps, chains and the
-  serve plane alike. Serve workers add a process-global in-memory LRU
-  of hot snapshots over the shared disk store, shared across tenants
-  like the result cache; both pick a snapshot by one rule
-  (:func:`deepest_valid`).
+  serve plane alike: it picks the deepest valid stored snapshot
+  (:meth:`CheckpointStore.best`, the one selection rule) and forks
+  from it.
+- :func:`start_state` is the one start rule of every forked run —
+  :func:`fork_point` and each fault-campaign cell: restore the chosen
+  snapshot if it validates and restores, else start a fresh machine.
 
 Soundness is checked, not assumed: a snapshot records a sha256
 digest of each CPU's *consumed trace prefix* (write flags, addresses,
@@ -51,14 +53,14 @@ processes or sockets — and a named list of stdlib globals derived
 from real snapshots. ``builtins.getattr``, which every snapshot names
 because bound methods pickle as ``getattr(obj, name)``, maps to a
 guard that only binds a non-dunder method of an admitted instance.
-A tampered file can therefore not run code: it fails to restore and
-the point runs cold. It can still describe a wrong machine — the
-blob's sha256 sits next to it in the same file, so it catches
-corruption, not tampering — so stores should still live in
-directories the local user controls, the trust domain of the
-ResultCache (both sit under ``.benchmarks/`` by default). Snapshots
-are not a wire format; the serve plane never accepts them from
-clients, it only shares a store across its own workers.
+A tampered file can therefore not run code: it fails to restore, the
+point runs cold and a store quarantines the file. It can still
+describe a wrong machine — the blob's sha256 sits next to it in the
+same file, so it catches corruption, not tampering — so stores should
+still live in directories the local user controls, the trust domain
+of the ResultCache (both sit under ``.benchmarks/`` by default).
+Snapshots are not a wire format; the serve plane never accepts them
+from clients, it only shares a store across its own workers.
 
 Forks execute on the same resumable loop as every other run
 (:func:`repro.smp.fastpath._run_loop`), so a forked result is the
@@ -73,7 +75,6 @@ import hashlib
 import io
 import json
 import pickle
-import threading
 import types
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -342,29 +343,6 @@ def _decode_snapshot(handle) -> MachineSnapshot:
     return MachineSnapshot(meta=meta, blob=blob)
 
 
-def deepest_valid(metas: Sequence[Dict[str, object]],
-                  workload: Workload, load):
-    """The deepest snapshot whose prefix validates against
-    ``workload``: candidates (snapshot metas) are tried deepest first,
-    ties broken by tag, and the first that validates *and* that
-    ``load(meta)`` returns (None means unreadable) wins; None means run
-    cold. The one selection rule of the disk store and the hot LRU.
-
-    Validation is lazy: each check hashes the candidate's whole
-    consumed prefix, so validating every candidate of a long scale
-    chain up front would cost quadratically in chain length — and the
-    deepest candidate is the one that validates in every non-corrupt
-    case anyway.
-    """
-    for meta in sorted(metas, key=lambda meta: (
-            -int(meta.get("accesses", 0)), str(meta.get("tag")))):
-        if validates_against(meta, workload):
-            snapshot = load(meta)
-            if snapshot is not None:
-                return snapshot
-    return None
-
-
 class CheckpointStore(BlobStore):
     """Disk-backed snapshot store, sibling of the ResultCache over the
     same :class:`~repro.sim.store.BlobStore`.
@@ -375,9 +353,10 @@ class CheckpointStore(BlobStore):
     publish (concurrent workers and threads of one sweep/serve plane
     may share a store), ``.corrupt`` quarantine of a file failing
     magic, meta or checksum, and the ``max_mb`` LRU budget are the
-    BlobStore's. Hit/miss/store counts persist best-effort in a
-    ``_stats.json`` sidecar — concurrent increments may race and lose
-    counts, so the reported hit rate is approximate by design.
+    BlobStore's; a file :func:`restore` refuses is quarantined too
+    (:meth:`quarantine`). Hit/miss/store counts persist best-effort in
+    a ``_stats.json`` sidecar — concurrent increments may race and
+    lose counts, so the reported hit rate is approximate by design.
     """
 
     SUFFIX = ".ckpt"
@@ -411,18 +390,35 @@ class CheckpointStore(BlobStore):
 
     def best(self, family: str, workload: Workload
              ) -> Optional[MachineSnapshot]:
-        """:func:`deepest_valid` over the family's stored metas; only
-        the chosen candidate's blob is read."""
-        loaded = []
+        """The deepest stored snapshot of ``family`` whose prefix
+        validates against ``workload``, or None (run cold) — the one
+        selection rule. Candidates (meta lines) are tried deepest first,
+        ties broken by tag, and the first that validates *and* loads
+        wins; only its blob is read.
 
-        def load(meta):
-            loaded.append(meta)
-            return self.load(family, str(meta.get("tag")))
-
-        hit = deepest_valid(self.metas(family), workload, load)
-        if not loaded:
+        Validation is lazy: each check hashes the candidate's whole
+        consumed prefix, so validating every candidate of a long scale
+        chain up front would cost quadratically in chain length — and
+        the deepest candidate is the one that validates in every
+        non-corrupt case anyway.
+        """
+        probed = False
+        for meta in sorted(self.metas(family), key=lambda meta: (
+                -int(meta.get("accesses", 0)), str(meta.get("tag")))):
+            if validates_against(meta, workload):
+                probed = True
+                snapshot = self.load(family, str(meta.get("tag")))
+                if snapshot is not None:
+                    return snapshot
+        if not probed:
             self._note("misses")  # load() never ran, count the probe
-        return hit
+        return None
+
+    def quarantine(self, snapshot: MachineSnapshot) -> None:
+        """Rename aside the entry of a snapshot that passed its
+        checksum but that :func:`restore` refused, so no later
+        :meth:`best` chooses it again."""
+        self._quarantine(self._path(snapshot.family, snapshot.tag))
 
     def _note(self, field: str, delta: int = 1) -> None:
         """Best-effort sidecar counter bump (approximate under races)."""
@@ -469,16 +465,34 @@ def _generate(point: SweepPoint) -> Workload:
                     scale=point.scale, seed=point.seed)
 
 
-def _fresh_state(point: SweepPoint, workload: Workload,
-                 recorded: bool):
-    """A cold machine at cycle zero (recorder attached if asked)."""
+def start_state(point: SweepPoint, workload: Workload,
+                snapshot: Optional[MachineSnapshot] = None,
+                recorded: bool = False,
+                store: Optional[CheckpointStore] = None):
+    """The one start rule of every forked run: ``(forked, (system,
+    clocks, cursors, counters))``.
+
+    The state is restored from ``snapshot`` when its prefix validates
+    against ``workload`` and :func:`restore` accepts it; otherwise it
+    is a cold machine at cycle zero, with a recorder attached when
+    ``recorded`` (a restored recorded machine carries its own). A
+    snapshot that validates but is refused is quarantined in
+    ``store``, the store it was read from.
+    """
+    if snapshot is not None and validates_against(snapshot.meta,
+                                                  workload):
+        try:
+            return True, restore(snapshot)
+        except CheckpointError:
+            if store is not None:
+                store.quarantine(snapshot)
     system = build_system(point.config)
     if recorded:
         from ..obs.recording import Recorder
         Recorder().attach(system)
     num_cpus = workload.num_cpus
-    return (system, [0] * num_cpus, [0] * num_cpus,
-            new_counters(num_cpus))
+    return False, (system, [0] * num_cpus, [0] * num_cpus,
+                   new_counters(num_cpus))
 
 
 @dataclass
@@ -498,36 +512,27 @@ def fork_point(point: SweepPoint,
                snapshot: Optional[MachineSnapshot],
                workload: Optional[Workload] = None,
                store: Optional[CheckpointStore] = None,
-               recorded: bool = False,
-               hot: Optional["HotSnapshotLRU"] = None) -> ForkOutcome:
+               recorded: bool = False) -> ForkOutcome:
     """Run ``point`` to completion, from ``snapshot`` if it validates.
 
     ``forked`` is False when the snapshot was absent, failed digest
-    validation or failed to :func:`restore`, and the run went cold.
-    With a ``store`` (and/or a ``hot`` in-memory LRU), a new snapshot
-    is emitted at the run's first-trace-exhaustion instant, tagged by
-    this point's scale, extending the family's prefix chain for larger
-    scales — **unless** some cursor already sits at its trace end when
-    the run starts (e.g. resuming from this scale's own seam
-    snapshot): the run's next exhaustion event is then a *later* one,
-    not the family-shared seam, so emitting would overwrite the valid
-    same-tag snapshot with a state no cold run of a larger scale ever
-    passes through. In that case nothing is emitted; the seam for this
-    scale is already stored.
+    validation or failed to :func:`restore`, and the run went cold
+    (:func:`start_state`). With a ``store``, a snapshot the run
+    refused is quarantined there, and a new snapshot is emitted at the
+    run's first-trace-exhaustion instant, tagged by this point's
+    scale, extending the family's prefix chain for larger scales —
+    **unless** some cursor already sits at its trace end when the run
+    starts (e.g. resuming from this scale's own seam snapshot): the
+    run's next exhaustion event is then a *later* one, not the
+    family-shared seam, so emitting would overwrite the valid same-tag
+    snapshot with a state no cold run of a larger scale ever passes
+    through. In that case nothing is emitted; the seam for this scale
+    is already stored.
     """
     if workload is None:
         workload = _generate(point)
-    forked = False
-    if snapshot is not None and validates_against(snapshot.meta,
-                                                  workload):
-        try:
-            system, clocks, cursors, counters = restore(snapshot)
-            forked = True
-        except CheckpointError:
-            pass  # unreadable or refused blob: run cold
-    if not forked:
-        system, clocks, cursors, counters = _fresh_state(
-            point, workload, recorded)
+    forked, (system, clocks, cursors, counters) = start_state(
+        point, workload, snapshot, recorded, store)
 
     # Seam rule (docstring above): a cursor already at its trace end
     # means the loop's on_first_exhaustion fires at a later, non-seam
@@ -540,15 +545,12 @@ def fork_point(point: SweepPoint,
 
     emit = None
     emitted = []
-    if (store is not None or hot is not None) and not past_seam:
+    if store is not None and not past_seam:
         def emit() -> None:
-            shot = capture(system, workload, point, clocks, cursors,
-                           counters, tag=_scale_tag(point.scale),
-                           recorded=recorded)
-            if store is not None:
-                store.store(shot)
-            if hot is not None:
-                hot.put(shot)
+            store.store(capture(system, workload, point, clocks,
+                                cursors, counters,
+                                tag=_scale_tag(point.scale),
+                                recorded=recorded))
             emitted.append(True)
 
     _run_loop(system, workload, clocks, cursors, counters,
@@ -586,15 +588,14 @@ def run_chain(points: Sequence[SweepPoint], store: CheckpointStore,
 
 
 def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
-               record_dir: Optional[str], hot_capacity: int = 0
+               record_dir: Optional[str]
                ) -> Tuple[SimulationResult, Dict[str, int]]:
     """The checkpoint and recording half of
     :class:`~repro.sim.sweep.PointRunner`: returns ``(result,
     counters)``.
 
-    With a ``store``, picks the deepest valid snapshot — from the
-    per-process hot LRU first when ``hot_capacity`` is non-zero, then
-    from the store — forks from it (cold when none validates), emits
+    With a ``store``, forks from its deepest valid snapshot
+    (:meth:`CheckpointStore.best`; cold when none validates), emits
     this point's seam snapshot, and reports ``serve.checkpoint_*``
     counter deltas. With ``record_dir``, a recorder rides in the
     machine (pickled with the prefix, appending through the tail), so
@@ -603,18 +604,12 @@ def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
     """
     recorded = record_dir is not None
     workload = _generate(point)
-    snapshot = hot = None
+    snapshot = None
     if store is not None:
-        family = family_key(point, recorded=recorded)
-        if hot_capacity:
-            hot = _hot_lru(hot_capacity)
-            snapshot = hot.best(family, workload)
-        if snapshot is None:
-            snapshot = store.best(family, workload)
-            if snapshot is not None and hot is not None:
-                hot.put(snapshot)
+        snapshot = store.best(family_key(point, recorded=recorded),
+                              workload)
     outcome = fork_point(point, snapshot, workload=workload, store=store,
-                         recorded=recorded, hot=hot)
+                         recorded=recorded)
     result = outcome.result
     if recorded:
         from ..obs.recording import Recording
@@ -628,63 +623,3 @@ def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
         "serve.checkpoint_misses": int(not outcome.forked),
         "serve.checkpoint_stores": int(outcome.emitted),
     }
-
-
-class HotSnapshotLRU:
-    """Bounded in-memory snapshot cache for serve-plane workers.
-
-    One instance lives per worker *process* (module global below) and
-    fronts the shared disk store: repeated tenant submissions of the
-    same family fork from memory without re-reading or re-unpickling.
-    Thread-safe; capacity is a snapshot count, eviction is
-    least-recently-used.
-    """
-
-    def __init__(self, capacity: int = 8):
-        self.capacity = max(1, int(capacity))
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, str], MachineSnapshot]" \
-            = OrderedDict()
-
-    def put(self, snapshot: MachineSnapshot) -> None:
-        key = (snapshot.family, snapshot.tag)
-        with self._lock:
-            self._entries[key] = snapshot
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def best(self, family: str, workload: Workload
-             ) -> Optional[MachineSnapshot]:
-        """:func:`deepest_valid` over the family's hot snapshots."""
-        with self._lock:
-            candidates = {tag: snap for (fam, tag), snap
-                          in self._entries.items() if fam == family}
-        hit = deepest_valid([snap.meta for snap in candidates.values()],
-                            workload,
-                            lambda meta: candidates[str(meta["tag"])])
-        if hit is not None:
-            with self._lock:
-                key = (hit.family, hit.tag)
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-        return hit
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-#: Per-process hot cache shared by every serve runner call in this
-#: worker — intentionally a process global, like an executor's warm
-#: interpreter state. Sized by the first call.
-_HOT: Optional[HotSnapshotLRU] = None
-_HOT_LOCK = threading.Lock()
-
-
-def _hot_lru(capacity: int) -> HotSnapshotLRU:
-    global _HOT
-    with _HOT_LOCK:
-        if _HOT is None:
-            _HOT = HotSnapshotLRU(capacity)
-        return _HOT

@@ -208,10 +208,9 @@ class PointRunner:
       monkeypatched replacements are honored);
     - ``checkpoints`` (a :class:`~repro.sim.checkpoint.CheckpointStore`):
       fork from the deepest stored snapshot that validates against the
-      point's traces, probing the per-process hot LRU of
-      ``hot_capacity`` snapshots first when that is non-zero (the
-      serve plane), and emit this point's seam snapshot for larger
-      scales (docs/checkpointing.md);
+      point's traces and emit this point's seam snapshot for larger
+      scales (docs/checkpointing.md) — in sweeps, chains and serve
+      workers alike;
     - ``record_dir``: also write a deterministic recording to
       ``<record_dir>/<point_key>.rec.json`` (docs/record_replay.md),
       named like the cache entry so the two pair by filename;
@@ -234,7 +233,6 @@ class PointRunner:
     cache: Optional[ResultCache] = None
     record_dir: Optional[str] = None
     checkpoints: Optional[CheckpointStore] = None
-    hot_capacity: int = 0
 
     def __call__(self, point: SweepPoint
                  ) -> Tuple[SimulationResult, float, Dict[str, int]]:
@@ -248,8 +246,7 @@ class PointRunner:
         else:
             from .checkpoint import run_forked
             result, counters = run_forked(
-                point, self.checkpoints, self.record_dir,
-                self.hot_capacity)
+                point, self.checkpoints, self.record_dir)
         if self.cache is not None:
             self.cache.store(point, result)
         return result, time.perf_counter() - start, counters

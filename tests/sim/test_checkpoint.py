@@ -23,10 +23,9 @@ from repro.faults.campaign import run_campaign
 from repro.obs.recording import record_run
 from repro.sim import checkpoint
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointStore,
-                                  HotSnapshotLRU, MachineSnapshot,
-                                  capture, family_key, fork_point,
-                                  restore, run_chain, trace_digests,
-                                  validates_against)
+                                  MachineSnapshot, capture, family_key,
+                                  fork_point, restore, run_chain,
+                                  trace_digests, validates_against)
 from repro.sim.store import sha256
 from repro.sim.sweep import (ENGINE_VERSION, PointRunner, ResultCache,
                              SweepPoint, build_system, point_key,
@@ -336,29 +335,42 @@ class TestRestrictedUnpickler:
 
     def test_tampered_store_entry_runs_cold(self, tmp_path, monkeypatch):
         """A store entry that validates but whose blob calls
-        ``os.system`` is refused, and the sweep point runs cold."""
-        small, large = point(scale=0.02), point(scale=0.04)
+        ``os.system`` is refused: the sweep point runs cold, the entry
+        is quarantined, and a later point forks from the shallower
+        valid snapshot instead of re-reading the refused one."""
+        tiny, small = point(scale=0.01), point(scale=0.02)
         store = CheckpointStore(tmp_path / "ckpt")
-        run_chain([small], store)
-        (meta,) = store.metas(family_key(small))
+        run_chain([tiny, small], store)
+        meta = next(meta for meta in store.metas(family_key(small))
+                    if meta["tag"] == "0.02")
         marker = tmp_path / "ran"
-        store.store(tampered(MachineSnapshot(meta=meta, blob=b""),
-                             _RunsShell(f"touch {marker}")))
-        refused = []
+        path = store.store(tampered(MachineSnapshot(meta=meta, blob=b""),
+                                    _RunsShell(f"touch {marker}")))
+        refused, restored = [], []
         real_restore = checkpoint.restore
 
         def watch(snapshot):
             try:
-                return real_restore(snapshot)
+                state = real_restore(snapshot)
             except CheckpointError as exc:
                 refused.append(exc)
                 raise
+            restored.append(snapshot.tag)
+            return state
         monkeypatch.setattr("repro.sim.checkpoint.restore", watch)
-        results = run_sweep([large], cache=None, parallel=False,
+        larger, middle = point(scale=0.04), point(scale=0.03)
+        results = run_sweep([larger], cache=None, parallel=False,
                             checkpoint_dir=tmp_path / "ckpt")
         assert len(refused) == 1
         assert not marker.exists()
-        assert_same_result(results[0], run_point(large))
+        assert_same_result(results[0], run_point(larger))
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        results = run_sweep([middle], cache=None, parallel=False,
+                            checkpoint_dir=tmp_path / "ckpt")
+        assert len(refused) == 1
+        assert restored == ["0.01"]
+        assert_same_result(results[0], run_point(middle))
 
 
 class TestValidation:
@@ -461,6 +473,35 @@ class TestCheckpointStore:
         # newest entries survive; the oldest was evicted first
         assert any(tags[-1] in name for name in survivors)
         assert not any(tags[0] in name for name in survivors)
+
+    def test_best_validates_only_the_deepest_candidate(
+            self, tmp_path, monkeypatch):
+        """Validation hashes a candidate's whole consumed prefix, so
+        ``best`` validates deepest-first, stops at the first candidate
+        that validates, and reads only that candidate's blob."""
+        store = CheckpointStore(tmp_path)
+        shots = []
+        for scale, chunk in [(0.02, 100), (0.03, 200), (0.04, 300)]:
+            shot, _ = TestValidation().make_snapshot(
+                point(scale=scale), chunk=chunk)
+            shots.append(shot)
+            store.store(shot)
+        bigger = generate("radix", 2, scale=0.08, seed=0)
+        calls, loads = [], []
+        real_validate = checkpoint.validates_against
+        real_load = store.load
+        monkeypatch.setattr(
+            checkpoint, "validates_against",
+            lambda meta, workload: (calls.append(meta),
+                                    real_validate(meta, workload))[1])
+        monkeypatch.setattr(
+            store, "load",
+            lambda family, tag: (loads.append(tag),
+                                 real_load(family, tag))[1])
+        best = store.best(shots[0].family, bigger)
+        assert best.meta == shots[-1].meta
+        assert len(calls) == 1
+        assert loads == [shots[-1].tag]
 
     def test_stats_track_hits_misses_stores(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -659,17 +700,35 @@ class TestCampaignFork:
         assert forked["forked_cells"] > 0
         assert self.stripped(forked) == self.stripped(cold)
 
+    def test_refused_snapshot_runs_its_cell_cold(self, monkeypatch):
+        """A prefix snapshot that ``restore`` refuses (here: the
+        unpickler no longer admits the counting hook inside it) starts
+        its cell cold, like every other fork, instead of raising."""
+        from repro.faults.campaign import _PrefixCountingHook
+        hook = (_PrefixCountingHook.__module__,
+                _PrefixCountingHook.__qualname__)
+        real_admitted = checkpoint._admitted_name
+        monkeypatch.setattr(
+            checkpoint, "_admitted_name",
+            lambda module, name: (module, name) != hook
+            and real_admitted(module, name))
+        monkeypatch.delitem(checkpoint._ADMITTED, hook, raising=False)
+        kwargs = dict(kinds=("drop", "merkle-flip"),
+                      policies=("halt",), workload="radix",
+                      cpus=2, scale=0.02, trigger=40)
+        forked = run_campaign(fork=True, **kwargs)
+        cold = run_campaign(fork=False, **kwargs)
+        assert forked["forked_cells"] == 0
+        assert self.stripped(forked) == self.stripped(cold)
 
-def serve_runner(root, hot_capacity=4):
+
+def serve_runner(root):
     """The serve plane's checkpoint-mode worker runner."""
-    return PointRunner(checkpoints=CheckpointStore(root),
-                       hot_capacity=hot_capacity)
+    return PointRunner(checkpoints=CheckpointStore(root))
 
 
 class TestServeRunner:
-    def test_second_call_forks_and_reports_counters(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setattr("repro.sim.checkpoint._HOT", None)
+    def test_second_call_forks_and_reports_counters(self, tmp_path):
         target_a = point(scale=0.02, seed=7)
         target_b = point(scale=0.04, seed=7)
         cold_b = run_point(target_b)
@@ -681,7 +740,7 @@ class TestServeRunner:
         assert_same_result(cold_b, result_b)
 
     def test_resubmit_then_larger_scale_is_bit_identical(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         """Snapshot-poisoning regression, the serve-plane pattern: one
         scale submitted twice (the second forks from the first's seam
         snapshot, so a cursor starts already at its trace end), then a
@@ -691,7 +750,6 @@ class TestServeRunner:
         scale (one CPU idled at a trace end the larger trace extends),
         and the larger fork would silently diverge (lu exposes this;
         the per-CPU prefix digests alone cannot catch it)."""
-        monkeypatch.setattr("repro.sim.checkpoint._HOT", None)
         small = point(name="lu", scale=0.02)
         big = point(name="lu", scale=0.06)
         cold_small = run_point(small)
@@ -706,41 +764,3 @@ class TestServeRunner:
         assert_same_result(cold_small, first)
         assert_same_result(cold_small, second)
         assert_same_result(cold_big, forked_big)
-
-    def test_hot_lru_validates_only_the_deepest_candidate(
-            self, monkeypatch):
-        """Validation hashes a candidate's whole consumed prefix, so
-        the hot LRU, like the disk store, validates deepest-first and
-        stops at the first candidate that validates."""
-        import repro.sim.checkpoint as checkpoint
-        lru = HotSnapshotLRU(capacity=8)
-        shots = []
-        for scale, chunk in [(0.02, 100), (0.03, 200), (0.04, 300)]:
-            shot, _ = TestValidation().make_snapshot(
-                point(scale=scale), chunk=chunk)
-            shots.append(shot)
-            lru.put(shot)
-        bigger = generate("radix", 2, scale=0.08, seed=0)
-        calls = []
-        real = checkpoint.validates_against
-        monkeypatch.setattr(
-            checkpoint, "validates_against",
-            lambda meta, workload: (calls.append(meta),
-                                    real(meta, workload))[1])
-        best = lru.best(shots[0].family, bigger)
-        assert best is shots[-1]
-        assert len(calls) == 1
-
-    def test_hot_lru_bounds_and_prefers_deepest(self):
-        lru = HotSnapshotLRU(capacity=2)
-        shots = []
-        for scale, chunk in [(0.02, 100), (0.03, 200), (0.04, 300)]:
-            shot, workload = TestValidation().make_snapshot(
-                point(scale=scale), chunk=chunk)
-            shots.append(shot)
-            lru.put(shot)
-        assert len(lru) == 2  # oldest evicted
-        bigger = generate("radix", 2, scale=0.08, seed=0)
-        best = lru.best(shots[0].family, bigger)
-        assert best is not None
-        assert best.accesses == shots[-1].accesses
