@@ -21,8 +21,11 @@ from typing import List, Optional, Tuple
 from ..config import CacheConfig
 from ..errors import CoherenceError
 from ..sim.stats import StatsRegistry
-from .cache import SetAssociativeCache
+from .cache import CacheLine, SetAssociativeCache, victim_way
 from .mesi import MesiState
+
+_INVALID = MesiState.INVALID
+_SHARED = MesiState.SHARED
 
 
 class AccessKind(Enum):
@@ -115,13 +118,73 @@ class CacheHierarchy:
 
     def fill(self, line_address: int,
              state: MesiState) -> Optional[Tuple[int, MesiState]]:
-        """Install a missed line in L2 (and L1); returns evicted victim."""
-        victim = self.l2.insert_line(line_address, state)
-        if victim is not None:
-            self._enforce_inclusion(victim[0])
-        # An L2-aligned address is L1-aligned too (L2 lines are the
-        # larger power of two), so the fused insert applies directly.
-        self.l1.insert_line(line_address, MesiState.SHARED)
+        """Install a missed line in L2 (and L1); returns evicted victim.
+
+        ``l2.insert_line``, the inclusion sweep over a valid L2 victim
+        (``_enforce_inclusion``) and ``l1.insert_line(..., SHARED)``
+        fused into one body over the caches' block indexes: the miss
+        path runs this once per miss. An L2-aligned address is
+        L1-aligned too (L2 lines are the larger power of two).
+        """
+        if state is _INVALID:
+            raise CoherenceError("cannot insert a line in state I")
+        l2 = self.l2
+        l2_lines = l2._lines
+        shift = l2._offset_bits
+        block = line_address >> shift
+        tick = l2._tick + 1
+        l2._tick = tick
+        victim: Optional[Tuple[int, MesiState]] = None
+        line = l2_lines.get(block)
+        if line is not None:
+            line.state = state
+            line.last_used = tick
+        else:
+            num_sets = l2._num_sets
+            index = block % num_sets
+            ways = l2._sets.get(index)
+            if ways is None:
+                ways = l2._sets[index] = []
+            elif len(ways) >= l2._assoc:
+                evict = victim_way(ways)
+                ways.remove(evict)
+                evicted = evict.tag * num_sets + index
+                del l2_lines[evicted]
+                if evict.state is not _INVALID:
+                    victim_address = evicted << shift
+                    victim = (victim_address, evict.state)
+                    l1_lines = self.l1._lines
+                    l1_shift = self.l1._offset_bits
+                    for offset in self._l1_offsets:
+                        covered = l1_lines.get(
+                            (victim_address + offset) >> l1_shift)
+                        if covered is not None:
+                            covered.state = _INVALID
+            line = l2_lines[block] = CacheLine(block // num_sets, state,
+                                               tick)
+            ways.append(line)
+
+        l1 = self.l1
+        l1_lines = l1._lines
+        block = line_address >> l1._offset_bits
+        tick = l1._tick + 1
+        l1._tick = tick
+        line = l1_lines.get(block)
+        if line is not None:
+            line.state = _SHARED
+            line.last_used = tick
+            return victim
+        num_sets = l1._num_sets
+        index = block % num_sets
+        ways = l1._sets.get(index)
+        if ways is None:
+            ways = l1._sets[index] = []
+        elif len(ways) >= l1._assoc:
+            evict = victim_way(ways)
+            ways.remove(evict)
+            del l1_lines[evict.tag * num_sets + index]
+        line = l1_lines[block] = CacheLine(block // num_sets, _SHARED, tick)
+        ways.append(line)
         return victim
 
     def upgrade(self, line_address: int) -> None:

@@ -58,15 +58,15 @@ class MesiProtocol:
     def __init__(self, hierarchies: Sequence[CacheHierarchy]):
         self._hierarchies = list(hierarchies)
         # Snoops broadcast to every cache but the requester's; build
-        # the (cpu_id, hierarchy, l2_sets, offset_bits, num_sets)
-        # remote list per requester once instead of filtering on every
-        # bus transaction. The L2 tag store and its geometry ride
-        # along so the hot snoop loops can probe it directly instead
-        # of going through two call layers per remote per miss (the
-        # ``_sets`` dict is stable: ``flush`` clears it in place).
+        # the (cpu_id, hierarchy, l2) remote list per requester once
+        # instead of filtering on every bus transaction. The L2 rides
+        # along so the hot snoop loops probe its block index directly
+        # instead of going through two call layers per remote per
+        # miss. The list holds the cache, never its ``_lines`` dict:
+        # the index is rebuilt when a snapshot is restored, and the
+        # cache is what a pickle shares by reference.
         self._remote_lists = [
-            [(cpu_id, hierarchy, hierarchy.l2._sets,
-              hierarchy.l2._offset_bits, hierarchy.l2._num_sets)
+            [(cpu_id, hierarchy, hierarchy.l2)
              for cpu_id, hierarchy in enumerate(self._hierarchies)
              if cpu_id != requester]
             for requester in range(len(self._hierarchies))]
@@ -81,37 +81,33 @@ class MesiProtocol:
     def bus_read(self, requester: int, line_address: int) -> SnoopOutcome:
         """Remote effects of a read miss (BusRd).
 
-        The remote probe is the L2 tag scan from
-        ``SetAssociativeCache.lookup_line`` inlined (touch=False —
-        snoops never perturb remote LRU order), with the MESI
-        downgrade of ``CacheHierarchy.snoop_read`` applied in place:
-        most snoops find nothing, and the two call layers per remote
-        per miss dominate the broadcast cost.
+        The remote probe is ``SetAssociativeCache.lookup_line``
+        inlined (one block-index probe, touch=False — snoops never
+        perturb remote LRU order), with the MESI downgrade of
+        ``CacheHierarchy.snoop_read`` applied in place: most snoops
+        find nothing, and the two call layers per remote per miss
+        dominate the broadcast cost.
         """
         supplier: Optional[int] = None
         had_modified = False
         any_shared = False
-        for cpu_id, hierarchy, sets, offset_bits, num_sets \
-                in self._remote_lists[requester]:
-            block = line_address >> offset_bits
-            ways = sets.get(block % num_sets)
-            if not ways:
+        for cpu_id, hierarchy, l2 in self._remote_lists[requester]:
+            line = l2._lines.get(line_address >> l2._offset_bits)
+            if line is None:
                 continue
-            tag = block // num_sets
-            for line in ways:
-                if line.tag == tag and line.state is not _INVALID:
-                    prior = line.state
-                    if prior is _MODIFIED:
-                        line.state = _SHARED
-                        had_modified = True
-                        supplier = cpu_id  # dirty owner always supplies
-                    else:
-                        if prior is _EXCLUSIVE:
-                            line.state = _SHARED
-                        if supplier is None:
-                            supplier = cpu_id
-                    any_shared = True
-                    break
+            prior = line.state
+            if prior is _INVALID:
+                continue
+            if prior is _MODIFIED:
+                line.state = _SHARED
+                had_modified = True
+                supplier = cpu_id  # dirty owner always supplies
+            else:
+                if prior is _EXCLUSIVE:
+                    line.state = _SHARED
+                if supplier is None:
+                    supplier = cpu_id
+            any_shared = True
         fill_state = _SHARED if any_shared else _EXCLUSIVE
         outcome = SnoopOutcome(supplier_cpu=supplier,
                                had_modified_copy=had_modified,
@@ -132,24 +128,20 @@ class MesiProtocol:
         supplier: Optional[int] = None
         had_modified = False
         invalidated: List[int] = []
-        for cpu_id, hierarchy, sets, offset_bits, num_sets \
-                in self._remote_lists[requester]:
-            block = line_address >> offset_bits
-            ways = sets.get(block % num_sets)
-            if not ways:
+        for cpu_id, hierarchy, l2 in self._remote_lists[requester]:
+            line = l2._lines.get(line_address >> l2._offset_bits)
+            if line is None:
                 continue
-            tag = block // num_sets
-            for line in ways:
-                if line.tag == tag and line.state is not _INVALID:
-                    prior = line.state
-                    line.state = _INVALID
-                    hierarchy._enforce_inclusion(line_address)
-                    invalidated.append(cpu_id)
-                    if supplier is None or prior is _MODIFIED:
-                        supplier = cpu_id
-                    if prior is _MODIFIED:
-                        had_modified = True
-                    break
+            prior = line.state
+            if prior is _INVALID:
+                continue
+            line.state = _INVALID
+            hierarchy._enforce_inclusion(line_address)
+            invalidated.append(cpu_id)
+            if supplier is None or prior is _MODIFIED:
+                supplier = cpu_id
+            if prior is _MODIFIED:
+                had_modified = True
         outcome = SnoopOutcome(supplier_cpu=supplier,
                                had_modified_copy=had_modified,
                                invalidated_cpus=invalidated,

@@ -195,6 +195,7 @@ def _simulate_prefix(bench_workload, point, specs: Sequence[FaultSpec],
         from ..obs.recording import Recording
         result = _finish_run(system, bench_workload, clocks, counters)
         clean_recording = Recording.build(point, system._obs, result)
+    system.release()
     return snapshots, clean_recording
 
 
@@ -328,6 +329,9 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
                 entries[-1]["divergence"] = _divergence_summary(
                     clean_recording, clean_point, recorder, result,
                     error or None, plan, policy)
+            # Free the cell's machine now, not at the next full
+            # collection: garbage machines would pile up across cells.
+            system.release()
 
     detected_all = all(entry["detected"] for entry in entries)
     within_interval = _all_within_interval(entries, interval)

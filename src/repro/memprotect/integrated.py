@@ -305,19 +305,17 @@ class MemProtectLayer:
             if observer is not None:
                 observer.on_hash_verify(cpu, address, clock, 0)
             return extra
-        # Probe the local L2 for the parent node in place (the
-        # ``contains`` scan with touch=False — a trust check, not an
+        # Probe the local L2's block index for the parent node in
+        # place (``contains``: touch=False — a trust check, not an
         # access, so it never perturbs LRU order).
         hierarchy = self.system.hierarchies[cpu]
         l2 = hierarchy.l2
-        block = parent >> l2._offset_bits
-        tag = block // l2._num_sets
-        for line in l2._sets.get(block % l2._num_sets, ()):
-            if line.tag == tag and line.state is not _INVALID:
-                self._p_node_cache_hits += 1
-                if observer is not None:
-                    observer.on_hash_verify(cpu, address, clock, 1)
-                return extra
+        line = l2._lines.get(parent >> l2._offset_bits)
+        if line is not None and line.state is not _INVALID:
+            self._p_node_cache_hits += 1
+            if observer is not None:
+                observer.on_hash_verify(cpu, address, clock, 1)
+            return extra
         self._p_hash_fetches += 1
         if observer is not None:
             # Reported before the posted fetch so the verify event
@@ -414,14 +412,8 @@ class MemProtectLayer:
         system = self.system
         hierarchy = system.hierarchies[cpu]
         l2 = hierarchy.l2
-        block = parent >> l2._offset_bits
-        tag = block // l2._num_sets
-        entry = None
-        for line in l2._sets.get(block % l2._num_sets, ()):
-            if line.tag == tag and line.state is not _INVALID:
-                entry = line
-                break
-        if entry is None:
+        entry = l2._lines.get(parent >> l2._offset_bits)
+        if entry is None or entry.state is _INVALID:
             hierarchy._pending_l2_miss += 1
             system._execute_miss(cpu, clock, True, parent)
             return

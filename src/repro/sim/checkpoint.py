@@ -99,8 +99,11 @@ from .sweep import (ENGINE_VERSION, PointRunner, ResultCache, SweepPoint,
 #: (a resumed run used to re-emit at a *later* exhaustion under the
 #: same scale tag — see fork_point's seam rule); 3 = pickled machines
 #: no longer carry an engine-backend selector or ``config.engine``
-#: (older pickles may reference the deleted backend-registry module).
-CHECKPOINT_VERSION = 3
+#: (older pickles may reference the deleted backend-registry module);
+#: 4 = cache tag stores pickle as compact columns (blocks and LRU ticks
+#: as ``array('q')``, one state byte per way) and rebuild their block
+#: index on load; the MESI remote lists hold caches, not set dicts.
+CHECKPOINT_VERSION = 4
 
 #: First line of every checkpoint file; readable without unpickling.
 MAGIC = b"repro-checkpoint 1\n"

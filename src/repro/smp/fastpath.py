@@ -16,9 +16,11 @@ a run to it).
   head (same order as the reference scan, including the lowest-CPU
   tie-break);
 - traces are consumed as **columnar arrays** (no per-access NamedTuple);
-- L1/L2 lookups are **fused**: the set index and tag are computed once
-  from the raw address, MESI checks are identity tests against
-  pre-bound state objects, LRU ticks live in locals and are written
+- L1/L2 lookups are **fused**: each is one probe of the cache's
+  block index (``SetAssociativeCache._lines``, keyed by
+  ``address >> offset_bits``) plus an identity test against pre-bound
+  MESI state objects; the set index and tag are derived only for an
+  L1 refill that must evict. LRU ticks live in locals and are written
   back to the cache objects only around slow-path calls;
 - per-access statistics are **plain list bumps** flushed into the
   registry once at run end.
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from ..cache.cache import CacheLine
+from ..cache.cache import CacheLine, victim_way
 from ..cache.mesi import MesiState
 from ..errors import SimulationError
 from .metrics import SimulationResult
@@ -110,10 +112,9 @@ def _run_loop(system, workload: Workload, clocks, cursors, counters,
         l2 = system.hierarchies[cpu].l2
         contexts.append((
             addresses, writes, gaps, len(addresses),
-            l1._sets, l1._offset_bits, l1._num_sets,
+            l1._lines, l1._sets, l1._offset_bits, l1._num_sets,
             l1.config.associativity, l1.config.hit_latency,
-            l2._sets, l2._offset_bits, l2._num_sets,
-            l2.config.hit_latency,
+            l2._lines, l2._offset_bits, l2.config.hit_latency,
             l1, l2,
         ))
 
@@ -137,8 +138,8 @@ def _run_loop(system, workload: Workload, clocks, cursors, counters,
     while heap:
         pending, cpu = heappop(heap)
         (addr_col, write_col, gap_col, length,
-         l1_sets, l1_shift, l1_nsets, l1_assoc, l1_latency,
-         l2_sets, l2_shift, l2_nsets, l2_latency,
+         l1_lines, l1_sets, l1_shift, l1_nsets, l1_assoc, l1_latency,
+         l2_lines, l2_shift, l2_latency,
          l1, l2) = contexts[cpu]
         index = cursors[cpu]
         start = index
@@ -153,16 +154,9 @@ def _run_loop(system, workload: Workload, clocks, cursors, counters,
 
             # -- fused L2 lookup (touch) ------------------------------
             block2 = address >> l2_shift
-            entry = None
-            ways2 = l2_sets.get(block2 % l2_nsets)
-            if ways2:
-                tag2 = block2 // l2_nsets
-                for line in ways2:
-                    if line.tag == tag2 and line.state is not _I:
-                        entry = line
-                        break
+            entry = l2_lines.get(block2)
 
-            if entry is None:
+            if entry is None or entry.state is _I:
                 # MISS — reference bus/protocol/memprotect machinery.
                 l2_misses[cpu] += 1
                 l1._tick = tick1
@@ -193,46 +187,31 @@ def _run_loop(system, workload: Workload, clocks, cursors, counters,
                 else:
                     # -- fused L1 lookup / refill ---------------------
                     block1 = address >> l1_shift
-                    index1 = block1 % l1_nsets
-                    tag1 = block1 // l1_nsets
-                    ways1 = l1_sets.get(index1)
-                    hit = None
-                    if ways1:
-                        for line in ways1:
-                            if line.tag == tag1 and line.state is not _I:
-                                hit = line
-                                break
-                    if hit is not None:
-                        tick1 += 1
-                        hit.last_used = tick1
+                    line = l1_lines.get(block1)
+                    tick1 += 1
+                    if line is not None and line.state is not _I:
+                        line.last_used = tick1
                         l1_hits[cpu] += 1
                         clock = pending + l1_latency
                     else:
                         # L1 refill from L2 (reference: l1.insert,
-                        # SHARED) — revive an invalid same-tag way,
+                        # SHARED) — revive the block's invalid way,
                         # else evict (invalid ways first, then LRU).
-                        tick1 += 1
-                        if ways1 is None:
-                            ways1 = l1_sets[index1] = []
-                        revived = False
-                        for line in ways1:
-                            if line.tag == tag1:
-                                line.state = _S
-                                line.last_used = tick1
-                                revived = True
-                                break
-                        if not revived:
-                            if len(ways1) >= l1_assoc:
-                                evict = None
-                                evict_key = None
-                                for line in ways1:
-                                    key = (line.state is not _I,
-                                           line.last_used)
-                                    if evict_key is None or key < evict_key:
-                                        evict_key = key
-                                        evict = line
+                        if line is not None:
+                            line.state = _S
+                            line.last_used = tick1
+                        else:
+                            index1 = block1 % l1_nsets
+                            ways1 = l1_sets.get(index1)
+                            if ways1 is None:
+                                ways1 = l1_sets[index1] = []
+                            elif len(ways1) >= l1_assoc:
+                                evict = victim_way(ways1)
                                 ways1.remove(evict)
-                            ways1.append(CacheLine(tag1, _S, tick1))
+                                del l1_lines[evict.tag * l1_nsets + index1]
+                            line = l1_lines[block1] = CacheLine(
+                                block1 // l1_nsets, _S, tick1)
+                            ways1.append(line)
                         l2_hits[cpu] += 1
                         clock = pending + l2_latency
 

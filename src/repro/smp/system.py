@@ -133,6 +133,20 @@ class SmpSystem:
                           for hierarchy, group_id
                           in zip(self.hierarchies, self._cpu_groups)]
 
+    def release(self) -> None:
+        """Drop a finished machine's internal references.
+
+        Registered stats flushers are bound methods of the machine's
+        own components, and attached layers (SENSS, memory
+        protection, fault injectors, recorders) point back at the bus
+        and the system, so a dropped machine is cyclic garbage that
+        outlives its last use until a full collection. After this it
+        is freed as soon as the caller lets go of it. The machine
+        (its stats included) is unusable afterwards.
+        """
+        for part in (self.stats, self.bus, self):
+            vars(part).clear()
+
     # -- execution -----------------------------------------------------------
 
     def run(self, workload: Workload) -> SimulationResult:

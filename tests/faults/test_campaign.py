@@ -1,10 +1,13 @@
 """The campaign matrix reducer (what `python -m repro faults` runs)."""
 
+import gc
+
 import pytest
 
 from repro.errors import ReproError
 from repro.faults import FaultKind
 from repro.faults.campaign import default_spec, run_campaign
+from repro.smp.system import SmpSystem
 
 from .conftest import CPUS, SCALE
 
@@ -63,3 +66,28 @@ def test_without_record_diff_entries_stay_lean(config):
                           config=config)
     assert "record_diff" not in report
     assert "divergence" not in report["entries"][0]
+
+
+@pytest.mark.parametrize("fork,record_diff", [(True, False), (False, False),
+                                              (True, True)])
+def test_cells_free_their_machines(config, fork, record_diff):
+    """A finished cell's machine (and the clean-prefix machine) is
+    freed when the cell ends. Stats flushers and layer back-pointers
+    make a dropped machine cyclic garbage; with the collector off,
+    every such machine would still be alive after the campaign."""
+    def machines():
+        return sum(1 for obj in gc.get_objects()
+                   if isinstance(obj, SmpSystem))
+    gc.collect()
+    gc.disable()
+    try:
+        before = machines()
+        report = run_campaign(kinds=(FaultKind.SPOOF, FaultKind.DROP),
+                              policies=("halt", "rekey-replay"),
+                              scale=SCALE, config=config, fork=fork,
+                              record_diff=record_diff, trigger=40)
+        after = machines()
+    finally:
+        gc.enable()
+    assert len(report["entries"]) == 4
+    assert after == before

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.cache import SetAssociativeCache
 from repro.config import e6000_config
 from repro.errors import CheckpointError
 from repro.faults.campaign import run_campaign
@@ -113,30 +114,49 @@ class TestFamilyKey:
         miss. (Floor, not equality: later bumps must not un-bust.)
 
         Checkpoint layout 3 retires stores whose pickled machines
-        still carry an engine-backend selector and ``config.engine``:
-        a version-2 store must miss cleanly and the point run cold."""
+        still carry an engine-backend selector and ``config.engine``;
+        layout 4 retires stores whose caches pickle their ways as
+        ``CacheLine`` lists (no compact columns, no block index). A
+        store written under either older version must miss cleanly
+        and the point run cold — and a version-3 blob cannot restore
+        into an index-less cache even when handed to ``restore``."""
         assert ENGINE_VERSION >= 5
-        assert CHECKPOINT_VERSION >= 3
+        assert CHECKPOINT_VERSION >= 4
         target = point(scale=0.04)
-        store = CheckpointStore(tmp_path)
-        monkeypatch.setattr("repro.sim.checkpoint.CHECKPOINT_VERSION", 2)
-        stale_family = family_key(target)
-        run_chain([point(scale=0.02), target], store)
-        monkeypatch.undo()
         workload = generate(target.workload,
                             target.config.num_processors,
                             scale=target.scale, seed=target.seed)
-        stale = store.metas(stale_family)
-        assert stale and all(meta["version"] == 2 for meta in stale)
-        assert not any(validates_against(meta, workload)
-                       for meta in stale)
-        assert family_key(target) != stale_family
-        assert store.best(family_key(target), workload) is None
-        assert store.best(stale_family, workload) is None
-        snapshot = store.load(stale_family, str(stale[0]["tag"]))
-        outcome = fork_point(target, snapshot, workload=workload)
-        assert not outcome.forked
-        assert_same_result(outcome.result, run_point(target))
+        cold = run_point(target)
+        for stale_version in (2, 3):
+            store = CheckpointStore(tmp_path / str(stale_version))
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.sim.checkpoint.CHECKPOINT_VERSION",
+                              stale_version)
+                if stale_version == 3:
+                    # the version-3 layout: the cache's attribute dict,
+                    # ways as pickled CacheLine lists
+                    patch.setattr(
+                        SetAssociativeCache, "__getstate__",
+                        lambda cache: {name: value for name, value
+                                       in vars(cache).items()
+                                       if name != "_lines"})
+                stale_family = family_key(target)
+                run_chain([point(scale=0.02), target], store)
+            stale = store.metas(stale_family)
+            assert stale and all(meta["version"] == stale_version
+                                 for meta in stale)
+            assert not any(validates_against(meta, workload)
+                           for meta in stale)
+            assert family_key(target) != stale_family
+            assert store.best(family_key(target), workload) is None
+            assert store.best(stale_family, workload) is None
+            snapshot = store.load(stale_family, str(stale[0]["tag"]))
+            if stale_version == 3:
+                with pytest.raises(CheckpointError):
+                    restore(snapshot)
+            outcome = fork_point(target, snapshot, workload=workload)
+            assert not outcome.forked
+            assert_same_result(outcome.result, cold)
 
 
 class TestSnapshotRoundTrip:

@@ -68,23 +68,25 @@ class TestKeyIdentity:
     """Point and family keys name every result-cache entry, recording
     and snapshot written so far: they must never change silently.
     Each row is ``(point, point_key, family_key, family_key(recorded=
-    True))`` at ``e6000_config``, scale 0.5."""
+    True))`` at ``e6000_config``, scale 0.5. Family keys fold in
+    ``CHECKPOINT_VERSION`` and change, deliberately, with each bump
+    (last: 3 -> 4, the compact tag-store form); point keys never do."""
 
     ROWS = [
         (SweepPoint("fft", e6000_config(2, 1, senss_enabled=False),
                     0.5, 0),
          "f332deeb153e113a48d8ea29cff95ed959e98e8aa0270f240168c38119e43ab1",
-         "2d99678b827b29af47442c31724bdaa0e66cb000137565164cb2c9c98d25bfd3",
-         "72b6161db3b3b849ee1f1f05d6c01a79c7f059cda7d51778c18161cab3fe9ebd"),
+         "97fa88448ae8b18fa4348505e836fc4f4ee4dac88760a52b116b50b086c14b47",
+         "21c4cf28664787230f044a8b25318b6014c05125d4298e3bb51ebeea26b2ebfe"),
         (SweepPoint("ocean", e6000_config(4, 4).with_masks(2), 0.5, 0),
          "cc1598dc07a64be9b943c6e144eddae3ea6e11dd4189ada1f3fb90da702fc56a",
-         "3b51334362c00162652d32fbfb81f26dd376aea078b8653d65c6368a1c5ee18e",
-         "cb7d272360017c106aa07f624046a8b54dd9f1a80b184c10acf3f99783cf7c93"),
+         "1be01b6aa4836c189e3eb6dafb5d1f99d28b2f717a6357613f7f08e75dbaf813",
+         "a599ae343cedc758c1cb3584665be8d9b6f2c73b986544bd0382d41953808487"),
         (SweepPoint("lu", e6000_config(4, 1).with_memprotect(
             encryption_enabled=True, integrity_enabled=True), 0.5, 1),
          "afaf0d2f6d52bbdbe96d4d6ca4a6098b94bc8bdd2c5e86dac82fbd8aaeb27fc0",
-         "8b900e45ba517b876d768f47e74468268e34b434f3e9f9c31078c8617eff334f",
-         "f7a279c81b7bddf1ef5f572aa0ffc688bccabbdf5414020c777b3c9d11ede80c"),
+         "6742fe7475694e8ca972d3c5b9c7d642311eba2863d491550f2c28149e1b3ff3",
+         "96f9fa4a8376c2d72569448a7b8eaa811581f1dfee1834b6a67c151d6dcf438a"),
     ]
 
     @pytest.mark.parametrize("row", ROWS,
