@@ -70,7 +70,7 @@ def fresh_replay_setup():
         memory.write_line(index * 64, bytes([index] * 64))
     tree = MerkleTree(memory, 0, 16, arity=4)
     old_data = memory.read_line(0x40)
-    old_digest = tree.levels[0][1]
+    old_digest = tree.node(0, 1)
     memory.write_line(0x40, bytes([0xEE] * 64))
     tree.update_line(0x40)
     memory.corrupt_line(0x40, old_data)

@@ -71,6 +71,13 @@ _MEMORY_DATA_TYPES = frozenset((
 for _member in TransactionType:
     #: whether a data block rides with the transaction
     _member.carries_data = _member in _DATA_TYPES
+    #: half of the one protected-message predicate: a transaction is a
+    #: *protected message* (rides the SENSS mask path, advances the
+    #: authentication interval, counts in the fault injector's stream)
+    #: exactly when ``type.protectable and supplied_by_cache`` — data
+    #: moving cache to cache, never the MAC broadcast itself
+    _member.protectable = (_member in _DATA_TYPES
+                           and _member is not TransactionType.AUTH_MAC)
     _member.is_short_message = _member in _SHORT_TYPES
     _member.is_memory_data = _member in _MEMORY_DATA_TYPES
     #: per-type stats counter name; also the key the bus's deferred

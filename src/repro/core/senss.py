@@ -150,22 +150,13 @@ class SenssBusLayer:
         return sum(state.auth_broadcasts
                    for state in self._groups.values())
 
-    # -- classification ---------------------------------------------------------
-
-    def _is_protected(self, transaction: BusTransaction) -> bool:
-        """Which transactions ride the SENSS mask path."""
-        return (transaction.type.carries_data
-                and transaction.supplied_by_cache
-                and transaction.type is not TransactionType.AUTH_MAC)
-
     # -- bus callbacks ---------------------------------------------------------
 
     def before_transfer(self, transaction: BusTransaction,
                         grant_cycle: int) -> int:
         """Extra requester-visible latency for this transaction."""
-        tx_type = transaction.type
-        if not (tx_type.carries_data and transaction.supplied_by_cache
-                and tx_type is not TransactionType.AUTH_MAC):
+        if not (transaction.type.protectable
+                and transaction.supplied_by_cache):
             return 0
         group_id = transaction.group_id
         state = self._groups.get(group_id)
@@ -187,9 +178,8 @@ class SenssBusLayer:
 
     def after_transfer(self, transaction: BusTransaction) -> None:
         """Advance the group's counter; broadcast its MAC when due."""
-        tx_type = transaction.type
-        if not (tx_type.carries_data and transaction.supplied_by_cache
-                and tx_type is not TransactionType.AUTH_MAC):
+        if not (transaction.type.protectable
+                and transaction.supplied_by_cache):
             return
         state = self._groups.get(transaction.group_id)
         if state is None:

@@ -9,18 +9,19 @@ faults`` is a thin CLI over it; CI runs it as the fault-matrix smoke
 job and fails on any undetected fault.
 
 Every cell is identical up to its fault trigger, so with ``fork=True``
-(the default) the campaign simulates the **clean prefix once**: a
-counting hook mirrors the injector's deterministic stream cursors
-while the run pauses every few thousand accesses to capture in-memory
-machine snapshots (``repro.sim.checkpoint``). Each cell then forks
-from the deepest snapshot that still precedes its trigger, and the
-injector's cursors are primed from the snapshot's counts — cell
-results, scoreboards and recordings stay bit-identical to cold runs
-(pinned by tests/sim/test_checkpoint.py). A cell starts like every
-forked run (``repro.sim.checkpoint.start_state``): cells whose
-trigger falls before the first snapshot, or whose snapshot fails to
-restore, simply run cold, so the default shallow triggers lose
-nothing.
+(the default) the campaign simulates the **clean prefix once**, under
+a :class:`~repro.faults.injector.FaultInjector` with an empty plan
+(the injector alone counts the fault streams), pausing every few
+thousand accesses to capture in-memory machine snapshots
+(``repro.sim.checkpoint``) labelled with the injector's cursors. Each
+cell forks from the deepest snapshot that still precedes its trigger
+and re-arms the prefix injector the restored machine carries with its
+own plan and policy — results, scoreboards and recordings stay
+bit-identical to cold runs (pinned by tests/sim/test_checkpoint.py).
+Cells run through :func:`~repro.faults.injector.run_faulted`, which
+starts like every forked run (``repro.sim.checkpoint.start_state``):
+cells whose trigger falls before the first snapshot, or whose
+snapshot fails to restore, simply run cold.
 
 ``verify_identity`` is the bit-identity half of the acceptance
 criterion: a system with an injector attached whose plan never
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..bus.transaction import TransactionType
 from ..config import KB, SystemConfig, e6000_config
 from ..errors import ReproError
-from .injector import FaultInjector
+from .injector import (FaultedRun, FaultInjector, run_faulted,
+                       stream_position)
 from .plan import FaultKind, FaultPlan, FaultSpec
 from .recovery import HALT, POLICIES, REKEY_REPLAY
 
@@ -78,61 +79,6 @@ def default_spec(kind: str, num_cpus: int,
     return FaultSpec(kind, trigger)
 
 
-class _PrefixCountingHook:
-    """Mirrors the injector's deterministic stream cursors, perturbing
-    nothing.
-
-    Sits on the same two seams the injector uses
-    (``SharedBus.fault_hook`` + ``MemProtectLayer.fault_hook``) and
-    counts exactly what the injector counts — protected data messages
-    per group, pad consultations per CPU, hash-tree verifies — plus
-    the last MAC checkpoint cycle per group, which seeds the recovery
-    engine's replay windows at fork time. Module-level and
-    state-only, so it pickles inside captured snapshots.
-    """
-
-    def __init__(self):
-        self.stream: Dict[int, int] = {}    # group -> data messages
-        self.pad: Dict[int, int] = {}       # cpu -> pad consultations
-        self.verify = 0                     # hash-tree verifies
-        self.mac: Dict[int, int] = {}       # group -> last MAC cycle
-
-    def counts(self) -> Dict[str, object]:
-        return {"stream": dict(self.stream), "pad": dict(self.pad),
-                "verify": self.verify, "mac": dict(self.mac)}
-
-    # bus seam — the counting condition matches FaultInjector._on_bus_tx
-    def __call__(self, transaction) -> None:
-        if transaction.type is TransactionType.AUTH_MAC:
-            self.mac[transaction.group_id] = transaction.grant_cycle
-            return
-        if (transaction.type.carries_data
-                and transaction.supplied_by_cache):
-            group = transaction.group_id
-            self.stream[group] = self.stream.get(group, 0) + 1
-
-    # memprotect seam — zero penalties, counts only
-    def on_pad_event(self, cpu, line_address, clock, hit) -> int:
-        self.pad[cpu] = self.pad.get(cpu, 0) + 1
-        return 0
-
-    def on_pad_writeback(self, cpu, line_address, affected) -> None:
-        return None
-
-    def on_verify_event(self, cpu, address, clock) -> int:
-        self.verify += 1
-        return 0
-
-
-def _count_for(counts: Dict[str, object], spec: FaultSpec) -> int:
-    """The cursor a spec's trigger is measured against."""
-    if spec.kind in FaultKind.BUS:
-        return counts["stream"].get(spec.group_id, 0)
-    if spec.kind == FaultKind.MERKLE_FLIP:
-        return counts["verify"]
-    return counts["pad"].get(spec.cpu, 0)
-
-
 def _pick_snapshot(snapshots, spec: FaultSpec):
     """Deepest snapshot strictly before the spec's trigger event.
 
@@ -141,7 +87,7 @@ def _pick_snapshot(snapshots, spec: FaultSpec):
     ``trigger``, so equality still precedes the injection.
     """
     usable = [snapshot for snapshot in snapshots
-              if _count_for(snapshot.meta["extra"], spec)
+              if stream_position(snapshot.meta["extra"], spec)
               <= spec.trigger]
     if not usable:
         return None
@@ -161,14 +107,11 @@ def _simulate_prefix(bench_workload, point, specs: Sequence[FaultSpec],
     from ..sim.checkpoint import capture, start_state
     from ..smp.fastpath import _finish_run, _run_loop
 
-    # Recorder first, hook second — mirrors the cold cells, and the
-    # recorder travels inside every captured snapshot.
+    # Recorder first, injector second — as in every cell; both travel
+    # inside every captured snapshot.
     _forked, (system, clocks, cursors, counters) = start_state(
         point, bench_workload, recorded=record_diff)
-    hook = _PrefixCountingHook()
-    system.bus.fault_hook = hook
-    if system.memprotect is not None:
-        system.memprotect.fault_hook = hook
+    injector = FaultInjector(FaultPlan()).attach(system)
 
     if chunk is None:
         chunk = max(512, bench_workload.total_accesses // 12)
@@ -180,11 +123,12 @@ def _simulate_prefix(bench_workload, point, specs: Sequence[FaultSpec],
         running = _run_loop(system, bench_workload, clocks, cursors,
                             counters, stop_accesses=chunk)
         if snapshotting:
+            position = injector.cursors()
             snapshots.append(capture(
                 system, bench_workload, point, clocks, cursors,
                 counters, tag=f"prefix-{sum(cursors)}",
-                recorded=record_diff, extra=hook.counts()))
-            if all(_count_for(hook.counts(), spec) > spec.trigger
+                recorded=record_diff, extra=position))
+            if all(stream_position(position, spec) > spec.trigger
                    for spec in specs):
                 snapshotting = False  # nothing later is forkable
                 if not record_diff:
@@ -252,9 +196,7 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     timeline first departs from the clean one and by how much (the
     full machinery is ``repro.obs.diff``; see docs/record_replay.md).
     """
-    from ..sim.checkpoint import start_state
     from ..sim.sweep import SweepPoint
-    from ..smp.fastpath import _finish_run, _run_loop
     from ..workloads.registry import generate
 
     for policy in policies:
@@ -282,35 +224,15 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
         for policy in policies:
             spec = cell_specs[kind]
             plan = FaultPlan(specs=(spec,), seed=seed)
-            snapshot = _pick_snapshot(snapshots, spec)
-            forked, (system, clocks, cursors, counters) = start_state(
-                clean_point, bench_workload, snapshot,
-                recorded=record_diff)
-            # Recorder first (fresh, or riding inside the snapshot),
-            # injector second: its inject/detect events route through
-            # system._obs.
-            recorder = system._obs if record_diff else None
-            injector = FaultInjector(plan, policy=policy).attach(system)
-            if forked:
-                injector.prime(**snapshot.meta["extra"])
-            halted, error, cycles = False, "", -1
-            result = None
-            try:
-                _run_loop(system, bench_workload, clocks, cursors,
-                          counters)
-                result = _finish_run(system, bench_workload, clocks,
-                                     counters)
-                cycles = result.cycles
-            except ReproError as exc:
-                halted = True
-                error = f"{type(exc).__name__}: {exc}"
-            scoreboard = injector.finalize()
-            records = scoreboard.records
+            run = run_faulted(clean_point, bench_workload, plan,
+                              policy, _pick_snapshot(snapshots, spec),
+                              recorded=record_diff)
+            records = run.scoreboard.records
             record = records[0] if records else None
             entries.append({
                 "kind": kind,
                 "policy": policy,
-                "forked": forked,
+                "forked": run.forked,
                 "triggered": bool(records),
                 "detected": record.detected if record else False,
                 "mechanism": record.mechanism if record else None,
@@ -319,19 +241,15 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
                                    if record else -1),
                 "masked": record.masked if record else False,
                 "recovered": record.recovered if record else False,
-                "completed": not halted,
-                "halted": halted,
-                "error": error,
-                "cycles": cycles,
-                "penalty_cycles": scoreboard.penalty_cycles,
+                "completed": run.halted is None,
+                "halted": run.halted is not None,
+                "error": run.halted or "",
+                "cycles": -1 if run.result is None else run.result.cycles,
+                "penalty_cycles": run.scoreboard.penalty_cycles,
             })
             if record_diff:
                 entries[-1]["divergence"] = _divergence_summary(
-                    clean_recording, clean_point, recorder, result,
-                    error or None, plan, policy)
-            # Free the cell's machine now, not at the next full
-            # collection: garbage machines would pile up across cells.
-            system.release()
+                    clean_recording, clean_point, run, plan, policy)
 
     detected_all = all(entry["detected"] for entry in entries)
     within_interval = _all_within_interval(entries, interval)
@@ -356,14 +274,14 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     return report
 
 
-def _divergence_summary(clean_recording, clean_point, recorder,
-                        result, halted: Optional[str], plan: FaultPlan,
-                        policy: str) -> Dict[str, object]:
+def _divergence_summary(clean_recording, clean_point, run: FaultedRun,
+                        plan: FaultPlan, policy: str
+                        ) -> Dict[str, object]:
     """Reduce a cell's diff-vs-clean to the campaign-report fields."""
     from ..obs.diff import diff_recordings
     from ..obs.recording import Recording
-    faulted = Recording.build(clean_point, recorder, result,
-                              halted=halted, fault_plan=plan,
+    faulted = Recording.build(clean_point, run.recorder, run.result,
+                              halted=run.halted, fault_plan=plan,
                               fault_policy=policy)
     diff = diff_recordings(clean_recording, faulted)
     first = diff["first_divergence"]
@@ -389,8 +307,9 @@ def verify_identity(config: Optional[SystemConfig] = None,
                     workload: str = "ocean", cpus: int = 4,
                     scale: float = 0.05,
                     seed: int = 0) -> Dict[str, object]:
-    """No-trigger injector attached vs vanilla: must be bit-identical."""
-    from ..sim.sweep import build_system
+    """No-trigger injector on the faulted-run path vs a vanilla
+    ``system.run``: must be bit-identical."""
+    from ..sim.sweep import SweepPoint, build_system
     from ..workloads.registry import generate
 
     if config is None:
@@ -399,13 +318,12 @@ def verify_identity(config: Optional[SystemConfig] = None,
 
     vanilla = build_system(config).run(bench_workload)
 
-    system = build_system(config)
     # A plan whose trigger index the run never reaches: every hook
     # fires, nothing ever perturbs.
     plan = FaultPlan.single(FaultKind.DROP, trigger=1 << 40)
-    injector = FaultInjector(plan).attach(system)
-    faulted = system.run(bench_workload)
-    injector.finalize()
+    run = run_faulted(SweepPoint(workload, config, scale=scale,
+                                 seed=seed), bench_workload, plan)
+    faulted = run.result
 
     identical = (vanilla.cycles == faulted.cycles
                  and list(vanilla.per_cpu_cycles)
@@ -415,5 +333,5 @@ def verify_identity(config: Optional[SystemConfig] = None,
         "identical": identical,
         "cycles": vanilla.cycles,
         "cycles_with_hooks": faulted.cycles,
-        "untriggered": injector.untriggered,
+        "untriggered": len(plan) - run.scoreboard.injected,
     }

@@ -30,14 +30,22 @@ poisoned state is next consulted (``pad_coherence`` /
 Detected faults are handed to the :class:`~repro.faults.recovery.
 RecoveryEngine`; under ``halt`` the matching error class propagates
 out of ``system.run``.
+
+Only the injector counts the fault streams (:meth:`FaultInjector.
+cursors`). A campaign's clean prefix runs under an empty-plan
+injector that pickles with the machine; a forked cell re-arms it
+(:meth:`FaultInjector.arm`). :func:`run_faulted` is the one
+start–inject–run path of campaign cells and ``record_run``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..bus.transaction import BusTransaction, TransactionType
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError
+from ..smp.metrics import SimulationResult
 from .plan import FaultKind, FaultPlan, FaultSpec
 from .recovery import HALT, RecoveryEngine
 from .scoreboard import (MECH_MAC, MECH_MERKLE, MECH_PAD, MECH_SPOOF,
@@ -65,23 +73,101 @@ def _mix(chain: int, value: int) -> int:
     return ((chain ^ value) * _FNV_PRIME) & _MASK64
 
 
+def _check_plan(plan: FaultPlan, system) -> None:
+    """Raise ConfigError unless ``system`` has the layers ``plan``'s
+    fault kinds perturb."""
+    needs_senss = any(spec.kind in FaultKind.BUS for spec in plan)
+    needs_memprotect = any(spec.kind in FaultKind.MEMORY
+                           for spec in plan)
+    if needs_senss and system.bus.security_layer is None:
+        raise ConfigError(
+            "bus fault kinds need the SENSS layer attached "
+            "(senss.enabled=True)")
+    if needs_memprotect and system.memprotect is None:
+        raise ConfigError(
+            "pad/merkle fault kinds need the memory-protection "
+            "layer attached")
+    if any(spec.kind == FaultKind.MERKLE_FLIP for spec in plan):
+        memprotect = system.memprotect
+        if not memprotect.integrity or memprotect.lazy:
+            raise ConfigError(
+                "merkle-flip needs integrity_enabled without "
+                "lazy_verification")
+    if any(spec.kind in (FaultKind.PAD_CORRUPT, FaultKind.SEQ_CORRUPT)
+           for spec in plan):
+        if not system.memprotect.encryption or \
+                system.memprotect.direct_encryption:
+            raise ConfigError(
+                "pad fault kinds need OTP memory encryption")
+
+
+def stream_position(cursors: Dict[str, object], spec: FaultSpec) -> int:
+    """The cursor (:meth:`FaultInjector.cursors`) ``spec``'s trigger
+    is measured against: the fault fires when it reaches
+    ``spec.trigger``."""
+    if spec.kind in FaultKind.BUS:
+        return cursors["stream"].get(spec.group_id, 0)
+    if spec.kind == FaultKind.MERKLE_FLIP:
+        return cursors["verify"]
+    return cursors["pad"].get(spec.cpu, 0)
+
+
 class FaultInjector:
     """Executes a :class:`FaultPlan` against one simulated run."""
 
     def __init__(self, plan: FaultPlan, policy: str = HALT):
-        self.plan = plan
-        self.policy = policy
-        self.scoreboard = DetectionScoreboard()
         self.recovery: Optional[RecoveryEngine] = None
         self.system = None
         self._bus = None
         self._injecting = False
         # Per-group integer MAC chains: group -> {pid: chain}.
         self._chains: Dict[int, Dict[int, int]] = {}
-        # Deterministic stream cursors.
+        # Deterministic stream cursors (events already seen).
         self._stream_index: Dict[int, int] = {}   # group -> msg count
         self._pad_index: Dict[int, int] = {}      # cpu -> pad events
         self._verify_index = 0                    # hash verifies
+        self.arm(plan, policy)
+
+    # -- attachment ----------------------------------------------------
+
+    @staticmethod
+    def attached_to(system) -> Optional["FaultInjector"]:
+        """The injector hooked into ``system``'s bus, if any."""
+        injector = getattr(system.bus.fault_hook, "__self__", None)
+        return injector if isinstance(injector, FaultInjector) else None
+
+    def attach(self, system) -> "FaultInjector":
+        """Hook the bus and (if present) the memory-protection layer.
+        A machine takes one injector (re-:meth:`arm` it instead)."""
+        if self.attached_to(system) is not None:
+            raise ConfigError("the machine already has a fault injector"
+                              " attached; re-arm it instead")
+        _check_plan(self.plan, system)
+        self.system = system
+        self._bus = system.bus
+        system.bus.fault_hook = self._on_bus_tx
+        if system.memprotect is not None:
+            system.memprotect.fault_hook = self
+        self.recovery = RecoveryEngine(system, self.policy,
+                                       self.scoreboard)
+        system.stats.register_flusher(self._flush_stats)
+        return self
+
+    def arm(self, plan: FaultPlan, policy: str = HALT
+            ) -> "FaultInjector":
+        """Load ``plan`` and ``policy`` with a fresh scoreboard,
+        keeping stream cursors, MAC chains and the last MAC checkpoint
+        per group: a fault-free injector re-armed is in the state a
+        cold injector with ``plan`` has at the same access count."""
+        scoreboard = DetectionScoreboard()
+        if self.system is not None:
+            _check_plan(plan, self.system)
+            recovery = RecoveryEngine(self.system, policy, scoreboard)
+            recovery.checkpoints = self.recovery.checkpoints
+            self.recovery = recovery
+        self.plan = plan
+        self.policy = policy
+        self.scoreboard = scoreboard
         # Planned faults keyed by their trigger point.
         self._bus_pending: Dict[Tuple[int, int], List[FaultSpec]] = {}
         self._pad_pending: Dict[Tuple[int, int], List[FaultSpec]] = {}
@@ -102,77 +188,14 @@ class FaultInjector:
         self._poisoned: Dict[Tuple[int, int], FaultRecord] = {}
         self._armed_merkle: List[FaultRecord] = []
         self._flushed: Dict[str, int] = {}
-
-    # -- attachment ----------------------------------------------------
-
-    def attach(self, system) -> "FaultInjector":
-        """Hook the bus and (if present) the memory-protection layer."""
-        needs_senss = any(spec.kind in FaultKind.BUS
-                          for spec in self.plan)
-        needs_memprotect = any(spec.kind in FaultKind.MEMORY
-                               for spec in self.plan)
-        if needs_senss and system.bus.security_layer is None:
-            raise ConfigError(
-                "bus fault kinds need the SENSS layer attached "
-                "(senss.enabled=True)")
-        if needs_memprotect and system.memprotect is None:
-            raise ConfigError(
-                "pad/merkle fault kinds need the memory-protection "
-                "layer attached")
-        if any(spec.kind == FaultKind.MERKLE_FLIP for spec in self.plan):
-            memprotect = system.memprotect
-            if not memprotect.integrity or memprotect.lazy:
-                raise ConfigError(
-                    "merkle-flip needs integrity_enabled without "
-                    "lazy_verification")
-        if any(spec.kind in (FaultKind.PAD_CORRUPT,
-                             FaultKind.SEQ_CORRUPT)
-               for spec in self.plan):
-            if not system.memprotect.encryption or \
-                    system.memprotect.direct_encryption:
-                raise ConfigError(
-                    "pad fault kinds need OTP memory encryption")
-        self.system = system
-        self._bus = system.bus
-        system.bus.fault_hook = self._on_bus_tx
-        if system.memprotect is not None:
-            system.memprotect.fault_hook = self
-        self.recovery = RecoveryEngine(system, self.policy,
-                                       self.scoreboard)
-        system.stats.register_flusher(self._flush_stats)
         return self
 
-    def prime(self, stream=None, pad=None, verify: int = 0,
-              mac=None) -> "FaultInjector":
-        """Fast-forward the deterministic stream cursors to a
-        checkpointed clean prefix (``repro.faults.campaign`` fork
-        mode; call after :meth:`attach`).
-
-        ``stream``/``pad``/``verify`` are the counts a
-        ``_PrefixCountingHook`` observed up to the snapshot — the
-        injector's trigger arithmetic continues from them exactly as
-        if it had watched the prefix itself. ``mac`` carries the last
-        MAC checkpoint cycle per group into the recovery engine, so a
-        ``rekey-replay`` recovery computes the same replay window a
-        cold run would.
-        """
-        self._stream_index = {int(group): int(count)
-                              for group, count in (stream or {}).items()}
-        self._pad_index = {int(cpu): int(count)
-                           for cpu, count in (pad or {}).items()}
-        self._verify_index = int(verify)
-        for group, cycle in (mac or {}).items():
-            self.recovery.on_checkpoint(int(group), int(cycle))
-        return self
-
-    def detach(self) -> None:
-        if self.system is None:
-            return
-        if self.system.bus.fault_hook == self._on_bus_tx:
-            self.system.bus.fault_hook = None
-        memprotect = self.system.memprotect
-        if memprotect is not None and memprotect.fault_hook is self:
-            memprotect.fault_hook = None
+    def cursors(self) -> Dict[str, object]:
+        """Events already seen per stream: protected messages per
+        group, pad consultations per CPU, hash-tree verifies."""
+        return {"stream": dict(self._stream_index),
+                "pad": dict(self._pad_index),
+                "verify": self._verify_index}
 
     # -- chain bookkeeping ---------------------------------------------
 
@@ -215,7 +238,7 @@ class FaultInjector:
             return
         if self._injecting:
             return  # a transaction the injector itself put on the bus
-        if not (transaction.type.carries_data
+        if not (transaction.type.protectable
                 and transaction.supplied_by_cache):
             return
         group = transaction.group_id
@@ -496,11 +519,61 @@ class FaultInjector:
         return self.scoreboard
 
     @property
-    def triggered(self) -> int:
-        """How many planned faults actually fired."""
-        return self.scoreboard.injected
-
-    @property
     def untriggered(self) -> int:
         """Planned faults whose trigger point the run never reached."""
         return len(self.plan) - self.scoreboard.injected
+
+
+@dataclass
+class FaultedRun:
+    """:func:`run_faulted`'s outputs; ``halted`` is the halting
+    error as ``"<class>: <message>"`` (``result`` is then None)."""
+
+    forked: bool
+    result: Optional[SimulationResult]
+    halted: Optional[str]
+    scoreboard: Optional[DetectionScoreboard]
+    recorder: Optional[object]
+
+
+def run_faulted(point, workload, plan: Optional[FaultPlan] = None,
+                policy: str = HALT, snapshot=None,
+                recorded: bool = False,
+                snapshot_every: int = 1) -> FaultedRun:
+    """The one way a faulted (or recorded) run executes.
+
+    Starts by :func:`repro.sim.checkpoint.start_state` (cold, or from
+    ``snapshot``), arms a non-empty ``plan`` on the injector a
+    restored snapshot carries or on a new one, runs to completion,
+    catches a ``halt`` recovery's error as ``halted``, finalizes the
+    scoreboard and frees the machine.
+    """
+    from ..sim.checkpoint import start_state
+    from ..smp.fastpath import _finish_run, _run_loop
+
+    forked, (system, clocks, cursors, counters) = start_state(
+        point, workload, snapshot, recorded=recorded,
+        snapshot_every=snapshot_every)
+    # Recorder first (fresh, or riding inside the snapshot), injector
+    # second: its inject/detect events route through system._obs. No
+    # plan (None or empty) attaches no injector.
+    injector = None
+    if plan:
+        injector = FaultInjector.attached_to(system)
+        if injector is None:
+            injector = FaultInjector(plan, policy).attach(system)
+        else:
+            injector.arm(plan, policy)
+    result: Optional[SimulationResult] = None
+    halted: Optional[str] = None
+    try:
+        _run_loop(system, workload, clocks, cursors, counters)
+        result = _finish_run(system, workload, clocks, counters)
+    except ReproError as exc:
+        halted = f"{type(exc).__name__}: {exc}"
+    scoreboard = None if injector is None else injector.finalize()
+    recorder = system._obs if recorded else None
+    # Free the machine now, not at the next full collection: garbage
+    # machines would pile up across a campaign's cells.
+    system.release()
+    return FaultedRun(forked, result, halted, scoreboard, recorder)

@@ -150,7 +150,3 @@ class FaultPlan:
     def memory_specs(self) -> List[FaultSpec]:
         return [spec for spec in self.specs
                 if spec.kind in FaultKind.MEMORY]
-
-
-# Backwards-friendly alias used in docs/CLI tables.
-RECOVERY_POLICIES = ("halt", "rekey-replay", "quarantine")

@@ -38,79 +38,6 @@ from ..errors import ConfigError, IntegrityViolation
 from ..memory.dram import MainMemory
 
 
-class _LevelView:
-    """Read/write view of one tree level over the flat digest list.
-
-    Preserves the historical ``tree.levels[level][index]`` API: reads
-    see *clean* digests (lazily recomputing batched updates), writes
-    store raw bytes without touching ancestors (the forgery semantics
-    tests rely on).
-    """
-
-    __slots__ = ("_tree", "_level")
-
-    def __init__(self, tree: "MerkleTree", level: int):
-        self._tree = tree
-        self._level = level
-
-    def __len__(self) -> int:
-        return self._tree._counts[self._level]
-
-    def __getitem__(self, index):
-        tree, level = self._tree, self._level
-        count = tree._counts[level]
-        if isinstance(index, slice):
-            return [tree.node(level, i)
-                    for i in range(*index.indices(count))]
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError(index)
-        return tree.node(level, index)
-
-    def __setitem__(self, index, digest: bytes) -> None:
-        tree, level = self._tree, self._level
-        count = tree._counts[level]
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError(index)
-        tree._nodes[tree._offsets[level] + index] = digest
-        tree._dirty[tree._offsets[level] + index] = 0
-
-    def __iter__(self):
-        tree, level = self._tree, self._level
-        return (tree.node(level, i)
-                for i in range(tree._counts[level]))
-
-
-class _LevelsView:
-    """``tree.levels`` — indexable list-of-levels facade."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: "MerkleTree"):
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return len(self._tree._counts)
-
-    def __getitem__(self, level):
-        num_levels = len(self._tree._counts)
-        if isinstance(level, slice):
-            return [_LevelView(self._tree, i)
-                    for i in range(*level.indices(num_levels))]
-        if level < 0:
-            level += num_levels
-        if not 0 <= level < num_levels:
-            raise IndexError(level)
-        return _LevelView(self._tree, level)
-
-    def __iter__(self):
-        return (_LevelView(self._tree, level)
-                for level in range(len(self._tree._counts)))
-
-
 class MerkleTree:
     """Hash tree over ``num_lines`` lines starting at ``base_address``."""
 
@@ -193,11 +120,6 @@ class MerkleTree:
                 nodes[parent_off + index] = self._node_digest(
                     b"".join(nodes[begin:min(begin + arity, child_end)]))
         self._dirty = bytearray(self._total)
-
-    @property
-    def levels(self) -> _LevelsView:
-        """levels[0] = leaf digests; levels[-1] = [root]."""
-        return _LevelsView(self)
 
     @property
     def root(self) -> bytes:

@@ -21,8 +21,12 @@ The only non-deterministic content — optional wall-clock phase
 ``timings`` — is excluded from the embedded checksum and from diffs,
 and is only stored when explicitly passed.
 
-:func:`record_run` is the one-call entry point; replay and diffing
-live in :mod:`repro.obs.replay` and :mod:`repro.obs.diff`.
+:func:`record_run` is the one-call entry point — it runs through
+:func:`repro.faults.injector.run_faulted`, the path fault-campaign
+cells take too; replay and diffing live in :mod:`repro.obs.replay`
+and :mod:`repro.obs.diff`. Content-addressed recordings (sweeps,
+chains, the serve plane) are published atomically and read back
+verified through :class:`repro.sim.sweep.RecordingStore`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from ..errors import ReproError, TraceError
+from ..errors import TraceError
 from ..smp.metrics import SimulationResult
 from .ring import EventLog, TraceEvent
 from .tracer import Tracer
@@ -304,7 +308,9 @@ def record_run(point, snapshot_every: int = 1,
                ) -> Recording:
     """Run one sweep point with a :class:`Recorder` attached.
 
-    ``fault_plan`` additionally attaches a
+    The run goes through :func:`repro.faults.injector.run_faulted`,
+    the path fault-campaign cells take too. A non-empty ``fault_plan``
+    additionally attaches a
     :class:`~repro.faults.injector.FaultInjector`; a ``halt``-policy
     recovery that aborts the run is captured as a halted recording
     (``result: null``) rather than raised. Pass ``timings`` (e.g.
@@ -313,27 +319,14 @@ def record_run(point, snapshot_every: int = 1,
     still breaks byte-identity between repeat recordings, so the
     default leaves them out.
     """
-    from ..sim.sweep import build_system
+    from ..faults.injector import run_faulted
     from ..workloads.registry import generate
     workload = generate(point.workload, point.config.num_processors,
                         scale=point.scale, seed=point.seed)
-    system = build_system(point.config)
-    recorder = Recorder(snapshot_every=snapshot_every).attach(system)
-    injector = None
-    if fault_plan is not None and len(fault_plan):
-        from ..faults.injector import FaultInjector
-        injector = FaultInjector(fault_plan,
-                                 policy=fault_policy).attach(system)
-    halted: Optional[str] = None
-    result: Optional[SimulationResult] = None
-    try:
-        result = system.run(workload)
-    except ReproError as exc:
-        halted = f"{type(exc).__name__}: {exc}"
-    if injector is not None:
-        injector.finalize()
-    return Recording.build(point, recorder, result, halted=halted,
-                           fault_plan=fault_plan,
+    run = run_faulted(point, workload, fault_plan, fault_policy,
+                      recorded=True, snapshot_every=snapshot_every)
+    return Recording.build(point, run.recorder, run.result,
+                           halted=run.halted, fault_plan=fault_plan,
                            fault_policy=(None if fault_plan is None
                                          else fault_policy),
                            perturbation=perturbation, timings=timings)

@@ -274,11 +274,11 @@ class ServeHTTP:
 
     async def _send_recording(self, job_id: str, index: int,
                               writer) -> None:
-        """Ship a point's recording file verbatim (it is already
-        canonical JSON, checksum included — re-encoding could only
-        break byte-identity with the server-side artifact)."""
-        path = self.scheduler.recording_path(job_id, index)
-        body = path.read_bytes()
+        """Ship a point's recording file verbatim once it verifies
+        (it is already canonical JSON, checksum included —
+        re-encoding could only break byte-identity with the
+        server-side artifact)."""
+        body = self.scheduler.recording_bytes(job_id, index)
         writer.write(_response_head(200, "application/json",
                                     len(body)) + body)
         await writer.drain()

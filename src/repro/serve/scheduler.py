@@ -63,8 +63,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import BackpressureError, ServeError
-from ..sim.sweep import PointRunner, ResultCache, SweepPoint, \
-    backoff_delay, point_key
+from ..sim.sweep import PointRunner, RecordingStore, ResultCache, \
+    SweepPoint, backoff_delay, point_key
 from .fairqueue import WeightedFairQueue
 from .jobs import JobSpec, job_request_dict, parse_job_request, \
     result_to_dict
@@ -185,6 +185,8 @@ class Scheduler:
                  checkpoint_dir: Optional[Union[str, Path]] = None):
         self.cache = cache
         self.record_dir = None if record_dir is None else Path(record_dir)
+        self._recordings = None if record_dir is None \
+            else RecordingStore(record_dir)
         self.checkpoint_dir = None if checkpoint_dir is None \
             else Path(checkpoint_dir)
         if record_runner is None and record_dir is not None:
@@ -462,11 +464,13 @@ class Scheduler:
             cached = self.cache.load(queued.point) \
                 if self.cache is not None else None
             # A cache hit satisfies a record point only when its
-            # recording artifact already exists (recordings are
-            # content-addressed by the same key, so reuse is sound).
+            # recording artifact exists and verifies (recordings are
+            # content-addressed by the same key, so reuse is sound; a
+            # corrupt one is quarantined and the point re-executes).
             if cached is not None and (
                     not recording
-                    or self._recording_path(queued.key).is_file()):
+                    or self._recordings.load_bytes(queued.key)
+                    is not None):
                 self.counters["serve.points_cache_hits"] += 1
                 self._complete_point(job, queued.index,
                                      result_to_dict(cached),
@@ -740,26 +744,26 @@ class Scheduler:
 
     # -- recordings ----------------------------------------------------
 
-    def _recording_path(self, key: str) -> Path:
-        return self.record_dir / f"{key}.rec.json"
-
-    def recording_path(self, job_id: str, index: int) -> Path:
-        """The on-disk recording for one point of a record job; 404s
+    def recording_bytes(self, job_id: str, index: int) -> bytes:
+        """The verified recording of one point of a record job; 404s
         (ServeError) when the job didn't record, the index is out of
-        range, or the artifact isn't written yet."""
+        range, or the artifact isn't written yet — or failed
+        verification, in which case it is quarantined and resubmitting
+        the job records the point afresh."""
         job = self.get(job_id)
-        if not job.spec.record or self.record_dir is None:
+        if not job.spec.record or self._recordings is None:
             raise ServeError(
                 f"job {job_id} did not request recordings", status=404)
         if not 0 <= index < len(job.spec.points):
             raise ServeError(
                 f"job {job_id} has no point {index}", status=404)
-        path = self._recording_path(point_key(job.spec.points[index]))
-        if not path.is_file():
+        body = self._recordings.load_bytes(
+            point_key(job.spec.points[index]))
+        if body is None:
             raise ServeError(
                 f"recording for job {job_id} point {index} is not "
                 "available yet", status=404)
-        return path
+        return body
 
     # -- observability -------------------------------------------------
 

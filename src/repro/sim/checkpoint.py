@@ -87,8 +87,9 @@ from ..smp.fastpath import _finish_run, _run_loop, new_counters
 from ..smp.metrics import SimulationResult
 from ..smp.trace import Workload, as_columns
 from .store import BlobStore, sha256
-from .sweep import (ENGINE_VERSION, PointRunner, ResultCache, SweepPoint,
-                    build_system, content_key, point_key)
+from .sweep import (ENGINE_VERSION, PointRunner, RecordingStore,
+                    ResultCache, SweepPoint, build_system, content_key,
+                    point_key)
 
 #: Bump when the snapshot payload or meta layout changes — or when a
 #: soundness fix must bust stores written by older code; snapshots
@@ -471,16 +472,18 @@ def _generate(point: SweepPoint) -> Workload:
 def start_state(point: SweepPoint, workload: Workload,
                 snapshot: Optional[MachineSnapshot] = None,
                 recorded: bool = False,
-                store: Optional[CheckpointStore] = None):
+                store: Optional[CheckpointStore] = None,
+                snapshot_every: int = 1):
     """The one start rule of every forked run: ``(forked, (system,
     clocks, cursors, counters))``.
 
     The state is restored from ``snapshot`` when its prefix validates
     against ``workload`` and :func:`restore` accepts it; otherwise it
     is a cold machine at cycle zero, with a recorder attached when
-    ``recorded`` (a restored recorded machine carries its own). A
-    snapshot that validates but is refused is quarantined in
-    ``store``, the store it was read from.
+    ``recorded`` — stats snapshots every ``snapshot_every``-th
+    authentication checkpoint (a restored recorded machine carries
+    its own). A snapshot that validates but is refused is quarantined
+    in ``store``, the store it was read from.
     """
     if snapshot is not None and validates_against(snapshot.meta,
                                                   workload):
@@ -492,7 +495,7 @@ def start_state(point: SweepPoint, workload: Workload,
     system = build_system(point.config)
     if recorded:
         from ..obs.recording import Recorder
-        Recorder().attach(system)
+        Recorder(snapshot_every=snapshot_every).attach(system)
     num_cpus = workload.num_cpus
     return False, (system, [0] * num_cpus, [0] * num_cpus,
                    new_counters(num_cpus))
@@ -603,7 +606,9 @@ def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
     counter deltas. With ``record_dir``, a recorder rides in the
     machine (pickled with the prefix, appending through the tail), so
     the recording covers the run from cycle zero — byte-identical to a
-    cold recorded run — and is saved next to the result cache's key.
+    cold recorded run — and is published atomically to the
+    :class:`~repro.sim.sweep.RecordingStore` in ``record_dir``, under
+    the result cache's key.
     """
     recorded = record_dir is not None
     workload = _generate(point)
@@ -617,7 +622,7 @@ def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
     if recorded:
         from ..obs.recording import Recording
         recording = Recording.build(point, outcome.system._obs, result)
-        recording.save(Path(record_dir) / f"{point_key(point)}.rec.json")
+        RecordingStore(record_dir).store(point_key(point), recording)
         result = recording.to_result()
     if store is None:
         return result, {}

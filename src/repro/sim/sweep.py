@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, \
     Tuple, Union
 
 from ..config import SystemConfig, config_to_dict
-from ..errors import ConfigError, SweepError
+from ..errors import ConfigError, SweepError, TraceError
 from ..smp.metrics import SimulationResult
 from .store import BlobStore, sha256
 
@@ -346,6 +346,43 @@ class ResultCache(BlobStore):
         self._publish(self._path(point_key(point)),
                       json.dumps(payload, sort_keys=True).encode())
         self.gc()
+
+
+class RecordingStore(BlobStore):
+    """Content-addressed run recordings (docs/record_replay.md).
+
+    Entries are ``<point_key>.rec.json`` files holding a
+    :class:`~repro.obs.recording.Recording`'s canonical bytes, named
+    like the result cache entry of the same point so the two pair by
+    filename. Writes are the BlobStore's atomic publish, so a reader
+    never sees a torn file; :meth:`load_bytes` verifies the
+    recording's schema and checksum before returning its bytes
+    unchanged, and quarantines a file that fails (``.corrupt``), so
+    the point is recorded afresh instead of served broken forever.
+    """
+
+    SUFFIX = ".rec.json"
+
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}{self.SUFFIX}"
+
+    @staticmethod
+    def _decode(handle) -> bytes:
+        from ..obs.recording import Recording
+        data = handle.read()
+        try:
+            Recording.loads(data)
+        except TraceError as exc:
+            raise ValueError(str(exc)) from None
+        return data
+
+    def store(self, key: str, recording) -> None:
+        self._publish(self._path(key), recording.to_bytes())
+
+    def load_bytes(self, key: str) -> Optional[bytes]:
+        """The verified bytes of ``key``'s recording, or None when it
+        is absent or failed verification (and was quarantined)."""
+        return self._read(self._path(key), self._decode)
 
 
 def _default_workers(num_points: int) -> int:

@@ -173,9 +173,11 @@ def test_flat_tree_matches_reference_layout(num_lines, arity):
     tree = MerkleTree(memory, 0, num_lines, arity=arity)
     reference = _reference_levels(memory, 0, num_lines, arity)
     assert tree.height == len(reference) - 1
+    # Every level laid out back to back: a miscounted level would
+    # shift all later ones off their reference digests.
     for level, expected in enumerate(reference):
-        assert len(tree.levels[level]) == len(expected)
-        assert list(tree.levels[level]) == expected
+        assert [tree.node(level, index)
+                for index in range(len(expected))] == expected
     assert tree.root == reference[-1][0]
 
 
@@ -203,7 +205,9 @@ def test_batched_updates_match_eager_updates():
     assert lazy.dirty_nodes == 0 or lazy.flush() >= 0
     lazy.flush()
     for level in range(lazy.height + 1):
-        assert list(lazy.levels[level]) == list(eager.levels[level])
+        width = -(-32 // 4 ** level)
+        assert [lazy.node(level, index) for index in range(width)] \
+            == [eager.node(level, index) for index in range(width)]
     lazy.verify_all()
 
 
@@ -240,7 +244,7 @@ def test_forgery_still_detected_with_batching():
     for index in range(16):
         memory.write_line(index * 64, bytes([index] * 64))
     tree = MerkleTree(memory, 0, 16, arity=4)
-    old_digest = tree.levels[0][1]
+    old_digest = tree.node(0, 1)
     memory.write_line(0x40, bytes([0xAA] * 64))
     tree.update_leaf(0x40)
     tree.forge_leaf_digest(0x40, old_digest)
@@ -270,7 +274,8 @@ def test_flat_tree_at_scale():
     reference = _reference_levels(memory, 0, 1024, 4)
     assert tree.root == reference[-1][0]
     for level, expected in enumerate(reference):
-        assert list(tree.levels[level]) == expected
+        assert [tree.node(level, index)
+                for index in range(len(expected))] == expected
 
 
 # -- chash stats registry (flush-on-read) -------------------------------

@@ -50,7 +50,7 @@ def test_replay_attack_detected():
     not the tree: the forged leaf disagrees with its parent."""
     memory, tree = make_tree()
     old_data = memory.read_line(0x40)
-    old_digest = tree.levels[0][1]
+    old_digest = tree.node(0, 1)
     # Legitimate update...
     memory.write_line(0x40, bytes([0xEE] * 64))
     tree.update_line(0x40)

@@ -198,6 +198,28 @@ class TestEndToEnd:
         assert recording.to_result().cycles == \
             client.results(job["id"])[0].cycles
 
+    def test_corrupt_recording_is_recorded_afresh(self, service):
+        """A torn recording on disk is never served: resubmitting the
+        record job quarantines it, re-executes the point (its result
+        is a cache hit, its recording is not) and serves bytes equal
+        to a clean recording of the point."""
+        from repro.obs.recording import record_run
+        from repro.sim.sweep import point_key
+        scheduler, client = service
+        points = points_for([9], scale=0.02)
+        clean = record_run(points[0]).to_bytes()
+        first = client.submit(points, tenant="torn", record=True)
+        assert client.wait(first["id"])["state"] == "done"
+        assert client.recording_bytes(first["id"], 0) == clean
+        path = scheduler.record_dir / f"{point_key(points[0])}.rec.json"
+        path.write_bytes(clean[:len(clean) // 2])
+        again = client.submit(points, tenant="torn", record=True)
+        assert client.wait(again["id"])["state"] == "done"
+        assert client.recording_bytes(again["id"], 0) == clean
+        assert path.read_bytes() == clean
+        assert path.with_name(path.name + ".corrupt").read_bytes() \
+            == clean[:len(clean) // 2]
+
     def test_recording_404_for_plain_job(self, service):
         _, client = service
         job = client.submit(points_for([0]), tenant="plain")

@@ -2,24 +2,27 @@
 
 Same injection strategy as test_scheduler.py: a thread-pool executor
 plus synchronous runners make queue state and counters deterministic.
-The record runner is injected too, writing real recording-shaped
-files named by point_key — exactly the contract
-a recording ``repro.sim.sweep.PointRunner`` fulfils in production.
+The record runner is injected too, publishing minimal recordings
+that verify (kind, schema version, checksum) under point_key — exactly
+the contract a recording ``repro.sim.sweep.PointRunner`` fulfils in
+production.
 """
 
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
 from repro.config import e6000_config
 from repro.errors import ServeError
 from repro.obs import validate_chrome_trace
+from repro.obs.recording import (RECORDING_SCHEMA_VERSION, Recording,
+                                 _checksum)
 from repro.serve.jobs import JobSpec
 from repro.serve.scheduler import Scheduler
-from repro.sim.sweep import ResultCache, SweepPoint, point_key
+from repro.sim.sweep import (RecordingStore, ResultCache, SweepPoint,
+                             point_key)
 from repro.smp.metrics import SimulationResult
 
 
@@ -37,16 +40,17 @@ def plain_runner(point):
 
 class RecordingRunner:
     """Stands in for a recording ``PointRunner``: same result contract plus
-    a recording artifact named by point_key."""
+    a checksummed recording artifact stored under point_key."""
 
     def __init__(self, record_dir):
-        self.record_dir = Path(record_dir)
+        self.store = RecordingStore(record_dir)
 
     def __call__(self, point):
-        self.record_dir.mkdir(parents=True, exist_ok=True)
-        path = self.record_dir / f"{point_key(point)}.rec.json"
-        path.write_text(json.dumps({"kind": "repro-recording",
-                                    "seed": point.seed}))
+        payload = {"kind": "repro-recording",
+                   "schema_version": RECORDING_SCHEMA_VERSION,
+                   "seed": point.seed}
+        payload["checksum"] = _checksum(payload)
+        self.store.store(point_key(point), Recording(payload))
         return _result(point), 0.001
 
 
@@ -154,8 +158,8 @@ class TestRecordJobs:
                 await wait_until(lambda: job.terminal)
                 assert job.state == "done"
                 for index in (0, 1):
-                    path = scheduler.recording_path(job.id, index)
-                    assert json.loads(path.read_text())["kind"] == \
+                    body = scheduler.recording_bytes(job.id, index)
+                    assert json.loads(body)["kind"] == \
                         "repro-recording"
                 metrics = scheduler.metrics()
                 assert metrics["recordings"] == {
@@ -183,7 +187,7 @@ class TestRecordJobs:
                 await wait_until(lambda: job.terminal)
                 with pytest.raises(ServeError,
                                    match="did not request"):
-                    scheduler.recording_path(job.id, 0)
+                    scheduler.recording_bytes(job.id, 0)
             finally:
                 pool.shutdown(wait=False)
         asyncio.run(scenario())
@@ -195,7 +199,7 @@ class TestRecordJobs:
                 job = scheduler.submit(spec("alice", [0], record=True))
                 await wait_until(lambda: job.terminal)
                 with pytest.raises(ServeError, match="no point"):
-                    scheduler.recording_path(job.id, 5)
+                    scheduler.recording_bytes(job.id, 5)
             finally:
                 pool.shutdown(wait=False)
         asyncio.run(scenario())

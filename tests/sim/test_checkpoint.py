@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import e6000_config
-from repro.errors import CheckpointError
-from repro.faults.campaign import run_campaign
+from repro.errors import CheckpointError, ConfigError
+from repro.faults import (POLICIES, REKEY_REPLAY, FaultInjector,
+                          FaultKind, FaultPlan)
+from repro.faults.campaign import (_simulate_prefix, campaign_config,
+                                   default_spec, run_campaign)
 from repro.obs.recording import record_run
 from repro.sim import checkpoint
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointStore,
@@ -722,17 +725,17 @@ class TestCampaignFork:
 
     def test_refused_snapshot_runs_its_cell_cold(self, monkeypatch):
         """A prefix snapshot that ``restore`` refuses (here: the
-        unpickler no longer admits the counting hook inside it) starts
-        its cell cold, like every other fork, instead of raising."""
-        from repro.faults.campaign import _PrefixCountingHook
-        hook = (_PrefixCountingHook.__module__,
-                _PrefixCountingHook.__qualname__)
+        unpickler no longer admits the fault injector inside it)
+        starts its cell cold, like every other fork, instead of
+        raising."""
+        injector = (FaultInjector.__module__, FaultInjector.__qualname__)
         real_admitted = checkpoint._admitted_name
         monkeypatch.setattr(
             checkpoint, "_admitted_name",
-            lambda module, name: (module, name) != hook
+            lambda module, name: (module, name) != injector
             and real_admitted(module, name))
-        monkeypatch.delitem(checkpoint._ADMITTED, hook, raising=False)
+        monkeypatch.delitem(checkpoint._ADMITTED, injector,
+                            raising=False)
         kwargs = dict(kinds=("drop", "merkle-flip"),
                       policies=("halt",), workload="radix",
                       cpus=2, scale=0.02, trigger=40)
@@ -740,6 +743,97 @@ class TestCampaignFork:
         cold = run_campaign(fork=False, **kwargs)
         assert forked["forked_cells"] == 0
         assert self.stripped(forked) == self.stripped(cold)
+
+
+    @pytest.mark.parametrize("kind", FaultKind.ALL)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_kind_and_policy_forks_to_the_cold_cell(
+            self, deep_campaigns, kind, policy):
+        """Forked == cold for every fault kind under every recovery
+        policy, recordings included: the forked pad cursors (pad and
+        seq corruption), the bus stream cursors and MAC chains
+        (reorder, spoof, bit-flip, mask-desync, drop), the verify
+        cursor (merkle-flip) and the MAC checkpoints a
+        ``rekey-replay`` window reads all cross the fork."""
+        forked, cold = deep_campaigns[kind]
+        assert forked["forked_cells"] == len(forked["entries"])
+        assert cold["forked_cells"] == 0
+        cells = [{**entry, "forked": None}
+                 for report in (forked, cold)
+                 for entry in report["entries"]
+                 if (entry["kind"], entry["policy"]) == (kind, policy)]
+        assert len(cells) == 2 and cells[0]["triggered"]
+        assert cells[0] == cells[1]
+
+    def test_forked_injector_starts_at_the_cold_cursors(self):
+        """A restored prefix snapshot carries the prefix injector
+        (labelled with its cursors). Re-armed with a cell's plan, it
+        holds the cursors, MAC chains and MAC checkpoints a cold
+        injector with that plan has at the same access count, and the
+        machine still registers exactly one injector flusher."""
+        config = campaign_config(cpus=2)
+        target = SweepPoint("fft", config, scale=0.02)
+        workload = generate("fft", 2, scale=0.02)
+        specs = [default_spec(kind, 2, deep_trigger(kind))
+                 for kind in FaultKind.ALL]
+        snapshots, _ = _simulate_prefix(workload, target, specs,
+                                        record_diff=False)
+        assert len(snapshots) > 1
+        never = FaultPlan.single(FaultKind.DROP, trigger=1 << 40)
+        for snapshot in snapshots:
+            system = restore(snapshot)[0]
+            forked = FaultInjector.attached_to(system)
+            assert forked.cursors() == snapshot.meta["extra"]
+            forked.arm(never, REKEY_REPLAY)
+            cold_system = build_system(config)
+            cold = FaultInjector(never, REKEY_REPLAY).attach(cold_system)
+            cursors = [0, 0]
+            _run_loop(cold_system, workload, [0, 0], cursors,
+                      new_counters(2), stop_accesses=snapshot.accesses)
+            assert sum(cursors) == snapshot.accesses
+            assert forked.cursors() == cold.cursors()
+            assert forked._chains == cold._chains
+            assert forked.recovery.checkpoints \
+                == cold.recovery.checkpoints
+            assert forked.recovery.policy == REKEY_REPLAY
+            flushers = [flush for flush in system.stats._flushers
+                        if isinstance(getattr(flush, "__self__", None),
+                                      FaultInjector)]
+            assert flushers == [forked._flush_stats]
+            with pytest.raises(ConfigError, match="already has"):
+                FaultInjector(never).attach(system)
+
+
+def deep_trigger(kind):
+    """A trigger on fft (2 CPUs, scale 0.02, campaign machine) past the
+    campaign prefix's first snapshot in the kind's stream, yet early
+    enough to fire — bus messages are far sparser than pad
+    consultations and hash-tree verifies. At the bus and merkle
+    triggers a ``rekey-replay`` recovery (an immediate spoof, a
+    merkle verify) comes before the cell's first own MAC checkpoint,
+    so its replay window reads the one carried across the fork."""
+    if kind in FaultKind.BUS:
+        return 56
+    if kind == FaultKind.MERKLE_FLIP:
+        return 350
+    return 150
+
+
+@pytest.fixture(scope="module")
+def deep_campaigns():
+    """kind -> (forked report, cold report) of a recorded campaign over
+    every policy, one campaign per stream at its deep trigger."""
+    reports = {}
+    for kinds in (FaultKind.BUS,
+                  (FaultKind.PAD_CORRUPT, FaultKind.SEQ_CORRUPT),
+                  (FaultKind.MERKLE_FLIP,)):
+        kwargs = dict(kinds=kinds, policies=POLICIES, workload="fft",
+                      cpus=2, scale=0.02, record_diff=True,
+                      trigger=deep_trigger(kinds[0]))
+        pair = (run_campaign(fork=True, **kwargs),
+                run_campaign(fork=False, **kwargs))
+        reports.update((kind, pair) for kind in kinds)
+    return reports
 
 
 def serve_runner(root):
