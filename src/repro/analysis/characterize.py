@@ -10,7 +10,7 @@ configuration, both to sanity-check the synthetic SPLASH-2 stand-ins
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..config import SystemConfig
 from ..smp.system import SmpSystem
@@ -102,9 +102,3 @@ def characterize(workload: Workload,
         cycles_per_reference=(result.cycles / references *
                               workload.num_cpus if references else 0.0),
     )
-
-
-def characterize_suite(workloads: Dict[str, Workload],
-                       config: SystemConfig) -> List[WorkloadProfile]:
-    return [characterize(workload, config)
-            for workload in workloads.values()]

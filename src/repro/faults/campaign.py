@@ -18,10 +18,10 @@ cell forks from the deepest snapshot that still precedes its trigger
 and re-arms the prefix injector the restored machine carries with its
 own plan and policy — results, scoreboards and recordings stay
 bit-identical to cold runs (pinned by tests/sim/test_checkpoint.py).
-Cells run through :func:`~repro.faults.injector.run_faulted`, which
-starts like every forked run (``repro.sim.checkpoint.start_state``):
-cells whose trigger falls before the first snapshot, or whose
-snapshot fails to restore, simply run cold.
+Cells run through :func:`repro.sim.checkpoint.fork_point` with no
+store, like every point that starts from a snapshot: cells whose
+trigger falls before the first snapshot, or whose snapshot fails to
+restore, simply run cold, and no cell emits a snapshot.
 
 ``verify_identity`` is the bit-identity half of the acceptance
 criterion: a system with an injector attached whose plan never
@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..config import KB, SystemConfig, e6000_config
 from ..errors import ReproError
-from .injector import (FaultedRun, FaultInjector, run_faulted,
-                       stream_position)
+from .injector import FaultInjector, stream_position
 from .plan import FaultKind, FaultPlan, FaultSpec
 from .recovery import HALT, POLICIES, REKEY_REPLAY
 
@@ -196,6 +195,7 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     timeline first departs from the clean one and by how much (the
     full machinery is ``repro.obs.diff``; see docs/record_replay.md).
     """
+    from ..sim.checkpoint import fork_point
     from ..sim.sweep import SweepPoint
     from ..workloads.registry import generate
 
@@ -224,9 +224,9 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
         for policy in policies:
             spec = cell_specs[kind]
             plan = FaultPlan(specs=(spec,), seed=seed)
-            run = run_faulted(clean_point, bench_workload, plan,
-                              policy, _pick_snapshot(snapshots, spec),
-                              recorded=record_diff)
+            run = fork_point(clean_point, _pick_snapshot(snapshots, spec),
+                             bench_workload, recorded=record_diff,
+                             plan=plan, policy=policy)
             records = run.scoreboard.records
             record = records[0] if records else None
             entries.append({
@@ -274,7 +274,7 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     return report
 
 
-def _divergence_summary(clean_recording, clean_point, run: FaultedRun,
+def _divergence_summary(clean_recording, clean_point, run,
                         plan: FaultPlan, policy: str
                         ) -> Dict[str, object]:
     """Reduce a cell's diff-vs-clean to the campaign-report fields."""
@@ -307,8 +307,9 @@ def verify_identity(config: Optional[SystemConfig] = None,
                     workload: str = "ocean", cpus: int = 4,
                     scale: float = 0.05,
                     seed: int = 0) -> Dict[str, object]:
-    """No-trigger injector on the faulted-run path vs a vanilla
-    ``system.run``: must be bit-identical."""
+    """No-trigger injector on the run driver (``fork_point``) vs a
+    vanilla ``system.run``: must be bit-identical."""
+    from ..sim.checkpoint import fork_point
     from ..sim.sweep import SweepPoint, build_system
     from ..workloads.registry import generate
 
@@ -321,8 +322,8 @@ def verify_identity(config: Optional[SystemConfig] = None,
     # A plan whose trigger index the run never reaches: every hook
     # fires, nothing ever perturbs.
     plan = FaultPlan.single(FaultKind.DROP, trigger=1 << 40)
-    run = run_faulted(SweepPoint(workload, config, scale=scale,
-                                 seed=seed), bench_workload, plan)
+    run = fork_point(SweepPoint(workload, config, scale=scale,
+                                seed=seed), None, bench_workload, plan=plan)
     faulted = run.result
 
     identical = (vanilla.cycles == faulted.cycles

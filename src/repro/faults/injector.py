@@ -34,18 +34,18 @@ out of ``system.run``.
 Only the injector counts the fault streams (:meth:`FaultInjector.
 cursors`). A campaign's clean prefix runs under an empty-plan
 injector that pickles with the machine; a forked cell re-arms it
-(:meth:`FaultInjector.arm`). :func:`run_faulted` is the one
-start–inject–run path of campaign cells and ``record_run``.
+(:meth:`FaultInjector.arm_on`). Faulted runs — campaign cells,
+``record_run`` with a plan, ``replay --perturb fault=...`` — execute
+through :func:`repro.sim.checkpoint.fork_point`, the one run driver,
+which arms the plan and reports a halting recovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..bus.transaction import BusTransaction, TransactionType
-from ..errors import ConfigError, ReproError
-from ..smp.metrics import SimulationResult
+from ..errors import ConfigError
 from .plan import FaultKind, FaultPlan, FaultSpec
 from .recovery import HALT, RecoveryEngine
 from .scoreboard import (MECH_MAC, MECH_MERKLE, MECH_PAD, MECH_SPOOF,
@@ -135,6 +135,17 @@ class FaultInjector:
         """The injector hooked into ``system``'s bus, if any."""
         injector = getattr(system.bus.fault_hook, "__self__", None)
         return injector if isinstance(injector, FaultInjector) else None
+
+    @classmethod
+    def arm_on(cls, system, plan: FaultPlan,
+               policy: str) -> "FaultInjector":
+        """Arm ``plan`` on ``system``: re-:meth:`arm` the injector it
+        carries (a restored campaign prefix), else :meth:`attach` a
+        new one."""
+        injector = cls.attached_to(system)
+        if injector is None:
+            return cls(plan, policy).attach(system)
+        return injector.arm(plan, policy)
 
     def attach(self, system) -> "FaultInjector":
         """Hook the bus and (if present) the memory-protection layer.
@@ -522,58 +533,3 @@ class FaultInjector:
     def untriggered(self) -> int:
         """Planned faults whose trigger point the run never reached."""
         return len(self.plan) - self.scoreboard.injected
-
-
-@dataclass
-class FaultedRun:
-    """:func:`run_faulted`'s outputs; ``halted`` is the halting
-    error as ``"<class>: <message>"`` (``result`` is then None)."""
-
-    forked: bool
-    result: Optional[SimulationResult]
-    halted: Optional[str]
-    scoreboard: Optional[DetectionScoreboard]
-    recorder: Optional[object]
-
-
-def run_faulted(point, workload, plan: Optional[FaultPlan] = None,
-                policy: str = HALT, snapshot=None,
-                recorded: bool = False,
-                snapshot_every: int = 1) -> FaultedRun:
-    """The one way a faulted (or recorded) run executes.
-
-    Starts by :func:`repro.sim.checkpoint.start_state` (cold, or from
-    ``snapshot``), arms a non-empty ``plan`` on the injector a
-    restored snapshot carries or on a new one, runs to completion,
-    catches a ``halt`` recovery's error as ``halted``, finalizes the
-    scoreboard and frees the machine.
-    """
-    from ..sim.checkpoint import start_state
-    from ..smp.fastpath import _finish_run, _run_loop
-
-    forked, (system, clocks, cursors, counters) = start_state(
-        point, workload, snapshot, recorded=recorded,
-        snapshot_every=snapshot_every)
-    # Recorder first (fresh, or riding inside the snapshot), injector
-    # second: its inject/detect events route through system._obs. No
-    # plan (None or empty) attaches no injector.
-    injector = None
-    if plan:
-        injector = FaultInjector.attached_to(system)
-        if injector is None:
-            injector = FaultInjector(plan, policy).attach(system)
-        else:
-            injector.arm(plan, policy)
-    result: Optional[SimulationResult] = None
-    halted: Optional[str] = None
-    try:
-        _run_loop(system, workload, clocks, cursors, counters)
-        result = _finish_run(system, workload, clocks, counters)
-    except ReproError as exc:
-        halted = f"{type(exc).__name__}: {exc}"
-    scoreboard = None if injector is None else injector.finalize()
-    recorder = system._obs if recorded else None
-    # Free the machine now, not at the next full collection: garbage
-    # machines would pile up across a campaign's cells.
-    system.release()
-    return FaultedRun(forked, result, halted, scoreboard, recorder)

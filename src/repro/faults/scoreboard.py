@@ -149,20 +149,3 @@ class DetectionScoreboard:
             "by_mechanism": self.by_mechanism(),
             "records": [record.as_dict() for record in self.records],
         }
-
-    def summary_rows(self) -> List[List[str]]:
-        """Table rows for the CLI: one line per fault."""
-        rows = []
-        for record in self.records:
-            if record.detected:
-                outcome = record.mechanism
-                latency = (f"{record.latency_tx}tx/"
-                           f"{record.latency_cycles}cy")
-            elif record.masked:
-                outcome, latency = "masked", "-"
-            else:
-                outcome, latency = "UNDETECTED", "-"
-            rows.append([record.label, outcome, latency,
-                         record.recovery or "-",
-                         "yes" if record.recovered else "no"])
-        return rows

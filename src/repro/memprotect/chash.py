@@ -80,16 +80,6 @@ class CachedHashTreeVerifier:
 
     # -- cache plumbing -----------------------------------------------------
 
-    def _is_cached(self, level: int, index: int) -> bool:
-        pos = self.tree._offsets[level] + index
-        if pos in self._cache:
-            self._cache.move_to_end(pos)
-            return True
-        return False
-
-    def _install(self, level: int, index: int) -> None:
-        self._install_pos(self.tree._offsets[level] + index)
-
     def _install_pos(self, pos: int) -> None:
         cache = self._cache
         cache[pos] = True

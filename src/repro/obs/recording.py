@@ -22,8 +22,10 @@ The only non-deterministic content — optional wall-clock phase
 and is only stored when explicitly passed.
 
 :func:`record_run` is the one-call entry point — it runs through
-:func:`repro.faults.injector.run_faulted`, the path fault-campaign
-cells take too; replay and diffing live in :mod:`repro.obs.replay`
+:func:`repro.sim.checkpoint.fork_point`, the run driver of every
+chain point, campaign cell and recorded sweep point, so a recording
+written by ``repro record`` and one written by a forked sweep are the
+same bytes; replay and diffing live in :mod:`repro.obs.replay`
 and :mod:`repro.obs.diff`. Content-addressed recordings (sweeps,
 chains, the serve plane) are published atomically and read back
 verified through :class:`repro.sim.sweep.RecordingStore`.
@@ -308,9 +310,10 @@ def record_run(point, snapshot_every: int = 1,
                ) -> Recording:
     """Run one sweep point with a :class:`Recorder` attached.
 
-    The run goes through :func:`repro.faults.injector.run_faulted`,
-    the path fault-campaign cells take too. A non-empty ``fault_plan``
-    additionally attaches a
+    The run goes through :func:`repro.sim.checkpoint.fork_point`
+    (cold: no snapshot, no store), the driver fault-campaign cells and
+    recorded sweep points take too. A non-empty ``fault_plan``
+    additionally arms a
     :class:`~repro.faults.injector.FaultInjector`; a ``halt``-policy
     recovery that aborts the run is captured as a halted recording
     (``result: null``) rather than raised. Pass ``timings`` (e.g.
@@ -319,12 +322,9 @@ def record_run(point, snapshot_every: int = 1,
     still breaks byte-identity between repeat recordings, so the
     default leaves them out.
     """
-    from ..faults.injector import run_faulted
-    from ..workloads.registry import generate
-    workload = generate(point.workload, point.config.num_processors,
-                        scale=point.scale, seed=point.seed)
-    run = run_faulted(point, workload, fault_plan, fault_policy,
-                      recorded=True, snapshot_every=snapshot_every)
+    from ..sim.checkpoint import fork_point
+    run = fork_point(point, None, recorded=True, plan=fault_plan,
+                     policy=fault_policy, snapshot_every=snapshot_every)
     return Recording.build(point, run.recorder, run.result,
                            halted=run.halted, fault_plan=fault_plan,
                            fault_policy=(None if fault_plan is None

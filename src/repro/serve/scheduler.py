@@ -164,7 +164,8 @@ class Scheduler:
     plus a controllable runner gives deterministic contention); the
     production path is a warm ``ProcessPoolExecutor`` running
     :class:`repro.sim.sweep.PointRunner` under worker supervision
-    (record jobs run cold through a recording ``PointRunner``).
+    (record jobs through a recording ``PointRunner``; with
+    ``checkpoint_dir`` both runners fork from one store).
     ``journal`` (a :class:`JobJournal` or a path) turns on the
     durable WAL; ``point_timeout`` arms the per-point
     deadline; ``retries``/``backoff_s``/``seed`` shape the seeded
@@ -189,8 +190,18 @@ class Scheduler:
             else RecordingStore(record_dir)
         self.checkpoint_dir = None if checkpoint_dir is None \
             else Path(checkpoint_dir)
+        # Prefix-sharing execution (docs/checkpointing.md): workers
+        # fork plain and record points alike from the shared disk
+        # store, as sweeps do, instead of re-simulating warm-up.
+        # Checkpoints are keyed by prefix fingerprint, not tenant, so
+        # they are shared across tenants like the result cache.
+        checkpoints = None
+        if checkpoint_dir is not None:
+            from ..sim.checkpoint import CheckpointStore
+            checkpoints = CheckpointStore(checkpoint_dir)
         if record_runner is None and record_dir is not None:
-            record_runner = PointRunner(record_dir=str(record_dir))
+            record_runner = PointRunner(record_dir=str(record_dir),
+                                        checkpoints=checkpoints)
         self._record_runner = record_runner
         self.max_workers = max(1, max_workers)
         self.max_queued_per_tenant = max_queued_per_tenant
@@ -211,16 +222,8 @@ class Scheduler:
             max_workers=self.max_workers, warmup=warmup,
             executor=executor, executor_factory=executor_factory)
         self._supervisor.on_restart = self._on_worker_restart
-        if runner is None and checkpoint_dir is not None:
-            # Prefix-sharing execution (docs/checkpointing.md): the
-            # worker forks from the shared disk store, as sweeps do,
-            # instead of re-simulating warm-up. Checkpoints are keyed
-            # by prefix fingerprint, not tenant, so they are shared
-            # across tenants like the result cache.
-            from ..sim.checkpoint import CheckpointStore
-            runner = PointRunner(
-                checkpoints=CheckpointStore(checkpoint_dir))
-        self._runner = runner if runner is not None else PointRunner()
+        self._runner = runner if runner is not None \
+            else PointRunner(checkpoints=checkpoints)
         self._running = 0
         self._serial = 0
         self._draining = False

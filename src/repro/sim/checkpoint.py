@@ -17,7 +17,9 @@ per point. This module factors the shared part out:
 - :func:`restore` + :func:`fork_point` continue a target point from a
   snapshot; forked results — and recordings taken through a forked
   run — are bit-identical to cold runs (pinned by
-  tests/sim/test_checkpoint.py).
+  tests/sim/test_checkpoint.py). :func:`fork_point` is the one run
+  driver — chain, sweep and serve points, fault-campaign cells and
+  ``record_run`` — and releases every machine it ran.
 - :class:`CheckpointStore` is the disk-backed, LRU-bounded store next
   to the :class:`~repro.sim.sweep.ResultCache` (both are key and
   encoding schemes over one :class:`~repro.sim.store.BlobStore`);
@@ -30,9 +32,10 @@ per point. This module factors the shared part out:
   serve plane alike: it picks the deepest valid stored snapshot
   (:meth:`CheckpointStore.best`, the one selection rule) and forks
   from it.
-- :func:`start_state` is the one start rule of every forked run —
-  :func:`fork_point` and each fault-campaign cell: restore the chosen
-  snapshot if it validates and restores, else start a fresh machine.
+- :func:`start_state` is the one start rule — of :func:`fork_point`
+  and of the fault campaign's snapshotting clean prefix: restore the
+  chosen snapshot if it validates and restores, else start a fresh
+  machine.
 
 Soundness is checked, not assumed: a snapshot records a sha256
 digest of each CPU's *consumed trace prefix* (write flags, addresses,
@@ -82,7 +85,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import config_to_dict
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ReproError
 from ..smp.fastpath import _finish_run, _run_loop, new_counters
 from ..smp.metrics import SimulationResult
 from ..smp.trace import Workload, as_columns
@@ -474,8 +477,8 @@ def start_state(point: SweepPoint, workload: Workload,
                 recorded: bool = False,
                 store: Optional[CheckpointStore] = None,
                 snapshot_every: int = 1):
-    """The one start rule of every forked run: ``(forked, (system,
-    clocks, cursors, counters))``.
+    """The one start rule of every run from a start state:
+    ``(forked, (system, clocks, cursors, counters))``.
 
     The state is restored from ``snapshot`` when its prefix validates
     against ``workload`` and :func:`restore` accepts it; otherwise it
@@ -503,42 +506,51 @@ def start_state(point: SweepPoint, workload: Workload,
 
 @dataclass
 class ForkOutcome:
-    """What :func:`fork_point` did: the result, whether the run forked
-    from a snapshot (vs. going cold), whether it emitted a new
-    snapshot, and the live machine (for recorded runs, its ``_obs``
-    is the recorder to build the Recording from)."""
+    """What :func:`fork_point` did: the result (None when the run
+    ``halted``, as ``"<class>: <message>"``), whether it forked from a
+    snapshot and emitted one, the armed plan's finalized scoreboard
+    and a recorded run's recorder (its Recording's source)."""
 
-    result: SimulationResult
+    result: Optional[SimulationResult]
     forked: bool
     emitted: bool
-    system: object
+    halted: Optional[str]
+    scoreboard: Optional[object]
+    recorder: Optional[object]
 
 
 def fork_point(point: SweepPoint,
                snapshot: Optional[MachineSnapshot],
                workload: Optional[Workload] = None,
                store: Optional[CheckpointStore] = None,
-               recorded: bool = False) -> ForkOutcome:
-    """Run ``point`` to completion, from ``snapshot`` if it validates.
+               recorded: bool = False, plan=None, policy: str = "halt",
+               snapshot_every: int = 1) -> ForkOutcome:
+    """Run ``point`` to completion, from ``snapshot`` if it validates,
+    and release the machine: the one run driver.
 
     ``forked`` is False when the snapshot was absent, failed digest
     validation or failed to :func:`restore`, and the run went cold
-    (:func:`start_state`). With a ``store``, a snapshot the run
-    refused is quarantined there, and a new snapshot is emitted at the
-    run's first-trace-exhaustion instant, tagged by this point's
-    scale, extending the family's prefix chain for larger scales —
-    **unless** some cursor already sits at its trace end when the run
-    starts (e.g. resuming from this scale's own seam snapshot): the
-    run's next exhaustion event is then a *later* one, not the
-    family-shared seam, so emitting would overwrite the valid same-tag
-    snapshot with a state no cold run of a larger scale ever passes
-    through. In that case nothing is emitted; the seam for this scale
-    is already stored.
+    (:func:`start_state`, which also attaches the recorder). A
+    non-empty fault ``plan`` is armed under ``policy``
+    (:meth:`~repro.faults.injector.FaultInjector.arm_on`), and a
+    recovery that halts the run is reported as ``halted``; without a
+    plan every error propagates.
+
+    With a ``store``, a snapshot the run refused is quarantined there,
+    and a new snapshot is emitted at the run's first-trace-exhaustion
+    instant, tagged by this point's scale, extending the family's
+    prefix chain for larger scales — **unless** some cursor already
+    sits at its trace end when the run starts (e.g. resuming from this
+    scale's own seam snapshot): the run's next exhaustion event is
+    then a *later* one, not the family-shared seam, so emitting would
+    overwrite the valid same-tag snapshot with a state no cold run of
+    a larger scale ever passes through. In that case nothing is
+    emitted; the seam for this scale is already stored.
     """
     if workload is None:
         workload = _generate(point)
     forked, (system, clocks, cursors, counters) = start_state(
-        point, workload, snapshot, recorded, store)
+        point, workload, snapshot, recorded, store, snapshot_every)
 
     # Seam rule (docstring above): a cursor already at its trace end
     # means the loop's on_first_exhaustion fires at a later, non-seam
@@ -559,11 +571,30 @@ def fork_point(point: SweepPoint,
                                 recorded=recorded))
             emitted.append(True)
 
-    _run_loop(system, workload, clocks, cursors, counters,
-              on_first_exhaustion=emit)
-    result = _finish_run(system, workload, clocks, counters)
-    return ForkOutcome(result=result, forked=forked,
-                       emitted=bool(emitted), system=system)
+    # Recorder first (fresh, or riding inside the snapshot), injector
+    # second: its inject/detect events route through system._obs.
+    injector = None
+    if plan:
+        from ..faults.injector import FaultInjector
+        injector = FaultInjector.arm_on(system, plan, policy)
+    result = halted = None
+    try:
+        _run_loop(system, workload, clocks, cursors, counters,
+                  on_first_exhaustion=emit)
+        result = _finish_run(system, workload, clocks, counters)
+    except ReproError as exc:
+        if injector is None:
+            raise
+        halted = f"{type(exc).__name__}: {exc}"
+    finally:
+        recorder = system._obs if recorded else None
+        # Free the machine now, not at the next full collection:
+        # dropped machines are cyclic garbage and would pile up.
+        system.release()
+    return ForkOutcome(
+        result=result, forked=forked, emitted=bool(emitted),
+        halted=halted, recorder=recorder,
+        scoreboard=None if injector is None else injector.finalize())
 
 
 def run_chain(points: Sequence[SweepPoint], store: CheckpointStore,
@@ -621,7 +652,7 @@ def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
     result = outcome.result
     if recorded:
         from ..obs.recording import Recording
-        recording = Recording.build(point, outcome.system._obs, result)
+        recording = Recording.build(point, outcome.recorder, result)
         RecordingStore(record_dir).store(point_key(point), recording)
         result = recording.to_result()
     if store is None:

@@ -611,9 +611,3 @@ def run_sweep(points: Sequence[SweepPoint],
                 for f in ordered_failures[:4]),
             failures=ordered_failures)
     return ordered
-
-
-def run_cached(point: SweepPoint,
-               cache: Optional[ResultCache] = None) -> SimulationResult:
-    """Run (or load) a single point through the sweep machinery."""
-    return run_sweep([point], cache=cache)[0]

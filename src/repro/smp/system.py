@@ -105,10 +105,6 @@ class SmpSystem:
 
     # -- attachment points ------------------------------------------------
 
-    def attach_security_layer(self, layer) -> None:
-        """Attach a SENSS bus layer (see repro.core.senss)."""
-        self.bus.security_layer = layer
-
     def attach_memprotect(self, layer) -> None:
         """Attach a cache-to-memory protection layer (repro.memprotect)."""
         self.memprotect = layer

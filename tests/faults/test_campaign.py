@@ -4,9 +4,11 @@ import gc
 
 import pytest
 
+from repro.config import e6000_config
 from repro.errors import ReproError
 from repro.faults import FaultKind
 from repro.faults.campaign import default_spec, run_campaign
+from repro.sim.sweep import SweepPoint, run_sweep
 from repro.smp.system import SmpSystem
 
 from .conftest import CPUS, SCALE
@@ -68,13 +70,16 @@ def test_without_record_diff_entries_stay_lean(config):
     assert "divergence" not in report["entries"][0]
 
 
-@pytest.mark.parametrize("fork,record_diff", [(True, False), (False, False),
-                                              (True, True)])
-def test_cells_free_their_machines(config, fork, record_diff):
-    """A finished cell's machine (and the clean-prefix machine) is
-    freed when the cell ends. Stats flushers and layer back-pointers
-    make a dropped machine cyclic garbage; with the collector off,
-    every such machine would still be alive after the campaign."""
+@pytest.mark.parametrize("fork,record_diff", [
+    (True, False), (False, False), (True, True),
+    pytest.param("chain", False, id="chain")])
+def test_cells_free_their_machines(config, fork, record_diff, tmp_path):
+    """A finished run's machine is freed when the run ends: every
+    campaign cell's, the clean-prefix machine and (``chain``) each
+    point's of a 3-point checkpointed radix sweep chain. Stats
+    flushers and layer back-pointers make a dropped machine cyclic
+    garbage; with the collector off, every such machine would still
+    be alive afterwards."""
     def machines():
         return sum(1 for obj in gc.get_objects()
                    if isinstance(obj, SmpSystem))
@@ -82,12 +87,21 @@ def test_cells_free_their_machines(config, fork, record_diff):
     gc.disable()
     try:
         before = machines()
-        report = run_campaign(kinds=(FaultKind.SPOOF, FaultKind.DROP),
-                              policies=("halt", "rekey-replay"),
-                              scale=SCALE, config=config, fork=fork,
-                              record_diff=record_diff, trigger=40)
+        if fork == "chain":
+            chain_config = e6000_config(num_processors=2, l2_mb=1)
+            results = run_sweep(
+                [SweepPoint("radix", chain_config, scale=scale)
+                 for scale in (0.02, 0.04, 0.06)],
+                parallel=False, checkpoint_dir=tmp_path)
+            assert len(results) == 3
+        else:
+            report = run_campaign(
+                kinds=(FaultKind.SPOOF, FaultKind.DROP),
+                policies=("halt", "rekey-replay"), scale=SCALE,
+                config=config, fork=fork, record_diff=record_diff,
+                trigger=40)
+            assert len(report["entries"]) == 4
         after = machines()
     finally:
         gc.enable()
-    assert len(report["entries"]) == 4
     assert after == before

@@ -230,3 +230,39 @@ class TestRecordJobs:
             finally:
                 pool.shutdown(wait=False)
         asyncio.run(scenario())
+
+
+class TestRecordJobsFork:
+    def test_record_jobs_fork_like_recorded_sweep_points(self, tmp_path):
+        """With a checkpoint dir, a record job forks from the store
+        like a recorded sweep point: the second scale of one family
+        hits the first's seam snapshot, and the recording it serves
+        is the bytes ``record_run`` writes for the point cold."""
+        from repro.obs.recording import record_run
+        config = e6000_config(num_processors=2, l2_mb=1)
+        small, large = (SweepPoint("radix", config, scale=scale)
+                        for scale in (0.02, 0.04))
+
+        async def scenario():
+            pool = ThreadPoolExecutor(max_workers=1)
+            scheduler = Scheduler(max_workers=1, executor=pool,
+                                  record_dir=tmp_path / "recs",
+                                  checkpoint_dir=tmp_path / "ckpt")
+            try:
+                jobs = []
+                for target in (small, large):
+                    job = scheduler.submit(JobSpec(
+                        tenant="t", weight=1, points=(target,),
+                        record=True))
+                    await wait_until(lambda: job.terminal, timeout=60)
+                    assert job.state == "done"
+                    jobs.append(job)
+                return scheduler.counters, [
+                    scheduler.recording_bytes(job.id, 0)
+                    for job in jobs]
+            finally:
+                pool.shutdown(wait=False)
+        counters, served = asyncio.run(scenario())
+        assert counters["serve.checkpoint_hits"] >= 1
+        assert served == [record_run(small).to_bytes(),
+                          record_run(large).to_bytes()]

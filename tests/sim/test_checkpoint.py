@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.config import e6000_config
-from repro.errors import CheckpointError, ConfigError
-from repro.faults import (POLICIES, REKEY_REPLAY, FaultInjector,
+from repro.errors import CheckpointError, ConfigError, ReproError
+from repro.faults import (HALT, POLICIES, REKEY_REPLAY, FaultInjector,
                           FaultKind, FaultPlan)
-from repro.faults.campaign import (_simulate_prefix, campaign_config,
-                                   default_spec, run_campaign)
-from repro.obs.recording import record_run
+from repro.faults.campaign import (_pick_snapshot, _simulate_prefix,
+                                   campaign_config, default_spec,
+                                   run_campaign)
+from repro.obs.recording import Recording, record_run
 from repro.sim import checkpoint
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointStore,
                                   MachineSnapshot, capture, family_key,
@@ -195,7 +196,6 @@ class TestSnapshotRoundTrip:
         target = point()
         cold = record_run(target)
         resumed, system = run_paused(target, [123], recorded=True)
-        from repro.obs.recording import Recording
         recording = Recording.build(target, system._obs, resumed)
         a = tmp_path / "cold.json"
         b = tmp_path / "resumed.json"
@@ -304,9 +304,13 @@ class TestRestrictedUnpickler:
                        for scale in (0.02, 0.04)],
                       CheckpointStore(tmp_path / str(index)),
                       record_dir=tmp_path / "rec" if recorded else None)
-        run_campaign(kinds=("drop", "merkle-flip"), policies=("halt",),
-                     workload="radix", cpus=2, scale=0.02, trigger=40,
-                     record_diff=True)
+        for kind in ("drop", "merkle-flip"):
+            report = run_campaign(kinds=(kind,), policies=("halt",),
+                                  workload="fft", cpus=2, scale=0.02,
+                                  trigger=deep_trigger(kind),
+                                  record_diff=True)
+            assert all(entry["triggered"] and entry["forked"]
+                       for entry in report["entries"])
         named = set()
         for blob in blobs:
             named |= pickled_globals(blob)
@@ -697,14 +701,25 @@ class TestCampaignFork:
             for entry in report["entries"]]
         return clean
 
+    def deep_pairs(self, **kwargs):
+        """(forked, cold) reports of a ``drop`` and a ``merkle-flip``
+        campaign on fft 2P, each at its kind's deep trigger: past the
+        prefix's first snapshot, so the forked cell forks, and early
+        enough that every cell fires."""
+        for kind in ("drop", "merkle-flip"):
+            campaign = dict(kinds=(kind,), policies=("halt",),
+                            workload="fft", cpus=2, scale=0.02,
+                            trigger=deep_trigger(kind), **kwargs)
+            forked = run_campaign(fork=True, **campaign)
+            cold = run_campaign(fork=False, **campaign)
+            assert all(entry["triggered"] for report in (forked, cold)
+                       for entry in report["entries"])
+            yield forked, cold
+
     def test_fork_matches_cold_at_deep_trigger(self):
-        kwargs = dict(kinds=("drop", "merkle-flip"),
-                      policies=("halt",), workload="radix",
-                      cpus=2, scale=0.02, trigger=40)
-        forked = run_campaign(fork=True, **kwargs)
-        cold = run_campaign(fork=False, **kwargs)
-        assert forked["forked_cells"] > 0
-        assert self.stripped(forked) == self.stripped(cold)
+        for forked, cold in self.deep_pairs():
+            assert all(entry["forked"] for entry in forked["entries"])
+            assert self.stripped(forked) == self.stripped(cold)
 
     def test_fork_matches_cold_at_default_triggers(self):
         kwargs = dict(kinds=("drop",), policies=("halt",),
@@ -714,14 +729,9 @@ class TestCampaignFork:
         assert self.stripped(forked) == self.stripped(cold)
 
     def test_record_diff_reuses_the_forked_prefix(self):
-        kwargs = dict(kinds=("drop", "merkle-flip"),
-                      policies=("halt",), workload="radix",
-                      cpus=2, scale=0.02, trigger=40,
-                      record_diff=True)
-        forked = run_campaign(fork=True, **kwargs)
-        cold = run_campaign(fork=False, **kwargs)
-        assert forked["forked_cells"] > 0
-        assert self.stripped(forked) == self.stripped(cold)
+        for forked, cold in self.deep_pairs(record_diff=True):
+            assert all(entry["forked"] for entry in forked["entries"])
+            assert self.stripped(forked) == self.stripped(cold)
 
     def test_refused_snapshot_runs_its_cell_cold(self, monkeypatch):
         """A prefix snapshot that ``restore`` refuses (here: the
@@ -736,14 +746,9 @@ class TestCampaignFork:
             and real_admitted(module, name))
         monkeypatch.delitem(checkpoint._ADMITTED, injector,
                             raising=False)
-        kwargs = dict(kinds=("drop", "merkle-flip"),
-                      policies=("halt",), workload="radix",
-                      cpus=2, scale=0.02, trigger=40)
-        forked = run_campaign(fork=True, **kwargs)
-        cold = run_campaign(fork=False, **kwargs)
-        assert forked["forked_cells"] == 0
-        assert self.stripped(forked) == self.stripped(cold)
-
+        for forked, cold in self.deep_pairs():
+            assert forked["forked_cells"] == 0
+            assert self.stripped(forked) == self.stripped(cold)
 
     @pytest.mark.parametrize("kind", FaultKind.ALL)
     @pytest.mark.parametrize("policy", POLICIES)
@@ -834,6 +839,92 @@ def deep_campaigns():
                 run_campaign(fork=False, **kwargs))
         reports.update((kind, pair) for kind in kinds)
     return reports
+
+
+#: the fault plans every start state of the run driver is checked
+#: under: none, one that never fires, one that fires and halts
+DRIVER_PLANS = {
+    "none": None,
+    "never": FaultPlan.single(FaultKind.DROP, trigger=1 << 40),
+    "halting": FaultPlan.single(FaultKind.DROP,
+                                trigger=deep_trigger(FaultKind.DROP)),
+}
+
+
+@pytest.fixture(scope="module")
+def driver_references():
+    """The fft campaign point, its workload, the campaign prefix's
+    snapshots (plain and recorded), and per plan the cold reference
+    ``(result, halted, scoreboard, recording bytes)``: result, halt
+    and scoreboard from ``SmpSystem.run`` on a fresh machine with a
+    plain injector attached, the recording from ``record_run``."""
+    target = SweepPoint("fft", campaign_config(cpus=2), scale=0.02)
+    workload = generate("fft", 2, scale=0.02)
+    firing = DRIVER_PLANS["halting"].specs
+    snapshots = {recorded: _simulate_prefix(workload, target, firing,
+                                            record_diff=recorded)[0]
+                 for recorded in (False, True)}
+    references = {}
+    for name, plan in DRIVER_PLANS.items():
+        system = build_system(target.config)
+        injector = None if plan is None \
+            else FaultInjector(plan, HALT).attach(system)
+        result = halted = None
+        try:
+            result = system.run(workload)
+        except ReproError as exc:
+            halted = f"{type(exc).__name__}: {exc}"
+        scoreboard = None if injector is None \
+            else injector.finalize().as_dict()
+        recording = record_run(target, fault_plan=plan,
+                               fault_policy=HALT).to_bytes()
+        references[name] = (result, halted, scoreboard, recording)
+    assert references["halting"][1] is not None
+    assert_same_result(references["none"][0], run_point(target))
+    return target, workload, snapshots, references
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("plan_name", list(DRIVER_PLANS))
+    @pytest.mark.parametrize("recorded", [False, True],
+                             ids=["plain", "recorded"])
+    @pytest.mark.parametrize("start", ["cold", "forked", "refused"])
+    def test_every_start_mode_and_plan_matches_the_cold_reference(
+            self, driver_references, start, recorded, plan_name):
+        """``fork_point`` from a cold start, from a valid campaign
+        prefix snapshot, or from one the unpickler refuses; plain or
+        recorded; with no plan, a plan that never fires or one that
+        halts: result, halt, scoreboard and recording bytes all equal
+        the cold reference."""
+        target, workload, snapshots, references = driver_references
+        plan = DRIVER_PLANS[plan_name]
+        snapshot = None
+        if start != "cold":
+            snapshot = _pick_snapshot(snapshots[recorded],
+                                      DRIVER_PLANS["halting"].specs[0])
+            assert snapshot is not None
+            if start == "refused":
+                snapshot = tampered(snapshot, _RunsShell("false"))
+        outcome = fork_point(target, snapshot, workload=workload,
+                             recorded=recorded, plan=plan, policy=HALT)
+        result, halted, scoreboard, recording = references[plan_name]
+        assert outcome.forked == (start == "forked")
+        assert not outcome.emitted
+        assert outcome.halted == halted
+        if result is None:
+            assert outcome.result is None
+        else:
+            assert_same_result(outcome.result, result)
+        assert scoreboard == (None if outcome.scoreboard is None
+                              else outcome.scoreboard.as_dict())
+        if recorded:
+            assert Recording.build(
+                target, outcome.recorder, outcome.result,
+                halted=outcome.halted, fault_plan=plan,
+                fault_policy=None if plan is None else HALT,
+            ).to_bytes() == recording
+        else:
+            assert outcome.recorder is None
 
 
 def serve_runner(root):

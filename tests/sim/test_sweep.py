@@ -13,8 +13,8 @@ from repro.config import e6000_config
 from repro.sim import sweep
 from repro.sim.checkpoint import family_key
 from repro.sim.sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
-                             SweepTimings, point_key, run_cached,
-                             run_point, run_sweep)
+                             SweepTimings, point_key, run_point,
+                             run_sweep)
 
 
 def point(name="fft", seed=0, scale=0.05, **config_kwargs):
@@ -221,12 +221,6 @@ class TestRunSweep:
         assert run_sweep([point()], cache=cache,
                          parallel=False)[0].cycles > 0
         assert len(cache) == 1
-
-    def test_run_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = run_cached(point(), cache)
-        second = run_cached(point(), cache)
-        assert first.cycles == second.cycles
 
     def test_parallel_env_opt_out(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SWEEP_PARALLEL", "0")
