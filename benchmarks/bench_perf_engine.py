@@ -450,7 +450,7 @@ def test_engine_throughput(benchmark, emit):
                 tracer = Tracer(capacity=1 << 20,
                                 categories=filtered_categories
                                 ).attach(system)
-            # Drop the previous iteration's ring before timing — its
+            # Drop the previous iteration's log before timing — its
             # collection otherwise lands inside the next run.
             gc.collect()
             start = time.perf_counter()
@@ -459,12 +459,12 @@ def test_engine_throughput(benchmark, emit):
             best[mode] = min(best.get(mode, elapsed), elapsed)
             cycles[mode] = result.cycles
             if mode == "on":
-                traced_events = tracer.ring.total_recorded
+                traced_events = tracer.log.total_recorded
                 tracer = None
             elif mode == "filtered":
-                filtered_events = tracer.ring.total_recorded
+                filtered_events = tracer.log.total_recorded
                 tracer = None
-            # Dropping the ring promptly matters: ~50 MB of trace
+            # Dropping the log promptly matters: megabytes of trace
             # columns alive through a later mode's timed region taxes
             # that mode and skews the ref/off noise floor.
     rates = {mode: round(accesses / seconds)
@@ -588,9 +588,8 @@ def test_engine_throughput(benchmark, emit):
     # hooks the tracing budget already gates, and must keep simulated
     # cycles bit-identical to the untraced goldens. Unlike the points
     # above, the "on" leg is measured in its own batch after the
-    # ref/off pairs: its lossless EventLog allocates an order of
-    # magnitude more memory than the bounded tracer rings, and
-    # interleaving those spikes between the ref/off runs visibly
+    # ref/off pairs: its lossless event log and stats snapshots
+    # allocate megabytes per run, and interleaving those spikes between the ref/off runs visibly
     # skews the A/A noise floor the disabled budget is checked
     # against. The alternating ref/off pairs keep the drift
     # protection that matters for that gate.
@@ -616,7 +615,7 @@ def test_engine_throughput(benchmark, emit):
         elapsed = time.perf_counter() - start
         best["on"] = min(best.get("on", elapsed), elapsed)
         cycles["on"] = result.cycles
-        recorded_events = recorder.ring.total_recorded
+        recorded_events = recorder.log.total_recorded
         # Drop the full event log before the next repeat's timing.
         recorder = None
     rates = {mode: round(accesses / seconds)

@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", help="record one secured run as Perfetto JSON")
     _add_machine_arguments(trace, default_scale=0.1)
     trace.add_argument("--capacity", type=int, default=65536,
-                       help="event ring size (oldest events drop)")
+                       help="events kept (oldest events drop)")
     trace.add_argument("--trace-categories", default=None,
                        metavar="CATS",
                        help="comma-separated event categories to "
@@ -377,9 +377,9 @@ def _machine_config(args):
     return config
 
 
-def _machine_inputs(args):
-    """Resolve the (config, workload) pair the machine flags describe."""
-    config = _machine_config(args)
+def _workload_inputs(args, config, seed: int = 0):
+    """Load ``args.workload`` — a ``.trace`` file or a registry name —
+    and widen ``config`` to a trace file's CPU count if it needs it."""
     if args.workload.endswith(".trace"):
         from .workloads.tracefile import load_workload
         workload = load_workload(args.workload)
@@ -387,8 +387,13 @@ def _machine_inputs(args):
             config = config.with_processors(workload.num_cpus)
     else:
         workload = generate(args.workload, args.cpus, scale=args.scale,
-                            seed=args.seed)
+                            seed=seed)
     return config, workload
+
+
+def _machine_inputs(args):
+    """Resolve the (config, workload) pair the machine flags describe."""
+    return _workload_inputs(args, _machine_config(args), seed=args.seed)
 
 
 def _cmd_run(args) -> int:
@@ -460,7 +465,7 @@ def _cmd_report(args) -> int:
         baseline = SmpSystem(config.with_senss(False)).run(workload)
     with timer.phase("simulate.secured"):
         system = build_secure_system(config)
-        tracer = Tracer(events=False).attach(system)  # metrics only
+        tracer = Tracer(capacity=0).attach(system)  # metrics only
         secured = system.run(workload)
     report = build_report(baseline, secured,
                           workload=workload.name,
@@ -479,14 +484,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = e6000_config(num_processors=args.cpus, l2_mb=4)
-    if args.workload.endswith(".trace"):
-        from .workloads.tracefile import load_workload
-        workload = load_workload(args.workload)
-        if workload.num_cpus > args.cpus:
-            config = config.with_processors(workload.num_cpus)
-    else:
-        workload = generate(args.workload, args.cpus, scale=args.scale)
+    config, workload = _workload_inputs(
+        args, e6000_config(num_processors=args.cpus, l2_mb=4))
     baseline = SmpSystem(config.with_senss(False)).run(workload)
     rows = []
     for interval in args.intervals:

@@ -19,24 +19,14 @@ from typing import Dict, List, Optional, Sequence
 
 from ..crypto.aes import AES, BLOCK_BYTES
 from ..crypto.cbcmac import cbc_mac
-from ..crypto.modes import cbc_decrypt, cbc_encrypt
-from ..errors import CryptoError, IntegrityViolation, ReproError
+from ..crypto.modes import (cbc_decrypt, cbc_encrypt, pkcs7_pad,
+                            pkcs7_unpad)
+from ..errors import IntegrityViolation, ReproError
 from ..memory.dram import MainMemory
 from ..sim.rng import DeterministicRng
 from .shu import SecurityHardwareUnit
 
 _CONTEXT_MAC_IV = bytes([0x33] * BLOCK_BYTES)
-
-
-def _pad(blob: bytes) -> bytes:
-    fill = BLOCK_BYTES - len(blob) % BLOCK_BYTES
-    return blob + bytes([fill]) * fill
-
-
-def _unpad(blob: bytes) -> bytes:
-    if not blob or blob[-1] == 0 or blob[-1] > BLOCK_BYTES:
-        raise CryptoError("bad context padding")
-    return blob[:-blob[-1]]
 
 
 @dataclass
@@ -99,7 +89,7 @@ class GroupContextManager:
                 raise ReproError("member has no session key")
             iv = self._rng.random_bytes(BLOCK_BYTES)
             ciphertext = cbc_encrypt(AES(key), iv,
-                                     _pad(channel.export_state()))
+                                     pkcs7_pad(channel.export_state()))
             mac = cbc_mac(AES(key), _CONTEXT_MAC_IV, iv + ciphertext)
             base, num_lines = self._write_blob(ciphertext)
             context = SwappedContext(shu.pid, group_id, iv, base,
@@ -128,7 +118,7 @@ class GroupContextManager:
                                          context.num_lines)
             # The blob was line-padded on the way out; the MAC covers
             # the exact ciphertext length.
-            exact = len(_pad(shu.channel(group_id).export_state()))
+            exact = len(pkcs7_pad(shu.channel(group_id).export_state()))
             ciphertext = ciphertext[:exact]
             mac = cbc_mac(AES(key), _CONTEXT_MAC_IV,
                           context.iv + ciphertext)
@@ -136,8 +126,8 @@ class GroupContextManager:
                 raise IntegrityViolation(
                     f"swapped context of CPU {shu.pid} group "
                     f"{group_id} was tampered with in memory")
-            blob = _unpad(cbc_decrypt(AES(key), context.iv,
-                                      ciphertext))
+            blob = pkcs7_unpad(cbc_decrypt(AES(key), context.iv,
+                                           ciphertext), "context")
             shu.channel(group_id).restore_state(blob)
             del self._swapped[(shu.pid, group_id)]
             restored += 1

@@ -17,22 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..crypto.aes import AES, BLOCK_BYTES
-from ..crypto.modes import cbc_decrypt, cbc_encrypt
+from ..crypto.modes import (cbc_decrypt, cbc_encrypt, pkcs7_pad,
+                            pkcs7_unpad)
 from ..errors import CryptoError, ReproError
 from ..sim.rng import DeterministicRng
 from .shu import SecurityHardwareUnit
-
-
-def _pad_to_block(data: bytes) -> bytes:
-    """PKCS#7-style padding to the AES block size."""
-    fill = BLOCK_BYTES - len(data) % BLOCK_BYTES
-    return data + bytes([fill]) * fill
-
-
-def _unpad(data: bytes) -> bytes:
-    if not data or data[-1] == 0 or data[-1] > BLOCK_BYTES:
-        raise CryptoError("bad program padding")
-    return data[:-data[-1]]
 
 
 @dataclass
@@ -76,7 +65,7 @@ class ProgramDistributor:
         session_key = self._rng.random_bytes(16)
         program_iv = self._rng.random_bytes(BLOCK_BYTES)
         ciphertext = cbc_encrypt(AES(session_key), program_iv,
-                                 _pad_to_block(program))
+                                 pkcs7_pad(program))
         encrypted_keys = {
             pid: by_pid[pid].keypair.public.encrypt_bytes(session_key)
             for pid in members
@@ -95,7 +84,7 @@ def decrypt_program(session_key: bytes, package: ProgramPackage) -> bytes:
     """Decrypt the program text once K is recovered on-chip."""
     plain = cbc_decrypt(AES(session_key), package.program_iv,
                         package.encrypted_program)
-    return _unpad(plain)
+    return pkcs7_unpad(plain, "program")
 
 
 def establish_group(shus: Sequence[SecurityHardwareUnit],

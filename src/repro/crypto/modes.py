@@ -28,6 +28,20 @@ def _blocks(data: bytes) -> Iterator[bytes]:
         yield data[offset:offset + BLOCK_BYTES]
 
 
+def pkcs7_pad(data: bytes) -> bytes:
+    """PKCS#7 padding to the AES block size (always adds a byte)."""
+    fill = BLOCK_BYTES - len(data) % BLOCK_BYTES
+    return data + bytes([fill]) * fill
+
+
+def pkcs7_unpad(data: bytes, what: str) -> bytes:
+    """Strip :func:`pkcs7_pad` padding; a malformed tail raises
+    ``CryptoError("bad {what} padding")``."""
+    if not data or data[-1] == 0 or data[-1] > BLOCK_BYTES:
+        raise CryptoError(f"bad {what} padding")
+    return data[:-data[-1]]
+
+
 def cbc_encrypt(aes: AES, iv: bytes, plaintext: bytes) -> bytes:
     """Classic CBC: C_i = AES_K(D_i XOR C_{i-1}), C_0 = IV."""
     if len(iv) != BLOCK_BYTES:

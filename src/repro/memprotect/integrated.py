@@ -28,7 +28,7 @@ throughput-bound multiset-hash update.
 
 from __future__ import annotations
 
-from ..bus.transaction import BusTransaction, TransactionType
+from ..bus.transaction import TransactionType
 from ..cache.mesi import MesiState
 from ..config import SystemConfig
 from ..crypto.engine import CryptoEngineModel

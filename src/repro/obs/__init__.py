@@ -2,10 +2,11 @@
 
 Three pieces, usable independently:
 
-- :class:`Tracer` (+ :class:`EventRing`) — a ring-buffered columnar
-  event tracer the bus, coherence, SENSS and memory-protection layers
-  emit into via optional observer hooks; exports Chrome/Perfetto
-  trace-event JSON (:func:`to_chrome_trace`) validated against
+- :class:`Tracer` (+ :class:`EventLog`) — a columnar event tracer,
+  bounded to its newest events or lossless, that the bus, coherence,
+  SENSS and memory-protection layers emit into via optional observer
+  hooks; exports Chrome/Perfetto trace-event JSON
+  (:func:`to_chrome_trace`) validated against
   :data:`~repro.obs.schema.TRACE_EVENT_SCHEMA`.
 - :class:`~repro.sim.stats.Histogram` metrics — miss latency,
   mask-wait cycles, pad-cache reuse distance, authentication gaps —
@@ -42,7 +43,7 @@ from .recording import (RECORDING_SCHEMA_VERSION, Recorder, Recording,
 from .replay import (PERTURBATIONS, apply_perturbation,
                      parse_perturbation, replay_recording)
 from .report import REPORT_SCHEMA_VERSION, build_report, format_report
-from .ring import EventKind, EventLog, EventRing, TraceEvent
+from .ring import EventKind, EventLog, TraceEvent
 from .schema import (TRACE_EVENT_SCHEMA, event_names,
                      validate_chrome_trace)
 from .timers import PhaseTimer
@@ -52,7 +53,6 @@ __all__ = [
     "DIFF_SCHEMA_VERSION",
     "EventKind",
     "EventLog",
-    "EventRing",
     "PERTURBATIONS",
     "PhaseTimer",
     "RECORDING_SCHEMA_VERSION",

@@ -125,7 +125,7 @@ def _metadata(workload: Optional[str],
 def to_chrome_trace(tracer: Tracer) -> Dict[str, object]:
     """The full trace-event JSON object for a traced run."""
     from ..sim.sweep import ENGINE_VERSION
-    converted = [_convert(event) for event in tracer.ring]
+    converted = [_convert(event) for event in tracer.log]
     cpus = {event["tid"] for event in converted}
     payload = {
         "traceEvents": _metadata(tracer.workload_name, cpus) + converted,
@@ -135,8 +135,8 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, object]:
             "engine_version": ENGINE_VERSION,
             "workload": tracer.workload_name or "",
             "time_unit": "cpu_cycles_as_us",
-            "events_recorded": tracer.ring.total_recorded,
-            "events_dropped": tracer.ring.dropped,
+            "events_recorded": tracer.log.total_recorded,
+            "events_dropped": tracer.log.dropped,
         },
     }
     return payload

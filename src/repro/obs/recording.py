@@ -3,9 +3,9 @@
 A *recording* persists everything observable about one simulated run
 in one self-describing JSON file:
 
-- the full columnar trace-event stream (a lossless
-  :class:`~repro.obs.ring.EventLog`, never a ring — wrap-around would
-  read as divergence);
+- the full columnar trace-event stream (an
+  :class:`~repro.obs.ring.EventLog` with no capacity bound — dropped
+  events would read as divergence);
 - :class:`~repro.sim.stats.StatsRegistry` snapshots taken at
   authentication-checkpoint boundaries (delta-encoded — each snapshot
   stores only the counters that changed since the previous one);
@@ -40,7 +40,7 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from ..errors import TraceError
 from ..smp.metrics import SimulationResult
-from .ring import EventLog, TraceEvent
+from .ring import TraceEvent
 from .tracer import Tracer
 
 #: recording file schema version (bump with any shape change)
@@ -55,8 +55,8 @@ class Recorder(Tracer):
     """A tracer that also snapshots the stats registry at every
     ``snapshot_every``-th authentication checkpoint.
 
-    Events go to a lossless :class:`EventLog`; metrics histograms are
-    off (recordings capture the counter namespace exactly — the
+    Its log keeps every event (``capacity=None``); metrics histograms
+    are off (recordings capture the counter namespace exactly — the
     histogram distributions are derivable from the event stream).
     Snapshots are exact despite the engine's deferred-stats hot path:
     any :meth:`StatsRegistry.as_dict` read drains every registered
@@ -64,10 +64,8 @@ class Recorder(Tracer):
     (pinned by tests/obs/test_recording.py).
     """
 
-    def __init__(self, snapshot_every: int = 1,
-                 categories=None):
-        super().__init__(events=True, metrics=False,
-                         categories=categories, store=EventLog())
+    def __init__(self, snapshot_every: int = 1):
+        super().__init__(capacity=None, metrics=False)
         self.snapshot_every = max(1, snapshot_every)
         self.snapshots: List[Dict[str, object]] = []
         self._auth_seen = 0
@@ -143,8 +141,8 @@ class Recording:
                          "scale": point.scale,
                          "seed": point.seed},
             "config": config_payload,
-            "events": recorder.ring.columns(),
-            "events_total": recorder.ring.total_recorded,
+            "events": recorder.log.columns(),
+            "events_total": recorder.log.total_recorded,
             "snapshots": recorder.snapshots,
             "snapshot_every": recorder.snapshot_every,
             "result": None if result is None else {

@@ -1,23 +1,27 @@
-"""Columnar ring buffer of trace events.
+"""The columnar trace-event log.
 
-Events are stored the same way :class:`~repro.smp.trace.ColumnarTrace`
-stores accesses: one flat ``array('q')`` column per field instead of
-one object per event, so a fully-instrumented miss-heavy run appends
-machine integers only. The buffer is a *ring*: when ``capacity`` is
-exceeded the oldest events are overwritten (and counted as dropped),
-bounding tracer memory regardless of run length.
-
-Every event is ``(kind, cycle, dur, cpu, a0, a1, a2)``; the meaning of
-the ``a*`` payload words depends on ``kind`` (see
-:class:`EventKind` and the packing notes in
+Events are stored the way :class:`~repro.smp.trace.ColumnarTrace`
+stores accesses: machine integers in a flat ``array('q')``, not one
+object per event. Every event is ``(kind, cycle, dur, cpu, a0, a1,
+a2)``, kept as seven consecutive words, so recording one is a single
+``fromlist`` call; the meaning of the ``a*`` payload words depends on
+``kind`` (see :class:`EventKind` and the packing notes in
 :mod:`repro.obs.tracer`). Export to human-readable form happens once,
 in :mod:`repro.obs.export`.
+
+One store, :class:`EventLog`, serves every tracer through its
+``capacity``: ``None`` keeps every event (recordings — wrap-around
+would read as divergence to the replay aligner), ``N`` keeps the
+newest ``N`` and counts the rest as dropped (bounded tracer memory
+regardless of run length), ``0`` records nothing (metrics-only
+tracers).
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from typing import Iterator, NamedTuple
+from typing import Dict, Iterator, NamedTuple, Optional
 
 from ..errors import ConfigError
 
@@ -53,147 +57,98 @@ class TraceEvent(NamedTuple):
     a2: int
 
 
-class EventRing:
-    """Fixed-capacity columnar event store with overwrite-oldest."""
-
-    __slots__ = ("capacity", "_total", "_kind", "_cycle", "_dur",
-                 "_cpu", "_a0", "_a1", "_a2")
-
-    def __init__(self, capacity: int = 65536):
-        if capacity < 1:
-            raise ConfigError("event ring capacity must be >= 1")
-        self.capacity = capacity
-        self._total = 0
-        zeros = array("q", [0]) * capacity
-        self._kind = array("q", zeros)
-        self._cycle = array("q", zeros)
-        self._dur = array("q", zeros)
-        self._cpu = array("q", zeros)
-        self._a0 = array("q", zeros)
-        self._a1 = array("q", zeros)
-        self._a2 = array("q", zeros)
-
-    def record(self, kind: int, cycle: int, dur: int, cpu: int,
-               a0: int = 0, a1: int = 0, a2: int = 0) -> None:
-        slot = self._total % self.capacity
-        self._kind[slot] = kind
-        self._cycle[slot] = cycle
-        self._dur[slot] = dur
-        self._cpu[slot] = cpu
-        self._a0[slot] = a0
-        self._a1[slot] = a1
-        self._a2[slot] = a2
-        self._total += 1
-
-    # -- reading -------------------------------------------------------
-
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded, including overwritten ones."""
-        return self._total
-
-    @property
-    def dropped(self) -> int:
-        """Oldest events lost to ring wrap-around."""
-        return max(0, self._total - self.capacity)
-
-    def __len__(self) -> int:
-        return min(self._total, self.capacity)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        """Retained events, oldest first (recording order)."""
-        total = self._total
-        capacity = self.capacity
-        for position in range(max(0, total - capacity), total):
-            slot = position % capacity
-            yield TraceEvent(self._kind[slot], self._cycle[slot],
-                            self._dur[slot], self._cpu[slot],
-                            self._a0[slot], self._a1[slot],
-                            self._a2[slot])
-
-    def counts_by_kind(self) -> dict:
-        """``{kind_code: retained_count}`` over the current window."""
-        counts: dict = {}
-        for event in self:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
-    def clear(self) -> None:
-        self._total = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"EventRing({len(self)}/{self.capacity} events, "
-                f"{self.dropped} dropped)")
+#: words per event in the flat column
+_WORDS = len(TraceEvent._fields)
 
 
 class EventLog:
-    """Unbounded columnar event store (the recording backend).
+    """Columnar event store: lossless (``capacity=None``), the newest
+    ``capacity`` events, or nothing (``capacity=0``).
 
-    Same recording/reading surface as :class:`EventRing` but
-    append-only and lossless: recordings (repro.obs.recording) must
-    keep *every* event or the replay aligner would report ring
-    wrap-around as divergence. Columns are the same ``array('q')``
-    layout, so memory stays one machine word per field per event.
+    A bounded log trims lazily: it grows to twice its capacity, then
+    drops the oldest surplus in one slice and tallies the dropped
+    events' kinds, so :meth:`counts_by_kind` still covers every event
+    recorded. Reads see exactly the window an overwrite-oldest ring of
+    ``capacity`` slots would hold.
     """
 
-    __slots__ = ("_kind", "_cycle", "_dur", "_cpu", "_a0", "_a1",
-                 "_a2")
+    __slots__ = ("capacity", "_words", "_limit", "_trimmed",
+                 "_trimmed_kinds")
 
-    #: mirror of EventRing.capacity for surface compatibility
-    capacity = None
-
-    def __init__(self):
-        self._kind = array("q")
-        self._cycle = array("q")
-        self._dur = array("q")
-        self._cpu = array("q")
-        self._a0 = array("q")
-        self._a1 = array("q")
-        self._a2 = array("q")
+    def __init__(self, capacity: Optional[int] = None):
+        if capacity is not None and capacity < 0:
+            raise ConfigError("event log capacity must be >= 0")
+        self.capacity = capacity
+        self._words = array("q")
+        # word count past which record() trims (never when lossless)
+        self._limit = sys.maxsize if capacity is None \
+            else 2 * _WORDS * capacity
+        self._trimmed = 0
+        self._trimmed_kinds: Dict[int, int] = {}
 
     def record(self, kind: int, cycle: int, dur: int, cpu: int,
                a0: int = 0, a1: int = 0, a2: int = 0) -> None:
-        self._kind.append(kind)
-        self._cycle.append(cycle)
-        self._dur.append(dur)
-        self._cpu.append(cpu)
-        self._a0.append(a0)
-        self._a1.append(a1)
-        self._a2.append(a2)
+        words = self._words
+        words.fromlist([kind, cycle, dur, cpu, a0, a1, a2])
+        if len(words) > self._limit:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Drop all but the newest ``capacity`` events, tallying what
+        is dropped (a capacity-0 log records nothing, so no tally)."""
+        words = self._words
+        if self.capacity:
+            cut = len(words) - _WORDS * self.capacity
+            totals = self._trimmed_kinds
+            for kind in words[:cut:_WORDS]:
+                totals[kind] = totals.get(kind, 0) + 1
+            self._trimmed += cut // _WORDS
+            del words[:cut]
+        else:
+            del words[:]
+
+    # -- reading -------------------------------------------------------
+
+    def _start(self) -> int:
+        """Word offset of the oldest event in the read window."""
+        if self.capacity is None:
+            return 0
+        return max(0, len(self._words) - _WORDS * self.capacity)
 
     @property
     def total_recorded(self) -> int:
-        return len(self._kind)
+        """Events ever recorded, dropped ones included."""
+        return self._trimmed + len(self._words) // _WORDS
 
     @property
     def dropped(self) -> int:
-        return 0  # never drops; that is the point
+        """Oldest events outside the read window."""
+        return self._trimmed + self._start() // _WORDS
 
     def __len__(self) -> int:
-        return len(self._kind)
+        return (len(self._words) - self._start()) // _WORDS
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        for position in range(len(self._kind)):
-            yield TraceEvent(self._kind[position], self._cycle[position],
-                            self._dur[position], self._cpu[position],
-                            self._a0[position], self._a1[position],
-                            self._a2[position])
+        """Retained events, oldest first (recording order)."""
+        words = self._words
+        for offset in range(self._start(), len(words), _WORDS):
+            yield TraceEvent._make(words[offset:offset + _WORDS])
 
-    def counts_by_kind(self) -> dict:
-        counts: dict = {}
-        for kind in self._kind:
+    def counts_by_kind(self) -> Dict[int, int]:
+        """``{kind_code: count}`` over every event recorded, dropped
+        ones included."""
+        counts = dict(self._trimmed_kinds)
+        for kind in self._words[::_WORDS]:
             counts[kind] = counts.get(kind, 0) + 1
         return counts
 
-    def columns(self) -> dict:
-        """JSON-ready ``{column: [int, ...]}`` of every event."""
-        return {"kind": list(self._kind), "cycle": list(self._cycle),
-                "dur": list(self._dur), "cpu": list(self._cpu),
-                "a0": list(self._a0), "a1": list(self._a1),
-                "a2": list(self._a2)}
-
-    def clear(self) -> None:
-        self.__init__()
+    def columns(self) -> Dict[str, list]:
+        """JSON-ready ``{column: [int, ...]}`` of the retained
+        events."""
+        words, start = self._words, self._start()
+        return {name: list(words[start + index::_WORDS])
+                for index, name in enumerate(TraceEvent._fields)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventLog({len(self)} events)"
+        return (f"EventLog({len(self)}/{self.capacity} events, "
+                f"{self.dropped} dropped)")

@@ -2,7 +2,8 @@
 
 :class:`Tracer` attaches to an assembled :class:`~repro.smp.system.
 SmpSystem` and records a timeline of what the run did into an
-:class:`~repro.obs.ring.EventRing`, plus latency distributions into
+:class:`~repro.obs.ring.EventLog` (each hook makes one ``record``
+call, bound at construction), plus latency distributions into
 :class:`~repro.sim.stats.Histogram` metrics on the system's registry:
 
 - the **bus** reports every granted transaction (via the existing
@@ -46,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bus.transaction import TransactionType
 from ..errors import ConfigError
-from .ring import EventKind, EventRing
+from .ring import EventKind, EventLog
 
 #: recordable event categories, matching the exporter's ``cat`` labels
 #: (repro.obs.export): bus transactions; miss/upgrade memory spans;
@@ -92,25 +93,24 @@ AUTH_INTERVAL_GAP = "obs.auth_interval_gap"
 
 
 class Tracer:
-    """Ring-buffered event tracer plus histogram metrics probe.
+    """Event tracer over one :class:`~repro.obs.ring.EventLog` plus
+    histogram metrics probe.
 
-    ``events=False`` keeps the ring empty (metrics only — what
-    ``python -m repro report`` uses); ``metrics=False`` skips the
-    histograms (pure timeline); ``categories`` restricts recording to
-    a subset of :data:`TRACE_CATEGORIES` (``None`` = record all) by
-    not hooking the filtered-out layers at attach time. ``store``
-    replaces the ring with any object sharing its surface — the
-    recorder (repro.obs.recording) passes a lossless
-    :class:`~repro.obs.ring.EventLog`.
+    ``capacity`` sizes the log: the newest N events (default), every
+    event (``None`` — what the recorder in repro.obs.recording uses)
+    or none (``0`` — metrics only, what ``python -m repro report``
+    uses); ``metrics=False`` skips the histograms (pure timeline);
+    ``categories`` restricts recording to a subset of
+    :data:`TRACE_CATEGORIES` (``None`` = record all) by not hooking
+    the filtered-out layers at attach time.
     """
 
-    def __init__(self, capacity: int = 65536, events: bool = True,
+    def __init__(self, capacity: Optional[int] = 65536,
                  metrics: bool = True,
-                 categories: Optional[Iterable[str]] = None,
-                 store=None):
-        self.ring = store if store is not None \
-            else EventRing(capacity if events else 1)
-        self.events_enabled = events
+                 categories: Optional[Iterable[str]] = None):
+        self.log = EventLog(capacity)
+        # the one call each hook makes per event
+        self._emit = self.log.record
         self.metrics_enabled = metrics
         if categories is None:
             self.categories = frozenset(TRACE_CATEGORIES)
@@ -121,7 +121,6 @@ class Tracer:
                 raise ConfigError(
                     f"unknown trace categories {sorted(unknown)}; "
                     f"choose from {TRACE_CATEGORIES}")
-        self.kind_totals: Dict[int, int] = {}
         self.workload_name: Optional[str] = None
         self.final_clocks: List[int] = []
         self._system = None
@@ -133,6 +132,12 @@ class Tracer:
         self._pad_last: Dict[Tuple[int, int], int] = {}  # (cpu, line)
         self._h_miss = self._h_upgrade = self._h_mask = None
         self._h_reuse = self._h_auth_gap = None
+
+    @property
+    def kind_totals(self) -> Dict[int, int]:
+        """``{kind: count}`` of every event recorded, dropped ones
+        included."""
+        return self.log.counts_by_kind()
 
     # -- attachment ----------------------------------------------------
 
@@ -215,24 +220,15 @@ class Tracer:
             system._obs = None
         self._system = None
 
-    # -- recording core ------------------------------------------------
-
-    def _record(self, kind: int, cycle: int, dur: int, cpu: int,
-                a0: int = 0, a1: int = 0, a2: int = 0) -> None:
-        totals = self.kind_totals
-        totals[kind] = totals.get(kind, 0) + 1
-        if self.events_enabled:
-            self.ring.record(kind, cycle, dur, cpu, a0, a1, a2)
-
     # -- bus -----------------------------------------------------------
 
     def _on_bus_tx(self, transaction) -> None:
         grant = transaction.grant_cycle
-        self._record(EventKind.BUS_TX, grant,
-                     max(0, transaction.complete_cycle - grant),
-                     transaction.source_pid, transaction.address,
-                     TX_TYPE_INDEX[transaction.type],
-                     1 if transaction.is_cache_to_cache else 0)
+        self._emit(EventKind.BUS_TX, grant,
+                   max(0, transaction.complete_cycle - grant),
+                   transaction.source_pid, transaction.address,
+                   TX_TYPE_INDEX[transaction.type],
+                   1 if transaction.is_cache_to_cache else 0)
 
     # -- coherence protocol --------------------------------------------
 
@@ -258,8 +254,8 @@ class Tracer:
             self._h_miss.record(latency)
         packed = supplier_word | (dirty << 8) | \
             ((1 if is_write else 0) << 9)
-        self._record(EventKind.MISS, request, latency, cpu,
-                     line_address, invalidated, packed)
+        self._emit(EventKind.MISS, request, latency, cpu, line_address,
+                   invalidated, packed)
 
     def on_upgrade(self, cpu: int, line_address: int, request: int,
                    finish: int) -> None:
@@ -267,15 +263,15 @@ class Tracer:
         latency = finish - request
         if self._h_upgrade is not None:
             self._h_upgrade.record(latency)
-        self._record(EventKind.UPGRADE, request, latency, cpu,
-                     line_address, invalidated)
+        self._emit(EventKind.UPGRADE, request, latency, cpu, line_address,
+                   invalidated)
 
     def on_run_end(self, workload_name: str, clocks) -> None:
         self.workload_name = workload_name
         self.final_clocks = list(clocks)
         if "run" in self.categories:
             for cpu, clock in enumerate(clocks):
-                self._record(EventKind.RUN_SPAN, 0, clock, cpu)
+                self._emit(EventKind.RUN_SPAN, 0, clock, cpu)
 
     # -- SENSS layer ---------------------------------------------------
 
@@ -283,8 +279,8 @@ class Tracer:
                       wait: int) -> None:
         if self._h_mask is not None:
             self._h_mask.record(wait)
-        self._record(EventKind.MASK_STALL, grant_cycle, wait,
-                     transaction.source_pid, transaction.group_id, wait)
+        self._emit(EventKind.MASK_STALL, grant_cycle, wait,
+                   transaction.source_pid, transaction.group_id, wait)
 
     def on_auth_mac(self, group_id: int, initiator: int,
                     cycle: int) -> None:
@@ -293,8 +289,7 @@ class Tracer:
         self._last_auth[group_id] = cycle
         if gap >= 0 and self._h_auth_gap is not None:
             self._h_auth_gap.record(gap)
-        self._record(EventKind.AUTH_MAC, cycle, 0, initiator,
-                     group_id, gap)
+        self._emit(EventKind.AUTH_MAC, cycle, 0, initiator, group_id, gap)
 
     # -- memory protection ---------------------------------------------
 
@@ -309,38 +304,33 @@ class Tracer:
             distance = -1 if previous is None else sequence - previous
             if distance >= 0 and self._h_reuse is not None:
                 self._h_reuse.record(distance)
-            self._record(EventKind.PAD_HIT, cycle, 0, cpu,
-                         line_address, distance)
+            self._emit(EventKind.PAD_HIT, cycle, 0, cpu, line_address,
+                       distance)
         else:
-            self._record(EventKind.PAD_MISS, cycle, 0, cpu,
-                         line_address)
+            self._emit(EventKind.PAD_MISS, cycle, 0, cpu, line_address)
 
     def on_hash_verify(self, cpu: int, address: int, cycle: int,
                        outcome: int) -> None:
-        self._record(EventKind.HASH_VERIFY, cycle, 0, cpu, address,
-                     outcome)
+        self._emit(EventKind.HASH_VERIFY, cycle, 0, cpu, address, outcome)
 
     def on_hash_update(self, cpu: int, address: int, cycle: int,
                        outcome: int) -> None:
-        self._record(EventKind.HASH_UPDATE, cycle, 0, cpu, address,
-                     outcome)
+        self._emit(EventKind.HASH_UPDATE, cycle, 0, cpu, address, outcome)
 
     # -- fault injection (repro.faults) --------------------------------
 
     def on_fault_inject(self, record, cycle: int) -> None:
         from ..faults.injector import FAULT_KIND_INDEX
-        self._record(EventKind.FAULT_INJECT, max(0, cycle), 0,
-                     max(0, record.cpu),
-                     FAULT_KIND_INDEX[record.kind], record.group_id)
+        self._emit(EventKind.FAULT_INJECT, max(0, cycle), 0,
+                   max(0, record.cpu), FAULT_KIND_INDEX[record.kind],
+                   record.group_id)
 
     def on_fault_detect(self, record) -> None:
         from ..faults.injector import FAULT_KIND_INDEX, MECHANISM_INDEX
-        self._record(EventKind.FAULT_DETECT,
-                     max(0, record.detect_cycle), 0,
-                     max(0, record.cpu),
-                     FAULT_KIND_INDEX[record.kind],
-                     MECHANISM_INDEX[record.mechanism],
-                     max(0, record.latency_cycles))
+        self._emit(EventKind.FAULT_DETECT, max(0, record.detect_cycle), 0,
+                   max(0, record.cpu), FAULT_KIND_INDEX[record.kind],
+                   MECHANISM_INDEX[record.mechanism],
+                   max(0, record.latency_cycles))
 
     # -- summaries -----------------------------------------------------
 
@@ -366,9 +356,9 @@ class Tracer:
                  EventKind.FAULT_DETECT: "fault_detect"}
         return {
             "workload": self.workload_name,
-            "events_recorded": self.ring.total_recorded,
-            "events_retained": len(self.ring),
-            "events_dropped": self.ring.dropped,
+            "events_recorded": self.log.total_recorded,
+            "events_retained": len(self.log),
+            "events_dropped": self.log.dropped,
             "by_kind": {names[kind]: count for kind, count
                         in sorted(self.kind_totals.items())},
             "cycles": max(self.final_clocks) if self.final_clocks else 0,

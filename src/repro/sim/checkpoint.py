@@ -106,8 +106,11 @@ from .sweep import (ENGINE_VERSION, PointRunner, RecordingStore,
 #: (older pickles may reference the deleted backend-registry module);
 #: 4 = cache tag stores pickle as compact columns (blocks and LRU ticks
 #: as ``array('q')``, one state byte per way) and rebuild their block
-#: index on load; the MESI remote lists hold caches, not set dicts.
-CHECKPOINT_VERSION = 4
+#: index on load; the MESI remote lists hold caches, not set dicts;
+#: 5 = a recorded machine's recorder keeps its events in one
+#: ``EventLog`` (seven words per event in one ``array('q')``), not in
+#: seven per-field columns.
+CHECKPOINT_VERSION = 5
 
 #: First line of every checkpoint file; readable without unpickling.
 MAGIC = b"repro-checkpoint 1\n"

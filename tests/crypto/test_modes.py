@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.aes import AES
 from repro.crypto.modes import (cbc_decrypt, cbc_encrypt, ctr_keystream,
-                                ctr_xcrypt)
+                                ctr_xcrypt, pkcs7_pad, pkcs7_unpad)
 from repro.errors import CryptoError
 
 # NIST SP 800-38A F.2.1: CBC-AES128 encryption.
@@ -103,3 +103,17 @@ def test_property_cbc_roundtrip(key, iv, blocks, data):
                                     max_size=16 * blocks))
     aes = AES(key)
     assert cbc_decrypt(aes, iv, cbc_encrypt(aes, iv, plaintext)) == plaintext
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(max_size=64))
+def test_pkcs7_round_trip(data):
+    padded = pkcs7_pad(data)
+    assert len(padded) % 16 == 0 and len(padded) > len(data)
+    assert pkcs7_unpad(padded, "test") == data
+
+
+@pytest.mark.parametrize("blob", [b"", bytes(16), b"x" * 15 + b"\x11"])
+def test_pkcs7_unpad_names_the_payload(blob):
+    with pytest.raises(CryptoError, match="bad context padding"):
+        pkcs7_unpad(blob, "context")

@@ -16,7 +16,7 @@ def small_pair():
     workload = generate("fft", 2, scale=0.05, seed=1)
     baseline = SmpSystem(config.with_senss(False)).run(workload)
     system = build_secure_system(config)
-    tracer = Tracer(events=False).attach(system)
+    tracer = Tracer(capacity=0).attach(system)
     secured = system.run(workload)
     return baseline, secured, tracer
 

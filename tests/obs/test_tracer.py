@@ -43,7 +43,7 @@ class TestEventCoverage:
         expected = set(EventKind.ALL) - {EventKind.FAULT_INJECT,
                                          EventKind.FAULT_DETECT}
         assert set(tracer.kind_totals) == expected
-        assert tracer.ring.dropped == 0
+        assert tracer.log.dropped == 0
 
     def test_bus_events_match_bus_counter(self, traced_run):
         _, tracer, result = traced_run
@@ -86,7 +86,7 @@ class TestEventCoverage:
 
     def test_run_span_per_cpu(self, traced_run):
         _, tracer, result = traced_run
-        spans = [event for event in tracer.ring
+        spans = [event for event in tracer.log
                  if event.kind == EventKind.RUN_SPAN]
         assert len(spans) == result.num_cpus
         assert [span.dur for span in spans] == \
@@ -99,7 +99,7 @@ class TestEventCoverage:
 
     def test_miss_spans_have_positive_latency(self, traced_run):
         _, tracer, _ = traced_run
-        for event in tracer.ring:
+        for event in tracer.log:
             if event.kind in (EventKind.MISS, EventKind.UPGRADE):
                 assert event.dur > 0
 
@@ -234,14 +234,18 @@ class TestAttachDetach:
 
 
 class TestModes:
-    def test_events_disabled_keeps_totals_and_metrics(self):
+    def test_capacity_zero_keeps_metrics_only(self):
+        """``capacity=0`` is the metrics-only mode of ``repro report``:
+        no events, no totals, the histograms still filled."""
         system = build_system(rich_config())
-        tracer = Tracer(events=False).attach(system)
+        tracer = Tracer(capacity=0).attach(system)
         system.run(rich_workload())
-        assert len(tracer.ring) == 0
-        assert tracer.kind_totals[EventKind.MISS] > 0
+        assert len(tracer.log) == 0
+        assert tracer.log.total_recorded == tracer.log.dropped == 0
+        assert tracer.kind_totals == {}
         assert system.stats.histogram(
             MISS_LATENCY).summary()["count"] > 0
+        assert tracer.histogram_summaries()[MISS_LATENCY]["count"] > 0
 
     def test_metrics_disabled_skips_histograms(self):
         system = build_system(rich_config())
@@ -254,15 +258,15 @@ class TestModes:
         system = build_system(rich_config())
         tracer = Tracer(capacity=256).attach(system)
         system.run(rich_workload())
-        assert tracer.ring.dropped > 0
-        assert len(tracer.ring) == 256
+        assert tracer.log.dropped > 0
+        assert len(tracer.log) == 256
         total = sum(tracer.kind_totals.values())
-        assert tracer.ring.total_recorded == total
+        assert tracer.log.total_recorded == total
 
     def test_uninstrumented_protocol_pops_sentinel(self):
         """on_miss without a paired snoop reports invalidated = -1
         (unknown) rather than desyncing."""
         tracer = Tracer()
         tracer.on_miss(0, 0x40, 100, 300, False)
-        events = list(tracer.ring)
+        events = list(tracer.log)
         assert events[0].a1 == -1

@@ -70,23 +70,23 @@ class TestKeyIdentity:
     Each row is ``(point, point_key, family_key, family_key(recorded=
     True))`` at ``e6000_config``, scale 0.5. Family keys fold in
     ``CHECKPOINT_VERSION`` and change, deliberately, with each bump
-    (last: 3 -> 4, the compact tag-store form); point keys never do."""
+    (last: 4 -> 5, the one-array recorder event log); point keys never do."""
 
     ROWS = [
         (SweepPoint("fft", e6000_config(2, 1, senss_enabled=False),
                     0.5, 0),
          "f332deeb153e113a48d8ea29cff95ed959e98e8aa0270f240168c38119e43ab1",
-         "97fa88448ae8b18fa4348505e836fc4f4ee4dac88760a52b116b50b086c14b47",
-         "21c4cf28664787230f044a8b25318b6014c05125d4298e3bb51ebeea26b2ebfe"),
+         "f839b64273fcad2379d6780419d9cd15f1d0c4d5ba57fdff35b898687fb1eb7f",
+         "c174fee20a044b5f00cb373025446f1672e5fec72485e434d29ab4f695a50347"),
         (SweepPoint("ocean", e6000_config(4, 4).with_masks(2), 0.5, 0),
          "cc1598dc07a64be9b943c6e144eddae3ea6e11dd4189ada1f3fb90da702fc56a",
-         "1be01b6aa4836c189e3eb6dafb5d1f99d28b2f717a6357613f7f08e75dbaf813",
-         "a599ae343cedc758c1cb3584665be8d9b6f2c73b986544bd0382d41953808487"),
+         "f3e1b8d15ef4ea62578367dd2069951a8b4c36bbd9f8c862f5838b2ca38d56cf",
+         "388eaaa66e502680937cea34160e0d47ab9a5eb3ba79c82f0d4ae8cbb07070e3"),
         (SweepPoint("lu", e6000_config(4, 1).with_memprotect(
             encryption_enabled=True, integrity_enabled=True), 0.5, 1),
          "afaf0d2f6d52bbdbe96d4d6ca4a6098b94bc8bdd2c5e86dac82fbd8aaeb27fc0",
-         "6742fe7475694e8ca972d3c5b9c7d642311eba2863d491550f2c28149e1b3ff3",
-         "96f9fa4a8376c2d72569448a7b8eaa811581f1dfee1834b6a67c151d6dcf438a"),
+         "e36214ea8219b8b3414aa8a5d281a26a5e37b4ae5b5239417f1e8ed9e071a22c",
+         "1a7700415b43455cbc798472f404417f80d0df07d15bdca0d9c91d2c71400d2f"),
     ]
 
     @pytest.mark.parametrize("row", ROWS,
