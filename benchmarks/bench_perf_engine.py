@@ -431,8 +431,9 @@ def test_engine_throughput(benchmark, emit):
     # tax whichever mode runs later in the triple.
     # The "filtered" mode measures per-category filtering (DESIGN.md
     # §6d): a tracer recording only the senss/memprotect categories
-    # never hooks the bus, so the engine keeps its scratch-transaction
-    # route — most of the full-tracing cost on miss-heavy runs.
+    # never hooks the bus or the per-miss spans, so it skips the most
+    # frequent events on miss-heavy runs (the bus route itself is the
+    # same scratch route in every mode).
     from repro.obs import Tracer
     senss_small = missheavy_configs()["senss"]
     accesses = missheavy_workload.total_accesses

@@ -69,8 +69,14 @@ class SharedBus:
     # -- observation -----------------------------------------------------
 
     def add_observer(self, observer: Callable[[BusTransaction], None]) -> None:
-        """Observers see every granted transaction (snoopers, attackers,
-        metrics probes). Called after state effects are resolved."""
+        """Observers see every granted transaction (tracers, the
+        functional bridge, bus-order recorders), after its timing is
+        resolved.
+
+        An observer reads the transaction during the call and copies
+        any field it keeps: the object is the issuer's, and the SMP
+        slow path refills one scratch transaction for every issue.
+        """
         self._observers.append(observer)
 
     def remove_observer(self,

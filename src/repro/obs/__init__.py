@@ -21,9 +21,10 @@ Three pieces, usable independently:
   (docs/record_replay.md) behind ``python -m repro
   record|replay|diff``.
 
-The defining constraint (DESIGN.md §6d): with no tracer attached the
-engine keeps its scratch-transaction fast route and results stay
-bit-identical; attaching a tracer never changes simulated timing.
+The defining constraint (DESIGN.md §6d): a detached tracer costs one
+``is not None`` test per slow-path hook, and attaching one never
+changes simulated timing — traced runs take the same slow-path route
+(one reused scratch transaction) and stay bit-identical.
 
 Quick start::
 

@@ -7,9 +7,9 @@ call, bound at construction), plus latency distributions into
 :class:`~repro.sim.stats.Histogram` metrics on the system's registry:
 
 - the **bus** reports every granted transaction (via the existing
-  ``SharedBus.add_observer`` hook — attaching a tracer is what flips
-  the slow path off its scratch-transaction route, exactly the
-  observer contract of ``SmpSystem._next_transaction``);
+  ``SharedBus.add_observer`` hook; like every bus observer the tracer
+  copies the fields it records during the call, so the slow path
+  keeps handing it the one scratch transaction it reuses);
 - the **coherence protocol** reports each snoop outcome, which the
   tracer pairs LIFO with the miss/upgrade span that consumed it
   (memory-protection hash fetches nest misses inside misses, so a
@@ -33,12 +33,11 @@ event categories the exporter names (:data:`TRACE_CATEGORIES` —
 ``bus``/``mem``/``senss``/``memprotect``/``run``/``faults``). The
 filter is applied at *attach time*, not per event: layers whose
 category is off are simply never hooked, so a filtered run pays only
-for the events it records. In particular, leaving ``bus`` off keeps
-the bus on its scratch-transaction route (no per-transaction object
-allocation — the bulk of the 42.6%% full-tracing overhead on
-miss-heavy runs, see the ``observability.filtered`` bench point), and
-leaving ``mem`` off skips the per-miss span recording and its
-histograms. Filtering never changes simulated results either.
+for the events it records. In particular, leaving ``bus`` off skips
+the per-transaction bus event, and leaving ``mem`` off skips the
+per-miss span recording and its histograms. A metrics-only tracer
+(``capacity=0``) hooks no bus either: bus events feed no histogram.
+Filtering never changes simulated results either.
 """
 
 from __future__ import annotations
@@ -144,15 +143,16 @@ class Tracer:
     def attach(self, system) -> "Tracer":
         """Hook the layers whose categories are enabled; returns self.
 
-        Filtered-out categories are never hooked: no bus observer (so
-        the scratch-transaction fast route stays), no protocol/senss/
-        memprotect observer, and the per-miss callbacks are replaced
-        with no-ops — a filtered tracer costs only what it records.
+        Filtered-out categories are never hooked: no bus observer, no
+        protocol/senss/memprotect observer, and the per-miss callbacks
+        are replaced with no-ops — a filtered tracer costs only what
+        it records. A log that keeps nothing (``capacity=0``) gets no
+        bus observer either.
         """
         self._system = system
         system._obs = self
         enabled = self.categories
-        if "bus" in enabled:
+        if "bus" in enabled and self.log.capacity != 0:
             system.bus.add_observer(self._on_bus_tx)
         if "mem" in enabled:
             if system.protocol is not None:
@@ -201,8 +201,8 @@ class Tracer:
         return None
 
     def detach(self) -> None:
-        """Unhook everything; the system returns to the scratch-
-        transaction fast route once no bus observers remain."""
+        """Unhook everything this tracer installed; hooks another
+        tracer installed stay."""
         system = self._system
         if system is None:
             return

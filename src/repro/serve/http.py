@@ -61,10 +61,18 @@ class _BadRequest(ServeError):
     pass
 
 
+async def _readline(reader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # a line past the stream buffer limit
+        raise _BadRequest("request line or header too long",
+                          status=400) from None
+
+
 async def _read_request(reader) -> Tuple[str, str, Dict[str, str],
                                          bytes]:
     """Parse one request: (method, path, headers, body)."""
-    line = await reader.readline()
+    line = await _readline(reader)
     if not line:
         raise ConnectionResetError("client closed before a request")
     if len(line) > MAX_REQUEST_LINE:
@@ -77,7 +85,7 @@ async def _read_request(reader) -> Tuple[str, str, Dict[str, str],
     headers: Dict[str, str] = {}
     total = 0
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         total += len(line)
         if total > MAX_HEADER_BYTES:
             raise _BadRequest("headers too large", status=400)
@@ -91,8 +99,9 @@ async def _read_request(reader) -> Tuple[str, str, Dict[str, str],
         try:
             size = int(length)
         except ValueError:
-            raise _BadRequest("bad Content-Length", status=400) \
-                from None
+            size = -1  # rejected with the negative lengths
+        if size < 0:
+            raise _BadRequest("bad Content-Length", status=400)
         if size > MAX_BODY_BYTES:
             raise _BadRequest("request body too large", status=413)
         body = await reader.readexactly(size)
@@ -148,11 +157,10 @@ class ServeHTTP:
             try:
                 method, path, _headers, body = \
                     await _read_request(reader)
-            except (ConnectionResetError, asyncio.IncompleteReadError):
-                return
-            try:
                 await self._route(method, path, body, writer)
-            except ServeError as exc:
+            except (ConnectionResetError, asyncio.IncompleteReadError):
+                return  # the client went away
+            except ServeError as exc:  # _BadRequest from the parser too
                 await self._send_json(writer, exc.status,
                                       {"error": str(exc)})
             except ReproError as exc:

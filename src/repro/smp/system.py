@@ -23,9 +23,9 @@ Security layers plug in without the baseline knowing about them:
 The miss/upgrade/write-back machinery here is the *slow path* shared
 by both engines (``run``'s fast path and ``run_reference``): per-CPU
 state (hierarchy, group id) is pre-bound, coherence statistics
-accumulate in plain ints drained on read, and bus transactions are
-reused from a scratch object when nothing on the bus retains them
-(DESIGN.md §6c).
+accumulate in plain ints drained on read, and every bus transaction
+it issues reuses one scratch object (DESIGN.md §6c): bus observers
+read a transaction during the call and never keep it.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class SmpSystem:
         self._slow_ctx: List[Tuple[CacheHierarchy, int]] = [
             (hierarchy, 0) for hierarchy in self.hierarchies]
         self._line_bytes = config.l2.line_bytes
-        # Scratch transaction reused across slow-path bus issues when
-        # no observer could retain a reference to it.
+        # Scratch transaction reused by every slow-path bus issue
+        # (observers copy what they keep: SharedBus.add_observer).
         self._scratch_tx = BusTransaction(_BUS_READ, 0, 0)
         # Optional observability probe (repro.obs.Tracer): notified of
         # miss/upgrade completion spans. One is-None test per slow-path
@@ -224,15 +224,8 @@ class SmpSystem:
     def _next_transaction(self, tx_type: TransactionType, address: int,
                           cpu: int, group_id: int,
                           supplied_by_cache: bool) -> BusTransaction:
-        """A transaction object for one slow-path bus issue.
-
-        Reuses the scratch object unless a bus observer is attached
-        (observers — attackers, the functional bridge, metrics probes —
-        may retain transactions, so they get fresh objects).
-        """
-        if self.bus._observers:
-            return BusTransaction(tx_type, address, cpu, group_id,
-                                  supplied_by_cache=supplied_by_cache)
+        """The scratch transaction, refilled for one slow-path bus
+        issue."""
         transaction = self._scratch_tx
         transaction.type = tx_type
         transaction.address = address

@@ -3,8 +3,7 @@
 A tracer built with ``categories={...}`` hooks only those layers at
 attach time: filtered-out categories record nothing, leave their
 histograms unregistered, and — for ``bus`` — never register a bus
-observer, so the engine keeps its scratch-transaction fast route.
-Filtering must never change simulated results.
+observer. Filtering must never change simulated results.
 """
 
 import pytest
@@ -82,8 +81,9 @@ class TestFiltering:
             assert result.stats == full.stats
 
     def test_bus_off_keeps_scratch_route(self):
-        """Without the bus category no bus observer is registered, so
-        the engine keeps its scratch-transaction fast route."""
+        """Without the bus category no bus observer is registered: a
+        filtered tracer pays nothing per bus transaction (the slow
+        path reuses its scratch transaction either way)."""
         system = build_system(rich_config())
         Tracer(categories={"senss", "mem"}).attach(system)
         assert not system.bus._observers

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.bus.transaction import BusTransaction, TransactionType
 from repro.config import KB, e6000_config
 from repro.obs import EventKind, Tracer
 from repro.obs.tracer import (AUTH_INTERVAL_GAP, MASK_WAIT, MISS_LATENCY,
-                              PAD_REUSE_DISTANCE, UPGRADE_LATENCY)
+                              PAD_REUSE_DISTANCE, TX_TYPE_INDEX,
+                              UPGRADE_LATENCY)
 from repro.sim.sweep import build_system
 from repro.workloads.registry import generate
 
@@ -170,12 +172,36 @@ class TestZeroInterference:
             system._scratch_tx.type, 0, 0, 0, False)
         assert first is system._scratch_tx
 
-    def test_attach_switches_to_fresh_transactions(self):
+    def test_observers_read_the_scratch_transaction(self):
+        """A traced machine keeps the one slow-path route: observers
+        are handed the scratch object, and the tracer's BUS_TX events
+        equal those of an observer that copies every field."""
         system = build_system(rich_config())
-        Tracer().attach(system)
-        transaction = system._next_transaction(
-            system._scratch_tx.type, 0, 0, 0, False)
-        assert transaction is not system._scratch_tx
+        tracer = Tracer(capacity=500_000).attach(system)
+        scratch = system._scratch_tx
+        handed_scratch = []
+        copies = []
+
+        def copy_fields(tx):
+            if tx.type is not TransactionType.AUTH_MAC:
+                # MAC broadcasts are the SENSS layer's own objects.
+                handed_scratch.append(tx is scratch)
+            copies.append(BusTransaction(
+                tx.type, tx.address, tx.source_pid, tx.group_id,
+                tx.issue_cycle, tx.grant_cycle, tx.complete_cycle,
+                tx.supplied_by_cache, tx.payload, tx.sequence))
+
+        system.bus.add_observer(copy_fields)
+        system.run(rich_workload())
+        assert handed_scratch and all(handed_scratch)
+        traced = [tuple(event) for event in tracer.log
+                  if event.kind == EventKind.BUS_TX]
+        copied = [(EventKind.BUS_TX, tx.grant_cycle,
+                   max(0, tx.complete_cycle - tx.grant_cycle),
+                   tx.source_pid, tx.address, TX_TYPE_INDEX[tx.type],
+                   1 if tx.is_cache_to_cache else 0) for tx in copies]
+        assert traced == copied
+        assert [tx.sequence for tx in copies] == list(range(len(copies)))
 
 
 class TestAttachDetach:
@@ -236,13 +262,16 @@ class TestAttachDetach:
 class TestModes:
     def test_capacity_zero_keeps_metrics_only(self):
         """``capacity=0`` is the metrics-only mode of ``repro report``:
-        no events, no totals, the histograms still filled."""
+        no events, no totals, no bus observer, the histograms still
+        filled."""
         system = build_system(rich_config())
         tracer = Tracer(capacity=0).attach(system)
         system.run(rich_workload())
         assert len(tracer.log) == 0
         assert tracer.log.total_recorded == tracer.log.dropped == 0
         assert tracer.kind_totals == {}
+        # Bus events feed no histogram: the bus is not hooked at all.
+        assert not system.bus._observers
         assert system.stats.histogram(
             MISS_LATENCY).summary()["count"] > 0
         assert tracer.histogram_summaries()[MISS_LATENCY]["count"] > 0

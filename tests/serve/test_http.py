@@ -10,6 +10,8 @@ direct in-process :func:`run_sweep`.
 """
 
 import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -18,7 +20,7 @@ from repro.config import e6000_config
 from repro.errors import BackpressureError, ServeError
 from repro.obs.schema import validate_chrome_trace
 from repro.serve.client import ServeClient
-from repro.serve.http import ServeHTTP
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_BYTES, ServeHTTP
 from repro.serve.scheduler import Scheduler
 from repro.sim.sweep import ResultCache, SweepPoint, run_sweep
 
@@ -238,4 +240,69 @@ class TestEndToEnd:
         assert final["state"] == "failed"
         errors = client.errors(job["id"])
         assert errors[0] is not None
+        assert client.healthz() == {"status": "ok"}
+
+
+def raw_exchange(port, request: bytes):
+    """Send ``request`` verbatim, half-close, and read the reply to
+    EOF: ``(status, body)``, or ``(None, b"")`` for an empty reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        except ConnectionResetError:
+            pass  # the server closed with request bytes left unread
+    if not reply:
+        return None, b""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+def padded_headers(total: int) -> bytes:
+    """Header lines of 1 KB each, ``total`` bytes in all, with no
+    terminating blank line (the server must stop reading at the cap,
+    having consumed every byte sent)."""
+    lines = []
+    while total > 0:
+        size = min(1024, total)
+        name = f"X-Pad-{len(lines)}: ".encode()
+        lines.append(name + b"a" * (size - len(name) - 2) + b"\r\n")
+        total -= size
+    return b"".join(lines)
+
+
+def post_with_length(length: str) -> bytes:
+    return (f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}"
+            "\r\n\r\n").encode()
+
+
+class TestMalformedFraming:
+    """Requests the parser rejects get their status and a JSON error
+    body over a raw socket, not an empty reply."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GARBAGE\r\n", 400),
+        (b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n", 400),
+        (b"GET /v1/healthz HTTP/1.1\r\n"
+         + padded_headers(MAX_HEADER_BYTES + 100), 400),
+        (b"GET /v1/healthz HTTP/1.1\r\nX-Long: "
+         + b"a" * (MAX_HEADER_BYTES + 1024) + b"\r\n", 400),
+        (post_with_length("abc"), 400),
+        (post_with_length("-1"), 400),
+        (post_with_length(str(MAX_BODY_BYTES + 1)), 413),
+    ], ids=["request-line", "request-line-too-long", "headers-too-large",
+            "header-line-over-buffer", "content-length-not-int",
+            "content-length-negative", "content-length-too-large"])
+    def test_malformed_request_gets_its_status(self, service,
+                                               request_bytes, status):
+        _, client = service
+        got, body = raw_exchange(client.port, request_bytes)
+        assert got == status
+        assert "error" in json.loads(body)
         assert client.healthz() == {"status": "ok"}

@@ -243,3 +243,20 @@ def test_faults_record_diff_column(capsys):
     out = capsys.readouterr().out
     assert "diverges vs clean" in out
     assert "fault_inject" in out
+
+
+def test_profile_breakdown_and_cprofile(capsys):
+    """``--breakdown`` (the instrumented memprotect split) and
+    ``--cprofile`` both run and print their tables."""
+    assert main(["profile", "fft", "--cpus", "2", "--scale", "0.02",
+                 "--repeats", "1", "--breakdown", "--cprofile"]) == 0
+    out = capsys.readouterr().out
+    rows = {line.rsplit(None, 2)[0]: line.split()[-1]
+            for line in out.splitlines()
+            if line.endswith("%") and not line.startswith(" ")}
+    for bucket in ("verify climb", "leaf hashing", "pad generation",
+                   "pad-cache coherence", "memprotect dispatch",
+                   "core simulator (caches/bus/coherence)"):
+        assert bucket in rows
+    assert rows["total"] == "100.0%"
+    assert "function calls" in out
