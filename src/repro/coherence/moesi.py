@@ -48,14 +48,11 @@ class MoesiProtocol(MesiProtocol):
             supplier = owner
         fill_state = (MesiState.SHARED if any_valid
                       else MesiState.EXCLUSIVE)
-        outcome = SnoopOutcome(supplier_cpu=supplier,
-                               # Ownership was retained: nothing flushed.
-                               had_modified_copy=False,
-                               invalidated_cpus=[],
-                               fill_state=fill_state)
-        if self.observer is not None:
-            self.observer.on_snoop(0, requester, line_address, outcome)
-        return outcome
+        return SnoopOutcome(supplier_cpu=supplier,
+                            # Ownership was retained: nothing flushed.
+                            had_modified_copy=False,
+                            invalidated_cpus=[],
+                            fill_state=fill_state)
 
     def bus_read_exclusive(self, requester: int,
                            line_address: int) -> SnoopOutcome:
@@ -75,10 +72,7 @@ class MoesiProtocol(MesiProtocol):
             if prior in (MesiState.MODIFIED, MesiState.OWNED):
                 had_dirty = True
                 supplier = cpu_id
-        outcome = SnoopOutcome(supplier_cpu=supplier,
-                               had_modified_copy=had_dirty,
-                               invalidated_cpus=invalidated,
-                               fill_state=MesiState.MODIFIED)
-        if self.observer is not None:
-            self.observer.on_snoop(1, requester, line_address, outcome)
-        return outcome
+        return SnoopOutcome(supplier_cpu=supplier,
+                            had_modified_copy=had_dirty,
+                            invalidated_cpus=invalidated,
+                            fill_state=MesiState.MODIFIED)

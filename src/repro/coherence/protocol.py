@@ -70,10 +70,6 @@ class MesiProtocol:
              for cpu_id, hierarchy in enumerate(self._hierarchies)
              if cpu_id != requester]
             for requester in range(len(self._hierarchies))]
-        # Optional observability probe (repro.obs.Tracer): sees every
-        # snoop outcome before it reaches the bus, pairing supplier /
-        # invalidation data with the miss timing the system reports.
-        self.observer = None
 
     def _remotes(self, requester: int):
         return self._remote_lists[requester]
@@ -109,13 +105,10 @@ class MesiProtocol:
                     supplier = cpu_id
             any_shared = True
         fill_state = _SHARED if any_shared else _EXCLUSIVE
-        outcome = SnoopOutcome(supplier_cpu=supplier,
-                               had_modified_copy=had_modified,
-                               invalidated_cpus=[],
-                               fill_state=fill_state)
-        if self.observer is not None:
-            self.observer.on_snoop(0, requester, line_address, outcome)
-        return outcome
+        return SnoopOutcome(supplier_cpu=supplier,
+                            had_modified_copy=had_modified,
+                            invalidated_cpus=[],
+                            fill_state=fill_state)
 
     def bus_read_exclusive(self, requester: int,
                            line_address: int) -> SnoopOutcome:
@@ -142,13 +135,10 @@ class MesiProtocol:
                 supplier = cpu_id
             if prior is _MODIFIED:
                 had_modified = True
-        outcome = SnoopOutcome(supplier_cpu=supplier,
-                               had_modified_copy=had_modified,
-                               invalidated_cpus=invalidated,
-                               fill_state=MesiState.MODIFIED)
-        if self.observer is not None:
-            self.observer.on_snoop(1, requester, line_address, outcome)
-        return outcome
+        return SnoopOutcome(supplier_cpu=supplier,
+                            had_modified_copy=had_modified,
+                            invalidated_cpus=invalidated,
+                            fill_state=MesiState.MODIFIED)
 
     #: states a requester may upgrade from (MOESI adds OWNED)
     UPGRADABLE_STATES = (MesiState.SHARED,)
@@ -165,13 +155,10 @@ class MesiProtocol:
             prior = hierarchy.snoop_read_exclusive(line_address)
             if prior.is_valid:
                 invalidated.append(cpu_id)
-        outcome = SnoopOutcome(supplier_cpu=None,
-                               had_modified_copy=False,
-                               invalidated_cpus=invalidated,
-                               fill_state=MesiState.MODIFIED)
-        if self.observer is not None:
-            self.observer.on_snoop(2, requester, line_address, outcome)
-        return outcome
+        return SnoopOutcome(supplier_cpu=None,
+                            had_modified_copy=False,
+                            invalidated_cpus=invalidated,
+                            fill_state=MesiState.MODIFIED)
 
     # -- invariant checking (used by property tests) ---------------------
 

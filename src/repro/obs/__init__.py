@@ -3,9 +3,10 @@
 Three pieces, usable independently:
 
 - :class:`Tracer` (+ :class:`EventLog`) — a columnar event tracer,
-  bounded to its newest events or lossless, that the bus, coherence,
-  SENSS and memory-protection layers emit into via optional observer
-  hooks; exports Chrome/Perfetto trace-event JSON
+  bounded to its newest events or lossless, that the bus, the SMP
+  system's miss/upgrade slow path, and the SENSS and
+  memory-protection layers emit into via optional observer hooks;
+  exports Chrome/Perfetto trace-event JSON
   (:func:`to_chrome_trace`) validated against
   :data:`~repro.obs.schema.TRACE_EVENT_SCHEMA`.
 - :class:`~repro.sim.stats.Histogram` metrics — miss latency,

@@ -59,19 +59,16 @@ def _convert(event: TraceEvent) -> Dict[str, object]:
                       "cache_to_cache": bool(event.a2)})
     if kind == EventKind.MISS:
         supplier_word = event.a2 & 0xFF
-        args = {"address": event.a0,
-                "write": bool(event.a2 >> 9 & 1),
-                "dirty_intervention": bool(event.a2 >> 8 & 1),
-                "supplier": ("memory" if supplier_word == 0
-                             else f"cpu{supplier_word - 1}")}
-        if event.a1 >= 0:
-            args["invalidated"] = event.a1
-        return _span("miss", "mem", event, args)
+        return _span("miss", "mem", event,
+                     {"address": event.a0,
+                      "write": bool(event.a2 >> 9 & 1),
+                      "dirty_intervention": bool(event.a2 >> 8 & 1),
+                      "supplier": ("memory" if supplier_word == 0
+                                   else f"cpu{supplier_word - 1}"),
+                      "invalidated": event.a1})
     if kind == EventKind.UPGRADE:
-        args: Dict[str, object] = {"address": event.a0}
-        if event.a1 >= 0:
-            args["invalidated"] = event.a1
-        return _span("upgrade", "mem", event, args)
+        return _span("upgrade", "mem", event,
+                     {"address": event.a0, "invalidated": event.a1})
     if kind == EventKind.MASK_STALL:
         return _span("mask_stall", "senss", event,
                      {"group": event.a0, "wait_cycles": event.a1})

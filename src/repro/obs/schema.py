@@ -51,8 +51,9 @@ TRACE_EVENT_SCHEMA: Dict[str, Dict[str, object]] = {
     # memory-system spans
     "miss": {"cat": "mem", "ph": "X",
              "args": {"address": int, "write": bool, "supplier": str,
-                      "dirty_intervention": bool}},
-    "upgrade": {"cat": "mem", "ph": "X", "args": {"address": int}},
+                      "dirty_intervention": bool, "invalidated": int}},
+    "upgrade": {"cat": "mem", "ph": "X",
+                "args": {"address": int, "invalidated": int}},
     # SENSS security events
     "mask_stall": {"cat": "senss", "ph": "X",
                    "args": {"group": int, "wait_cycles": int}},

@@ -10,11 +10,9 @@ call, bound at construction), plus latency distributions into
   ``SharedBus.add_observer`` hook; like every bus observer the tracer
   copies the fields it records during the call, so the slow path
   keeps handing it the one scratch transaction it reuses);
-- the **coherence protocol** reports each snoop outcome, which the
-  tracer pairs LIFO with the miss/upgrade span that consumed it
-  (memory-protection hash fetches nest misses inside misses, so a
-  stack, not a queue);
-- the **SMP system** reports miss and upgrade completion spans;
+- the **SMP system** reports miss and upgrade completion spans, each
+  with the snoop outcome it consumed (who supplied the line, whether
+  it was dirty, how many copies were invalidated);
 - the **SENSS layer** reports mask-readiness stalls and
   authentication checkpoints;
 - the **memory-protection layer** reports pad-cache hits/misses and
@@ -36,8 +34,10 @@ category is off are simply never hooked, so a filtered run pays only
 for the events it records. In particular, leaving ``bus`` off skips
 the per-transaction bus event, and leaving ``mem`` off skips the
 per-miss span recording and its histograms. A metrics-only tracer
-(``capacity=0``) hooks no bus either: bus events feed no histogram.
-Filtering never changes simulated results either.
+(``capacity=0``) hooks no bus either, since bus events feed no
+histogram, and its hooks append nothing: they feed the histograms and
+call a no-op instead of the log. Filtering never changes simulated
+results either.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ TX_TYPE_INDEX = {tx_type: index
                  for index, tx_type in enumerate(TransactionType)}
 TX_TYPE_BY_INDEX = list(TransactionType)
 
-#: snoop operation codes (protocol observer a-word)
-SNOOP_READ = 0
-SNOOP_READ_EXCLUSIVE = 1
-SNOOP_UPGRADE = 2
-
 #: hash-climb outcome codes
 HASH_ROOT = 0
 HASH_L2_HIT = 1
@@ -89,6 +84,10 @@ UPGRADE_LATENCY = "obs.upgrade_latency"
 MASK_WAIT = "obs.mask_wait_cycles"
 PAD_REUSE_DISTANCE = "obs.pad_reuse_distance"
 AUTH_INTERVAL_GAP = "obs.auth_interval_gap"
+
+
+def _discard(kind, cycle, dur, cpu, a0=0, a1=0, a2=0) -> None:
+    """The per-event call of a tracer whose log keeps nothing."""
 
 
 class Tracer:
@@ -109,7 +108,7 @@ class Tracer:
                  categories: Optional[Iterable[str]] = None):
         self.log = EventLog(capacity)
         # the one call each hook makes per event
-        self._emit = self.log.record
+        self._emit = _discard if capacity == 0 else self.log.record
         self.metrics_enabled = metrics
         if categories is None:
             self.categories = frozenset(TRACE_CATEGORIES)
@@ -123,9 +122,6 @@ class Tracer:
         self.workload_name: Optional[str] = None
         self.final_clocks: List[int] = []
         self._system = None
-        # LIFO of (op, invalidated, supplier+1, dirty) snoop outcomes
-        # awaiting their miss/upgrade completion span.
-        self._snoops: List[Tuple[int, int, int, int]] = []
         self._last_auth: Dict[int, int] = {}       # group -> last cycle
         self._pad_clock: Dict[int, int] = {}       # cpu -> access count
         self._pad_last: Dict[Tuple[int, int], int] = {}  # (cpu, line)
@@ -144,7 +140,7 @@ class Tracer:
         """Hook the layers whose categories are enabled; returns self.
 
         Filtered-out categories are never hooked: no bus observer, no
-        protocol/senss/memprotect observer, and the per-miss callbacks
+        senss/memprotect observer, and the per-miss callbacks
         are replaced with no-ops — a filtered tracer costs only what
         it records. A log that keeps nothing (``capacity=0``) gets no
         bus observer either.
@@ -154,10 +150,7 @@ class Tracer:
         enabled = self.categories
         if "bus" in enabled and self.log.capacity != 0:
             system.bus.add_observer(self._on_bus_tx)
-        if "mem" in enabled:
-            if system.protocol is not None:
-                system.protocol.observer = self
-        else:
+        if "mem" not in enabled:
             # system._obs stays set (run-end callback), so silence the
             # per-miss notifications instead of recording them.
             self.on_miss = self._noop_miss
@@ -185,11 +178,12 @@ class Tracer:
 
     # attach-time replacements for filtered-out per-event callbacks
     @staticmethod
-    def _noop_miss(cpu, line_address, request, finish, is_write):
+    def _noop_miss(cpu, line_address, request, finish, is_write,
+                   outcome):
         return None
 
     @staticmethod
-    def _noop_upgrade(cpu, line_address, request, finish):
+    def _noop_upgrade(cpu, line_address, request, finish, outcome):
         return None
 
     @staticmethod
@@ -207,9 +201,6 @@ class Tracer:
         if system is None:
             return
         system.bus.remove_observer(self._on_bus_tx)
-        if system.protocol is not None and \
-                system.protocol.observer is self:
-            system.protocol.observer = None
         layer = system.bus.security_layer
         if layer is not None and layer.observer is self:
             layer.observer = None
@@ -230,41 +221,28 @@ class Tracer:
                    TX_TYPE_INDEX[transaction.type],
                    1 if transaction.is_cache_to_cache else 0)
 
-    # -- coherence protocol --------------------------------------------
-
-    def on_snoop(self, op: int, requester: int, line_address: int,
-                 outcome) -> None:
-        supplier = outcome.supplier_cpu
-        self._snoops.append((op, len(outcome.invalidated_cpus),
-                             0 if supplier is None else supplier + 1,
-                             1 if outcome.had_modified_copy else 0))
-
-    def _pop_snoop(self) -> Tuple[int, int, int, int]:
-        if self._snoops:
-            return self._snoops.pop()
-        return (-1, -1, 0, 0)  # protocol not instrumented
-
     # -- SMP system ----------------------------------------------------
 
     def on_miss(self, cpu: int, line_address: int, request: int,
-                finish: int, is_write: bool) -> None:
-        _, invalidated, supplier_word, dirty = self._pop_snoop()
+                finish: int, is_write: bool, outcome) -> None:
         latency = finish - request
         if self._h_miss is not None:
             self._h_miss.record(latency)
-        packed = supplier_word | (dirty << 8) | \
+        supplier = outcome.supplier_cpu
+        # a2 = supplier+1 (0 = memory) | dirty << 8 | write << 9
+        packed = (0 if supplier is None else supplier + 1) | \
+            ((1 if outcome.had_modified_copy else 0) << 8) | \
             ((1 if is_write else 0) << 9)
         self._emit(EventKind.MISS, request, latency, cpu, line_address,
-                   invalidated, packed)
+                   len(outcome.invalidated_cpus), packed)
 
     def on_upgrade(self, cpu: int, line_address: int, request: int,
-                   finish: int) -> None:
-        _, invalidated, _, _ = self._pop_snoop()
+                   finish: int, outcome) -> None:
         latency = finish - request
         if self._h_upgrade is not None:
             self._h_upgrade.record(latency)
         self._emit(EventKind.UPGRADE, request, latency, cpu, line_address,
-                   invalidated)
+                   len(outcome.invalidated_cpus))
 
     def on_run_end(self, workload_name: str, clocks) -> None:
         self.workload_name = workload_name

@@ -88,7 +88,7 @@ from ..config import config_to_dict
 from ..errors import CheckpointError, ReproError
 from ..smp.fastpath import _finish_run, _run_loop, new_counters
 from ..smp.metrics import SimulationResult
-from ..smp.trace import Workload, as_columns
+from ..smp.trace import Workload
 from .store import BlobStore, sha256
 from .sweep import (ENGINE_VERSION, PointRunner, RecordingStore,
                     ResultCache, SweepPoint, build_system, content_key,
@@ -109,8 +109,10 @@ from .sweep import (ENGINE_VERSION, PointRunner, RecordingStore,
 #: index on load; the MESI remote lists hold caches, not set dicts;
 #: 5 = a recorded machine's recorder keeps its events in one
 #: ``EventLog`` (seven words per event in one ``array('q')``), not in
-#: seven per-field columns.
-CHECKPOINT_VERSION = 5
+#: seven per-field columns; 6 = a stats registry holds its counters as
+#: plain ints in one dict (no ``Counter`` objects), and the coherence
+#: protocol and tracer carry no snoop-pairing state.
+CHECKPOINT_VERSION = 6
 
 #: First line of every checkpoint file; readable without unpickling.
 MAGIC = b"repro-checkpoint 1\n"
@@ -147,7 +149,7 @@ def trace_digests(workload: Workload, cursors: Sequence[int]
     """
     digests = []
     for cpu in range(workload.num_cpus):
-        writes, addresses, gaps = as_columns(workload.accesses_for(cpu))
+        writes, addresses, gaps = workload.traces[cpu].columns()
         n = cursors[cpu]
         digest = hashlib.sha256()
         digest.update(memoryview(writes)[:n])

@@ -26,25 +26,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
-
-
 class Histogram:
     """A power-of-two-bucketed distribution with exact moments.
 
@@ -159,10 +140,11 @@ class Histogram:
 
 
 class StatsRegistry:
-    """A flat namespace of counters, addressable by dotted names."""
+    """A flat namespace of integer counters, addressable by dotted
+    names."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
+        self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._flushers: List[Callable[[], None]] = []
         self._draining = False
@@ -191,40 +173,23 @@ class StatsRegistry:
 
     # -- counters ------------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        existing = self._counters.get(name)
-        if existing is None:
-            existing = Counter(name)
-            self._counters[name] = existing
-        return existing
-
     def get(self, name: str) -> int:
         """Read a counter's value (0 if it was never touched)."""
         self._drain()
-        counter = self._counters.get(name)
-        return counter.value if counter else 0
+        return self._counters.get(name, 0)
 
     def add(self, name: str, amount: int = 1) -> None:
-        self.counter(name).increment(amount)
-
-    def merge(self, bumps: Dict[str, int]) -> None:
-        """Flush a dict of raw counter bumps into the registry.
-
-        The simulation fast path accumulates per-access events as plain
-        dict/int increments and merges them once at run end — one
-        ``Counter`` touch per name instead of one per event.
-        """
-        for name, amount in bumps.items():
-            if amount:
-                self.counter(name).increment(amount)
+        """Bump ``name`` by ``amount``; a zero bump still creates it."""
+        counters = self._counters
+        counters[name] = counters.get(name, 0) + amount
 
     def reset(self) -> None:
         # Drain first so pending raw counts from before the reset do
         # not leak into post-reset reads.
         self._drain()
-        for counter in self._counters.values():
-            counter.reset()
+        counters = self._counters
+        for name in counters:
+            counters[name] = 0
         for histogram in self._histograms.values():
             histogram.reset()
 
@@ -253,8 +218,9 @@ class StatsRegistry:
 
     def items(self) -> Iterator[Tuple[str, int]]:
         self._drain()
-        for name in sorted(self._counters):
-            yield name, self._counters[name].value
+        counters = self._counters
+        for name in sorted(counters):
+            yield name, counters[name]
 
     def as_dict(self) -> Dict[str, int]:
         return {name: value for name, value in self.items()}
@@ -262,8 +228,7 @@ class StatsRegistry:
     def total(self, prefix: str) -> int:
         """Sum of all counters whose name starts with ``prefix``."""
         self._drain()
-        return sum(counter.value
-                   for name, counter in self._counters.items()
+        return sum(value for name, value in self._counters.items()
                    if name.startswith(prefix))
 
     def __repr__(self) -> str:

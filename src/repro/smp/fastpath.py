@@ -76,7 +76,7 @@ from ..cache.cache import CacheLine, victim_way
 from ..cache.mesi import MesiState
 from ..errors import SimulationError
 from .metrics import SimulationResult
-from .trace import Workload, as_columns
+from .trace import Workload
 
 _M = MesiState.MODIFIED
 _E = MesiState.EXCLUSIVE
@@ -107,7 +107,7 @@ def _run_loop(system, workload: Workload, clocks, cursors, counters,
     # internals, unpacked once per scheduling quantum.
     contexts = []
     for cpu in range(num_cpus):
-        writes, addresses, gaps = as_columns(workload.accesses_for(cpu))
+        writes, addresses, gaps = workload.traces[cpu].columns()
         l1 = system.hierarchies[cpu].l1
         l2 = system.hierarchies[cpu].l2
         contexts.append((

@@ -76,8 +76,9 @@ class SmpSystem:
         # (observers copy what they keep: SharedBus.add_observer).
         self._scratch_tx = BusTransaction(_BUS_READ, 0, 0)
         # Optional observability probe (repro.obs.Tracer): notified of
-        # miss/upgrade completion spans. One is-None test per slow-path
-        # event when detached; never consulted on the hit fast path.
+        # miss/upgrade completion spans with their snoop outcome. One
+        # is-None test per slow-path event when detached; never
+        # consulted on the hit fast path.
         self._obs = None
         # Deferred coherence counters; _events tracks how many times
         # the reference semantics would have touched the invalidation
@@ -248,7 +249,7 @@ class SmpSystem:
         self._pending_invalidation_events += 1
         finish = transaction.complete_cycle
         if self._obs is not None:
-            self._obs.on_upgrade(cpu, line_address, clock, finish)
+            self._obs.on_upgrade(cpu, line_address, clock, finish, outcome)
         return finish
 
     def _execute_miss(self, cpu: int, clock: int, is_write: bool,
@@ -286,10 +287,10 @@ class SmpSystem:
 
         if self._obs is not None:
             # Notified last so nested fetches (hash-tree climbs, hash
-            # write-backs) report before their enclosing miss — the
-            # LIFO order the tracer's snoop pairing relies on.
+            # write-backs) report before their enclosing miss: the
+            # event order traces and recordings pin.
             self._obs.on_miss(cpu, line_address, clock, finish,
-                              is_write)
+                              is_write, outcome)
         return finish
 
     def _post_writeback(self, cpu: int, line_address: int,

@@ -124,18 +124,13 @@ class ColumnarTrace(Sequence):
             raise TraceError(f"negative gap in cpu {cpu_id} trace")
 
 
-def as_columns(trace) -> Tuple[array, array, array]:
-    """Columnar view of any trace (converting row storage if needed)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace.columns()
-    return (array("b", (1 if access.is_write else 0 for access in trace)),
-            array("q", (access.address for access in trace)),
-            array("q", (access.gap for access in trace)))
-
-
 @dataclass
 class Workload:
     """Named per-CPU access traces plus generation metadata.
+
+    Traces are stored as :class:`ColumnarTrace`; any other sequence of
+    ``(is_write, address, gap)`` records is converted once, here, so
+    every engine and digest reads the same columns.
 
     ``validate=False`` skips the O(total-accesses) sanity scan for
     traces derived from an already-validated workload (truncation,
@@ -144,25 +139,20 @@ class Workload:
     """
 
     name: str
-    traces: List[Sequence]
+    traces: List[ColumnarTrace]
     metadata: dict = field(default_factory=dict)
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool = True) -> None:
         if not self.traces:
             raise TraceError("workload needs at least one CPU trace")
+        self.traces = [trace if isinstance(trace, ColumnarTrace)
+                       else ColumnarTrace.from_accesses(trace)
+                       for trace in self.traces]
         if not validate:
             return
         for cpu_id, trace in enumerate(self.traces):
-            if isinstance(trace, ColumnarTrace):
-                trace.validate(cpu_id)
-                continue
-            for access in trace:
-                if access.address < 0:
-                    raise TraceError(
-                        f"negative address in cpu {cpu_id} trace")
-                if access.gap < 0:
-                    raise TraceError(f"negative gap in cpu {cpu_id} trace")
+            trace.validate(cpu_id)
 
     @property
     def num_cpus(self) -> int:
@@ -172,7 +162,7 @@ class Workload:
     def total_accesses(self) -> int:
         return sum(len(trace) for trace in self.traces)
 
-    def accesses_for(self, cpu_id: int) -> Sequence[MemoryAccess]:
+    def accesses_for(self, cpu_id: int) -> ColumnarTrace:
         return self.traces[cpu_id]
 
     def iter_flat(self) -> Iterator[tuple]:
@@ -184,8 +174,5 @@ class Workload:
     def truncated(self, max_per_cpu: int) -> "Workload":
         """A shortened copy, for quick tests (skips revalidation)."""
         return Workload(self.name + f"[:{max_per_cpu}]",
-                        [trace[:max_per_cpu] if isinstance(trace,
-                                                           ColumnarTrace)
-                         else list(trace[:max_per_cpu])
-                         for trace in self.traces],
+                        [trace[:max_per_cpu] for trace in self.traces],
                         dict(self.metadata), validate=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..errors import TraceError
-from ..smp.trace import ColumnarTrace, MemoryAccess, Workload
+from ..smp.trace import Workload
 
 PROGRAM_ADDRESS_STRIDE = 1 << 30  # 1 GB per program: never collides
 
@@ -35,15 +35,6 @@ class ProgramPlacement:
     @property
     def num_cpus(self) -> int:
         return self.workload.num_cpus
-
-
-def _relocate(trace, program_index: int):
-    offset = program_index * PROGRAM_ADDRESS_STRIDE
-    if isinstance(trace, ColumnarTrace):
-        return trace.relocated(offset)
-    return [MemoryAccess(access.is_write, access.address + offset,
-                         access.gap)
-            for access in trace]
 
 
 def combine(programs: Sequence[Workload],
@@ -70,7 +61,7 @@ def combine(programs: Sequence[Workload],
         placements.append(ProgramPlacement(program, group_ids[index],
                                            first_cpu))
         for trace in program.traces:
-            traces.append(_relocate(trace, index))
+            traces.append(trace.relocated(index * PROGRAM_ADDRESS_STRIDE))
             cpu_group_ids.append(group_ids[index])
         first_cpu += program.num_cpus
 

@@ -139,6 +139,13 @@ class TestValidatorRejects:
         with pytest.raises(TraceError, match="address"):
             validate_event(0, event)
 
+    @pytest.mark.parametrize("name", ["miss", "upgrade"])
+    def test_span_without_invalidated(self, payload, name):
+        event = _first_named(payload, name)
+        del event["args"]["invalidated"]
+        with pytest.raises(TraceError, match="invalidated"):
+            validate_event(0, event)
+
     def test_wrong_arg_type(self, payload):
         event = _first_named(payload, "BusRd")
         event["args"]["address"] = "0x40"

@@ -1,10 +1,11 @@
-"""The Tracer: layer hooks, pairing, and the zero-interference rule."""
+"""The Tracer: layer hooks, miss/upgrade spans, and the
+zero-interference rule."""
 
 import pytest
 
 from repro.bus.transaction import BusTransaction, TransactionType
 from repro.config import KB, e6000_config
-from repro.obs import EventKind, Tracer
+from repro.obs import EventKind, EventLog, Tracer
 from repro.obs.tracer import (AUTH_INTERVAL_GAP, MASK_WAIT, MISS_LATENCY,
                               PAD_REUSE_DISTANCE, TX_TYPE_INDEX,
                               UPGRADE_LATENCY)
@@ -94,10 +95,6 @@ class TestEventCoverage:
         assert [span.dur for span in spans] == \
             list(result.per_cpu_cycles)
         assert tracer.workload_name == result.workload
-
-    def test_snoop_stack_fully_consumed(self, traced_run):
-        _, tracer, _ = traced_run
-        assert tracer._snoops == []
 
     def test_miss_spans_have_positive_latency(self, traced_run):
         _, tracer, _ = traced_run
@@ -211,7 +208,6 @@ class TestAttachDetach:
         assert system._obs is tracer
         assert system.observer is tracer
         assert tracer._on_bus_tx in system.bus._observers
-        assert system.protocol.observer is tracer
         assert system.bus.security_layer.observer is tracer
         assert system.memprotect.observer is tracer
 
@@ -221,7 +217,6 @@ class TestAttachDetach:
         tracer.detach()
         assert system._obs is None
         assert system.bus._observers == []
-        assert system.protocol.observer is None
         assert system.bus.security_layer.observer is None
         assert system.memprotect.observer is None
         # Scratch-transaction route is back.
@@ -242,7 +237,7 @@ class TestAttachDetach:
         second = Tracer().attach(system)
         first.detach()
         assert system._obs is second
-        assert system.protocol.observer is second
+        assert system.bus.security_layer.observer is second
         assert second._on_bus_tx in system.bus._observers
 
     def test_attach_baseline_system_without_layers(self):
@@ -292,10 +287,44 @@ class TestModes:
         total = sum(tracer.kind_totals.values())
         assert tracer.log.total_recorded == total
 
-    def test_uninstrumented_protocol_pops_sentinel(self):
-        """on_miss without a paired snoop reports invalidated = -1
-        (unknown) rather than desyncing."""
-        tracer = Tracer()
-        tracer.on_miss(0, 0x40, 100, 300, False)
-        events = list(tracer.log)
-        assert events[0].a1 == -1
+    def test_capacity_zero_appends_nothing(self, monkeypatch):
+        """A metrics-only tracer's hooks never reach the log."""
+        calls = []
+        monkeypatch.setattr(EventLog, "record",
+                            lambda self, *words: calls.append(words))
+        system = build_system(rich_config())
+        tracer = Tracer(capacity=0).attach(system)
+        system.run(rich_workload())
+        assert calls == []
+        assert tracer.histogram_summaries()[MISS_LATENCY]["count"] > 0
+
+
+class TestSnoopOutcomes:
+    """Miss and upgrade spans carry the snoop outcome the system
+    consumed: their payload words add up to the coherence counters."""
+
+    @pytest.mark.parametrize("protocol", ["MSI", "MOESI"])
+    def test_spans_match_coherence_counters(self, protocol):
+        config = rich_config().with_protocol(protocol)
+        system = build_system(config)
+        tracer = Tracer(capacity=None).attach(system)
+        result = system.run(rich_workload())
+        assert result.stats == \
+            build_system(config).run(rich_workload()).stats
+        misses = [event for event in tracer.log
+                  if event.kind == EventKind.MISS]
+        upgrades = [event for event in tracer.log
+                    if event.kind == EventKind.UPGRADE]
+        stats = result.stats
+        assert len(misses) == sum(value for name, value in stats.items()
+                                  if name.endswith("l2_miss"))
+        assert len(upgrades) == sum(
+            value for name, value in stats.items()
+            if name.endswith("upgrade_needed"))
+        assert upgrades, "the point must exercise upgrades"
+        assert sum(event.a1 for event in misses + upgrades) == \
+            stats.get("coherence.invalidations", 0)
+        assert sum(1 for event in misses if event.a2 & 0xFF) == \
+            stats["bus.cache_to_cache"]
+        assert sum(event.a2 >> 8 & 1 for event in misses) == \
+            stats.get("coherence.dirty_interventions", 0)

@@ -1,20 +1,6 @@
 """Statistics registry tests."""
 
-from repro.sim.stats import Counter, Histogram, StatsRegistry
-
-
-def test_counter_increments():
-    counter = Counter("x")
-    counter.increment()
-    counter.increment(4)
-    assert counter.value == 5
-
-
-def test_counter_reset():
-    counter = Counter("x")
-    counter.increment(3)
-    counter.reset()
-    assert counter.value == 0
+from repro.sim.stats import Histogram, StatsRegistry
 
 
 def test_registry_creates_on_demand():
@@ -22,13 +8,6 @@ def test_registry_creates_on_demand():
     assert stats.get("missing") == 0
     stats.add("bus.transactions")
     assert stats.get("bus.transactions") == 1
-
-
-def test_registry_counter_identity():
-    stats = StatsRegistry()
-    first = stats.counter("a")
-    second = stats.counter("a")
-    assert first is second
 
 
 def test_registry_prefix_totals():

@@ -70,23 +70,23 @@ class TestKeyIdentity:
     Each row is ``(point, point_key, family_key, family_key(recorded=
     True))`` at ``e6000_config``, scale 0.5. Family keys fold in
     ``CHECKPOINT_VERSION`` and change, deliberately, with each bump
-    (last: 4 -> 5, the one-array recorder event log); point keys never do."""
+    (last: 5 -> 6, plain-int stats registries); point keys never do."""
 
     ROWS = [
         (SweepPoint("fft", e6000_config(2, 1, senss_enabled=False),
                     0.5, 0),
          "f332deeb153e113a48d8ea29cff95ed959e98e8aa0270f240168c38119e43ab1",
-         "f839b64273fcad2379d6780419d9cd15f1d0c4d5ba57fdff35b898687fb1eb7f",
-         "c174fee20a044b5f00cb373025446f1672e5fec72485e434d29ab4f695a50347"),
+         "0f651808f5c83032d73defa042a6dcbd6f27e94d56368325d232d65a7c45ad42",
+         "2a341b83bf55f860019799703cf08f5f1d0cbf7816eee05a454ddda99bfe971d"),
         (SweepPoint("ocean", e6000_config(4, 4).with_masks(2), 0.5, 0),
          "cc1598dc07a64be9b943c6e144eddae3ea6e11dd4189ada1f3fb90da702fc56a",
-         "f3e1b8d15ef4ea62578367dd2069951a8b4c36bbd9f8c862f5838b2ca38d56cf",
-         "388eaaa66e502680937cea34160e0d47ab9a5eb3ba79c82f0d4ae8cbb07070e3"),
+         "6902be223a10e3625a8b47272d749dfb5f4256f55923f677537e855d6fd7b6e3",
+         "c3ab59ccd92861ab533be2ef80b2c789e5f7733371f8cdae572250de6f5e35df"),
         (SweepPoint("lu", e6000_config(4, 1).with_memprotect(
             encryption_enabled=True, integrity_enabled=True), 0.5, 1),
          "afaf0d2f6d52bbdbe96d4d6ca4a6098b94bc8bdd2c5e86dac82fbd8aaeb27fc0",
-         "e36214ea8219b8b3414aa8a5d281a26a5e37b4ae5b5239417f1e8ed9e071a22c",
-         "1a7700415b43455cbc798472f404417f80d0df07d15bdca0d9c91d2c71400d2f"),
+         "7fb95cc228821c831f796bfca0b129701093ddf771f7b03ae98a91cb863bc9de",
+         "480c4c7a46bf38abfe8babb4278611ec540e5b1e25d95dedf32a43965bfee1d8"),
     ]
 
     @pytest.mark.parametrize("row", ROWS,

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.config import KB, e6000_config
 from repro.errors import TraceError
-from repro.smp.trace import (ColumnarTrace, MemoryAccess, Workload,
-                             as_columns)
+from repro.sim.sweep import build_system
+from repro.smp.fastpath import _finish_run, _run_loop, new_counters
+from repro.smp.trace import ColumnarTrace, MemoryAccess, Workload
+from repro.workloads.registry import generate
 
 ACCESSES = [MemoryAccess(False, 0x100, 2),
             MemoryAccess(True, 0x140, 0),
@@ -53,15 +56,44 @@ def test_relocated():
         [access.is_write for access in ACCESSES]
 
 
-def test_columns_and_as_columns():
-    trace = make_trace()
-    writes, addresses, gaps = as_columns(trace)
+def test_columns():
+    writes, addresses, gaps = make_trace().columns()
     assert list(writes) == [0, 1, 0]
     assert list(addresses) == [0x100, 0x140, 0x100]
     assert list(gaps) == [2, 0, 5]
-    # Row-major input converts too.
-    writes2, addresses2, gaps2 = as_columns(list(ACCESSES))
-    assert list(addresses2) == list(addresses)
+
+
+def test_workload_converts_row_traces_once(monkeypatch):
+    """A workload built from ``MemoryAccess`` lists holds columnar
+    traces: both engines agree on it, and a run paused and resumed in
+    chunks reads those columns without converting again."""
+    source = generate("fft", 2, scale=0.02, seed=0)
+    rows = [list(trace) for trace in source.traces]
+    conversions = []
+    convert = ColumnarTrace.from_accesses.__func__
+
+    def counting(cls, accesses):
+        conversions.append(cls)
+        return convert(cls, accesses)
+
+    monkeypatch.setattr(ColumnarTrace, "from_accesses",
+                        classmethod(counting))
+    workload = Workload("fft-rows", rows)
+    assert all(isinstance(trace, ColumnarTrace)
+               for trace in workload.traces)
+    assert workload.traces == source.traces
+    config = e6000_config(num_processors=2).with_l2_size(64 * KB)
+    expected = build_system(config).run_reference(workload)
+    assert build_system(config).run(workload) == expected
+    system = build_system(config)
+    clocks, cursors, counters = [0, 0], [0, 0], new_counters(2)
+    chunks = 0
+    while _run_loop(system, workload, clocks, cursors, counters,
+                    stop_accesses=5000):
+        chunks += 1
+    assert chunks > 1
+    assert _finish_run(system, workload, clocks, counters) == expected
+    assert len(conversions) == workload.num_cpus
 
 
 def test_validate_rejects_bad_records():
