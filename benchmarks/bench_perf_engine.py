@@ -327,8 +327,12 @@ def measure_fault_campaign() -> dict:
     once and each cell restores the deepest snapshot preceding its
     trigger. Reports must match cell for cell modulo the fork
     bookkeeping keys. ``fork_speedup`` is the gated ratio
-    (:data:`CAMPAIGN_MIN_SPEEDUP`).
+    (:data:`CAMPAIGN_MIN_SPEEDUP`). Both legs run their cells in this
+    process (``REPRO_SWEEP_PARALLEL=0``): the ratio measures forking
+    against cold cells, not the worker pool both legs would share.
     """
+    from unittest import mock
+
     from repro.faults.campaign import run_campaign
     from repro.faults.plan import FaultKind
     from repro.faults.recovery import POLICIES
@@ -338,19 +342,20 @@ def measure_fault_campaign() -> dict:
                   scale=CAMPAIGN_SCALE, seed=BENCH_SEED,
                   trigger=CAMPAIGN_TRIGGER)
 
-    cold_s = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        cold_report = run_campaign(fork=False, **kwargs)
-        elapsed = time.perf_counter() - start
-        cold_s = elapsed if cold_s is None else min(cold_s, elapsed)
+    with mock.patch.dict(os.environ, {"REPRO_SWEEP_PARALLEL": "0"}):
+        cold_s = None
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            cold_report = run_campaign(fork=False, **kwargs)
+            elapsed = time.perf_counter() - start
+            cold_s = elapsed if cold_s is None else min(cold_s, elapsed)
 
-    fork_s = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fork_report = run_campaign(fork=True, **kwargs)
-        elapsed = time.perf_counter() - start
-        fork_s = elapsed if fork_s is None else min(fork_s, elapsed)
+        fork_s = None
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            fork_report = run_campaign(fork=True, **kwargs)
+            elapsed = time.perf_counter() - start
+            fork_s = elapsed if fork_s is None else min(fork_s, elapsed)
 
     def stripped(report: dict) -> list:
         return [{key: value for key, value in entry.items()

@@ -54,17 +54,26 @@ class CacheLine:
 
 
 def victim_way(ways: List[CacheLine]) -> CacheLine:
-    """The way a fill into the full set ``ways`` replaces: an INVALID
-    way if there is one, else the true LRU (first wins on ties)."""
-    # Manual scan — the min()-with-key form costs a lambda call per
-    # way per fill.
+    """The way a fill into the full set ``ways`` replaces: the least
+    recently used INVALID way if there is one, else the true LRU.
+
+    LRU ticks are unique within a cache (every touch and fill takes
+    the next one), so the victim does not depend on the ways' order.
+    """
+    # Manual scan with no per-way tuple or key call: this runs on
+    # every fill into a full set.
     evict = ways[0]
-    evict_key = (evict.state is not _INVALID, evict.last_used)
+    evict_valid = evict.state is not _INVALID
+    evict_used = evict.last_used
     for line in ways:
-        key = (line.state is not _INVALID, line.last_used)
-        if key < evict_key:
+        if line.state is _INVALID:
+            if evict_valid or line.last_used < evict_used:
+                evict = line
+                evict_valid = False
+                evict_used = line.last_used
+        elif evict_valid and line.last_used < evict_used:
             evict = line
-            evict_key = key
+            evict_used = line.last_used
     return evict
 
 
@@ -77,7 +86,8 @@ class SetAssociativeCache:
         self._num_sets = config.num_sets
         self._assoc = config.associativity
         # set index -> list of CacheLine (at most `associativity` long),
-        # in fill order; read only to choose a victim
+        # in slot order (a fill into a full set retags its victim's
+        # slot); read only to choose a victim
         self._sets: Dict[int, List[CacheLine]] = {}
         # block number -> the way holding it, whatever its state
         self._lines: Dict[int, CacheLine] = {}
@@ -186,16 +196,21 @@ class SetAssociativeCache:
         ways = self._sets.get(index)
         if ways is None:
             ways = self._sets[index] = []
+        if len(ways) < self._assoc:
+            line = lines[block] = CacheLine(block // num_sets, state, tick)
+            ways.append(line)
+            return None
+        # Full set: the victim's way is retagged in place.
+        evict = victim_way(ways)
+        evicted = evict.tag * num_sets + index
+        del lines[evicted]
         victim: Optional[Tuple[int, MesiState]] = None
-        if len(ways) >= self._assoc:
-            evict = victim_way(ways)
-            ways.remove(evict)
-            evicted = evict.tag * num_sets + index
-            del lines[evicted]
-            if evict.state is not _INVALID:
-                victim = (evicted << self._offset_bits, evict.state)
-        line = lines[block] = CacheLine(block // num_sets, state, tick)
-        ways.append(line)
+        if evict.state is not _INVALID:
+            victim = (evicted << self._offset_bits, evict.state)
+        evict.tag = block // num_sets
+        evict.state = state
+        evict.last_used = tick
+        lines[block] = evict
         return victim
 
     def set_state(self, address: int, state: MesiState) -> None:

@@ -145,9 +145,12 @@ class CacheHierarchy:
             ways = l2._sets.get(index)
             if ways is None:
                 ways = l2._sets[index] = []
-            elif len(ways) >= l2._assoc:
+            if len(ways) < l2._assoc:
+                line = l2_lines[block] = CacheLine(block // num_sets,
+                                                   state, tick)
+                ways.append(line)
+            else:
                 evict = victim_way(ways)
-                ways.remove(evict)
                 evicted = evict.tag * num_sets + index
                 del l2_lines[evicted]
                 if evict.state is not _INVALID:
@@ -160,9 +163,10 @@ class CacheHierarchy:
                             (victim_address + offset) >> l1_shift)
                         if covered is not None:
                             covered.state = _INVALID
-            line = l2_lines[block] = CacheLine(block // num_sets, state,
-                                               tick)
-            ways.append(line)
+                evict.tag = block // num_sets
+                evict.state = state
+                evict.last_used = tick
+                l2_lines[block] = evict
 
         l1 = self.l1
         l1_lines = l1._lines
@@ -179,12 +183,17 @@ class CacheHierarchy:
         ways = l1._sets.get(index)
         if ways is None:
             ways = l1._sets[index] = []
-        elif len(ways) >= l1._assoc:
-            evict = victim_way(ways)
-            ways.remove(evict)
-            del l1_lines[evict.tag * num_sets + index]
-        line = l1_lines[block] = CacheLine(block // num_sets, _SHARED, tick)
-        ways.append(line)
+        if len(ways) < l1._assoc:
+            line = l1_lines[block] = CacheLine(block // num_sets, _SHARED,
+                                               tick)
+            ways.append(line)
+            return victim
+        evict = victim_way(ways)
+        del l1_lines[evict.tag * num_sets + index]
+        evict.tag = block // num_sets
+        evict.state = _SHARED
+        evict.last_used = tick
+        l1_lines[block] = evict
         return victim
 
     def upgrade(self, line_address: int) -> None:

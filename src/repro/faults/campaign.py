@@ -23,6 +23,12 @@ store, like every point that starts from a snapshot: cells whose
 trigger falls before the first snapshot, or whose snapshot fails to
 restore, simply run cold, and no cell emits a snapshot.
 
+Once the prefix has run the cells are independent: they run on the
+sweep's worker pool (``repro.sim.sweep._pool_map``), one task per
+cell, under the sweep's settings (``REPRO_SWEEP_WORKERS``,
+``REPRO_SWEEP_PARALLEL=0``), and the report is byte-identical to an
+in-process run (docs/fault_injection.md).
+
 ``verify_identity`` is the bit-identity half of the acceptance
 criterion: a system with an injector attached whose plan never
 triggers must produce results identical to an untouched system.
@@ -30,6 +36,8 @@ triggers must produce results identical to an untouched system.
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..config import KB, SystemConfig, e6000_config
@@ -194,8 +202,12 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     each entry gains a ``divergence`` summary — where the faulted
     timeline first departs from the clean one and by how much (the
     full machinery is ``repro.obs.diff``; see docs/record_replay.md).
+
+    The cells run on the sweep's worker pool, or in this process with
+    ``REPRO_SWEEP_PARALLEL=0``, one worker or one cell; entries come
+    in (kind, policy) order either way. An exception a cell raises
+    propagates; a cell whose worker died is recomputed in process.
     """
-    from ..sim.checkpoint import fork_point
     from ..sim.sweep import SweepPoint
     from ..workloads.registry import generate
 
@@ -204,6 +216,8 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
             raise ReproError(f"unknown recovery policy {policy!r}")
     if config is None:
         config = campaign_config(cpus=cpus, interval=interval)
+    # Generated before any pool starts, so forked workers inherit the
+    # family instead of building it.
     bench_workload = generate(workload, cpus, scale=scale, seed=seed)
     clean_point = SweepPoint(workload, config, scale=scale, seed=seed)
     cell_specs = {kind: default_spec(kind, cpus, trigger)
@@ -219,37 +233,11 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
         from ..obs.recording import record_run
         clean_recording = record_run(clean_point)
 
-    entries: List[Dict[str, object]] = []
-    for kind in kinds:
-        for policy in policies:
-            spec = cell_specs[kind]
-            plan = FaultPlan(specs=(spec,), seed=seed)
-            run = fork_point(clean_point, _pick_snapshot(snapshots, spec),
-                             bench_workload, recorded=record_diff,
-                             plan=plan, policy=policy)
-            records = run.scoreboard.records
-            record = records[0] if records else None
-            entries.append({
-                "kind": kind,
-                "policy": policy,
-                "forked": run.forked,
-                "triggered": bool(records),
-                "detected": record.detected if record else False,
-                "mechanism": record.mechanism if record else None,
-                "latency_tx": record.latency_tx if record else -1,
-                "latency_cycles": (record.latency_cycles
-                                   if record else -1),
-                "masked": record.masked if record else False,
-                "recovered": record.recovered if record else False,
-                "completed": run.halted is None,
-                "halted": run.halted is not None,
-                "error": run.halted or "",
-                "cycles": -1 if run.result is None else run.result.cycles,
-                "penalty_cycles": run.scoreboard.penalty_cycles,
-            })
-            if record_diff:
-                entries[-1]["divergence"] = _divergence_summary(
-                    clean_recording, clean_point, run, plan, policy)
+    cells = [(kind, policy, cell_specs[kind],
+              _pick_snapshot(snapshots, cell_specs[kind]))
+             for kind in kinds for policy in policies]
+    entries = _run_cells(partial(_run_cell, clean_point, cpus,
+                                 clean_recording), cells)
 
     detected_all = all(entry["detected"] for entry in entries)
     within_interval = _all_within_interval(entries, interval)
@@ -272,6 +260,77 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
         report["record_diff"] = True
         report["clean_cycles"] = clean_recording.cycles
     return report
+
+
+def _run_cell(point, cpus: int, clean_recording, cell
+              ) -> Dict[str, object]:
+    """Run one ``(kind, policy, spec, snapshot)`` cell; its report
+    entry.
+
+    A pool task: everything it needs is in its arguments (the point,
+    the cell and, with ``record_diff``, the clean recording the cell
+    diffs against), and it gets its trace through ``generate`` — in a
+    forked worker the family memo is the parent's, otherwise the
+    worker generates the family once."""
+    from ..sim.checkpoint import fork_point
+    from ..workloads.registry import generate
+
+    kind, policy, spec, snapshot = cell
+    plan = FaultPlan(specs=(spec,), seed=point.seed)
+    record_diff = clean_recording is not None
+    run = fork_point(point, snapshot,
+                     generate(point.workload, cpus, scale=point.scale,
+                              seed=point.seed),
+                     recorded=record_diff, plan=plan, policy=policy)
+    records = run.scoreboard.records
+    record = records[0] if records else None
+    entry: Dict[str, object] = {
+        "kind": kind,
+        "policy": policy,
+        "forked": run.forked,
+        "triggered": bool(records),
+        "detected": record.detected if record else False,
+        "mechanism": record.mechanism if record else None,
+        "latency_tx": record.latency_tx if record else -1,
+        "latency_cycles": (record.latency_cycles
+                           if record else -1),
+        "masked": record.masked if record else False,
+        "recovered": record.recovered if record else False,
+        "completed": run.halted is None,
+        "halted": run.halted is not None,
+        "error": run.halted or "",
+        "cycles": -1 if run.result is None else run.result.cycles,
+        "penalty_cycles": run.scoreboard.penalty_cycles,
+    }
+    if record_diff:
+        entry["divergence"] = _divergence_summary(
+            clean_recording, point, run, plan, policy)
+    return entry
+
+
+def _run_cells(run_cell, cells) -> List[Dict[str, object]]:
+    """Every cell's entry, in cell order, on the sweep's worker pool.
+
+    The sweep's settings apply (``REPRO_SWEEP_WORKERS``,
+    ``REPRO_SWEEP_PARALLEL=0``); with one worker or one cell the cells
+    run in this process. An exception a cell raises propagates, the
+    first in cell order; a cell whose worker died is recomputed here,
+    so a pool fault costs a cold recomputation, never the report."""
+    from ..sim.sweep import _default_workers, _parallel_enabled, \
+        _pool_map
+
+    workers = _default_workers(len(cells)) if _parallel_enabled() else 1
+    if workers < 2:
+        return [run_cell(cell) for cell in cells]
+    entries = []
+    for cell, (entry, exc) in zip(cells,
+                                  _pool_map(run_cell, cells, workers)):
+        if isinstance(exc, BrokenProcessPool):
+            entry = run_cell(cell)
+        elif exc is not None:
+            raise exc
+        entries.append(entry)
+    return entries
 
 
 def _divergence_summary(clean_recording, clean_point, run,

@@ -22,8 +22,8 @@ Execution has one shape: a point runs through the one
 or without a cache), a *unit* is an ordered list of points — a family
 chain with ``checkpoint_dir``, a single point otherwise — and every
 unit runs in this process or, one unit per task, on a fresh worker
-pool (:func:`_units_parallel`). The serve plane's workers run the
-same :class:`PointRunner`.
+pool (:func:`_pool_map`, the executor fault campaigns share). The
+serve plane's workers run the same :class:`PointRunner`.
 
 Cache invalidation rules: bump :data:`ENGINE_VERSION` whenever a change
 alters simulated *timing or statistics* (it is part of every key; stale
@@ -57,8 +57,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, \
-    Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, \
+    Sequence, Tuple, Union
 
 from ..config import SystemConfig, config_to_dict
 from ..errors import ConfigError, SweepError, TraceError
@@ -414,30 +414,29 @@ def _family_units(points: Sequence[SweepPoint],
             for unit in units.values()]
 
 
-def _units_parallel(units: Sequence[Sequence[SweepPoint]],
-                    workers: int, runner) -> List[list]:
-    """One unit per task on a fresh pool; captures every failure.
+def _pool_map(task: Callable, items: Sequence, workers: int
+              ) -> List[Tuple[object, Optional[Exception]]]:
+    """``task(item)`` for every item, one item per task on a fresh
+    pool of up to ``workers`` processes: ``(value, None)`` or ``(None,
+    exception)`` per item, in input order.
 
-    A fresh pool per round means a worker crash (BrokenProcessPool
-    poisons the whole executor) costs at most the current round: every
-    in-flight future fails fast, is captured, and retries run on a
-    clean pool. A failed unit fails all its points — they retry on the
-    next round, cheaply, because the points it finished were cached
-    and checkpointed worker-side."""
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(units)))
-    unit_rows = []
+    The one executor of sweeps and fault campaigns. Every failure is
+    captured, a dead worker's ``BrokenProcessPool`` included (it
+    poisons the whole executor, so every in-flight item fails fast
+    with it), and the workers are joined before this returns: none
+    outlives the call, and the next call starts on a clean pool."""
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(items)))
+    outcomes: List[Tuple[object, Optional[Exception]]] = []
     try:
-        futures = [pool.submit(runner, list(unit)) for unit in units]
-        for unit, future in zip(units, futures):
+        futures = [pool.submit(task, item) for item in items]
+        for future in futures:
             try:
-                unit_rows.append(future.result())
+                outcomes.append((future.result(), None))
             except Exception as exc:
-                unit_rows.append(
-                    [(None, 0.0, f"{type(exc).__name__}: {exc}")]
-                    * len(unit))
+                outcomes.append((None, exc))
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return unit_rows
+        pool.shutdown(wait=True, cancel_futures=True)
+    return outcomes
 
 
 def run_sweep(points: Sequence[SweepPoint],
@@ -567,9 +566,18 @@ def run_sweep(points: Sequence[SweepPoint],
                                       recorded=record_dir is not None)
             else:
                 units = [[point] for point in remaining.values()]
-            unit_rows = (
-                _units_parallel(units, workers, runner.run_all)
-                if use_pool else [runner.run_all(unit) for unit in units])
+            if use_pool:
+                # A failed unit fails all its points: they retry next
+                # round, cheaply, because what the unit finished was
+                # cached and checkpointed worker-side.
+                unit_rows = [
+                    rows if exc is None else
+                    [(None, 0.0, f"{type(exc).__name__}: {exc}")]
+                    * len(unit)
+                    for unit, (rows, exc) in zip(
+                        units, _pool_map(runner.run_all, units, workers))]
+            else:
+                unit_rows = [runner.run_all(unit) for unit in units]
             remaining = {}
             for unit, rows in zip(units, unit_rows):
                 for point, (result, seconds, error) in zip(unit, rows):

@@ -205,13 +205,18 @@ def _run_loop(system, workload: Workload, clocks, cursors, counters,
                             ways1 = l1_sets.get(index1)
                             if ways1 is None:
                                 ways1 = l1_sets[index1] = []
-                            elif len(ways1) >= l1_assoc:
+                            if len(ways1) < l1_assoc:
+                                line = l1_lines[block1] = CacheLine(
+                                    block1 // l1_nsets, _S, tick1)
+                                ways1.append(line)
+                            else:
+                                # Retag the victim's way in place.
                                 evict = victim_way(ways1)
-                                ways1.remove(evict)
                                 del l1_lines[evict.tag * l1_nsets + index1]
-                            line = l1_lines[block1] = CacheLine(
-                                block1 // l1_nsets, _S, tick1)
-                            ways1.append(line)
+                                evict.tag = block1 // l1_nsets
+                                evict.state = _S
+                                evict.last_used = tick1
+                                l1_lines[block1] = evict
                         l2_hits[cpu] += 1
                         clock = pending + l2_latency
 

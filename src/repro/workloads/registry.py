@@ -36,9 +36,15 @@ WORKLOADS: Dict[str, Callable[..., Workload]] = {
 #: speeds up. ``_LOCK`` covers lookup, growth, eviction and slicing:
 #: the serve supervisor runs points on whatever executor it is handed,
 #: a thread pool included.
-_MEMO_CAPACITY = 8
 _MEMO: "OrderedDict[Tuple, Family]" = OrderedDict()
 _LOCK = threading.Lock()
+
+#: byte budget of the memoized families' trace columns: least recently
+#: used families are dropped until the rest fit, but never the family
+#: a call just served. The Fig 6-10 grid's ten families (5 programs x
+#: {2P, 4P} at scale 0.5) take about 9 MB, so a figure sweep builds
+#: each family once per process instead of cycling through them.
+_MEMO_BUDGET_BYTES = 32 << 20
 
 
 def clear_memo() -> None:
@@ -70,10 +76,11 @@ def generate(name: str, num_cpus: int, scale: float = 1.0,
     with _LOCK:
         family = _MEMO.get(key)
         if family is None:
-            family = Family(program, num_cpus, seed, units)
-            _MEMO[key] = family
-            while len(_MEMO) > _MEMO_CAPACITY:
-                _MEMO.popitem(last=False)
+            family = _MEMO[key] = Family(program, num_cpus, seed, units)
         else:
             _MEMO.move_to_end(key)
-        return family.workload(scale)
+        workload = family.workload(scale)   # may grow the family
+        held = sum(entry.nbytes for entry in _MEMO.values())
+        while held > _MEMO_BUDGET_BYTES and len(_MEMO) > 1:
+            held -= _MEMO.popitem(last=False)[1].nbytes
+        return workload

@@ -117,6 +117,12 @@ class Family:
             ColumnarTrace(*(column[start:] for column in columns)) \
                 .validate(cpu)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of trace columns the family holds (its memo cost)."""
+        return sum(len(column) * column.itemsize
+                   for columns in self._columns for column in columns)
+
     def workload(self, scale: float) -> Workload:
         """The program at ``scale``: fresh per-CPU prefix copies."""
         units = self.program.units(scale)

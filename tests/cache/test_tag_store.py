@@ -286,3 +286,39 @@ def test_restored_machine_protocol_probes_see_the_restored_index():
     assert line.state is MesiState.SHARED
     l2 = restored.hierarchies[1].l2
     assert l2._lines[address >> l2._offset_bits] is line
+
+
+def assert_ticks_distinct(system):
+    """Every way of each cache holds its own LRU tick, at most the
+    cache's clock: the victim then never depends on way order."""
+    for hierarchy in system.hierarchies:
+        for cache in (hierarchy.l1, hierarchy.l2):
+            ticks = [line.last_used for ways in cache._sets.values()
+                     for line in ways]
+            assert len(set(ticks)) == len(ticks)
+            assert all(0 < tick <= cache._tick for tick in ticks)
+            assert_index_consistent(cache)
+
+
+def test_lru_ticks_stay_distinct_after_a_run_and_a_restore():
+    """A miss-heavy run retags its victims' ways in place; the ticks
+    stay unique per cache through the run, a snapshot round trip and
+    the restored machine's remainder of the run."""
+    config = e6000_config(num_processors=2, l2_mb=1).with_l2_size(64 * 1024)
+    target = SweepPoint("ocean", config, scale=0.02, seed=0)
+    workload = generate("ocean", 2, scale=0.02, seed=0)
+    system = build_system(config)
+    clocks, cursors, counters = [0, 0], [0, 0], new_counters(2)
+    _run_loop(system, workload, clocks, cursors, counters,
+              stop_accesses=12000)
+    assert all(len(ways) == cache._assoc
+               for hierarchy in system.hierarchies
+               for cache in (hierarchy.l1, hierarchy.l2)
+               for ways in cache._sets.values())
+    assert_ticks_distinct(system)
+    snapshot = capture(system, workload, target, clocks, cursors,
+                       counters, tag="t")
+    restored, clocks, cursors, counters = restore(snapshot)
+    assert_ticks_distinct(restored)
+    assert not _run_loop(restored, workload, clocks, cursors, counters)
+    assert_ticks_distinct(restored)

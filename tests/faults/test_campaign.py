@@ -1,6 +1,8 @@
 """The campaign matrix reducer (what `python -m repro faults` runs)."""
 
 import gc
+import multiprocessing
+import os
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.config import e6000_config
 from repro.errors import ReproError
 from repro.faults import FaultKind
 from repro.faults.campaign import default_spec, run_campaign
+from repro.sim import checkpoint
 from repro.sim.sweep import SweepPoint, run_sweep
 from repro.smp.system import SmpSystem
 
@@ -73,13 +76,16 @@ def test_without_record_diff_entries_stay_lean(config):
 @pytest.mark.parametrize("fork,record_diff", [
     (True, False), (False, False), (True, True),
     pytest.param("chain", False, id="chain")])
-def test_cells_free_their_machines(config, fork, record_diff, tmp_path):
+def test_cells_free_their_machines(config, fork, record_diff, tmp_path,
+                                  monkeypatch):
     """A finished run's machine is freed when the run ends: every
     campaign cell's, the clean-prefix machine and (``chain``) each
     point's of a 3-point checkpointed radix sweep chain. Stats
     flushers and layer back-pointers make a dropped machine cyclic
     garbage; with the collector off, every such machine would still
-    be alive afterwards."""
+    be alive afterwards. The cells run in this process, where the
+    count can see them."""
+    monkeypatch.setenv("REPRO_SWEEP_PARALLEL", "0")
     def machines():
         return sum(1 for obj in gc.get_objects()
                    if isinstance(obj, SmpSystem))
@@ -105,3 +111,70 @@ def test_cells_free_their_machines(config, fork, record_diff, tmp_path):
     finally:
         gc.enable()
     assert after == before
+
+
+CELLS = dict(kinds=(FaultKind.SPOOF, FaultKind.DROP),
+             policies=("halt", "rekey-replay"), scale=SCALE)
+
+
+def serial_report(monkeypatch, **kwargs):
+    with monkeypatch.context() as serial:
+        serial.setenv("REPRO_SWEEP_PARALLEL", "0")
+        return run_campaign(**kwargs)
+
+
+@pytest.mark.parametrize("fork,record_diff", [
+    (True, False), (False, False), (True, True)])
+def test_pool_report_equals_the_serial_one(config, fork, record_diff,
+                                           monkeypatch):
+    """Cells on the sweep's worker pool build the same report, entry
+    for entry and in the same order, as cells run one after another
+    in this process; no pool worker outlives the campaign."""
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
+    kwargs = dict(CELLS, config=config, fork=fork,
+                  record_diff=record_diff, trigger=40)
+    if record_diff:
+        kwargs["kinds"] = (FaultKind.DROP,)   # two recorded cells
+    pooled = run_campaign(**kwargs)
+    assert multiprocessing.active_children() == []
+    assert pooled == serial_report(monkeypatch, **kwargs)
+
+
+def test_a_dead_worker_cell_is_recomputed_here(config, monkeypatch,
+                                               tmp_path):
+    """A cell whose worker process dies mid-run is recomputed in this
+    process: the report is the serial one, and the pool is gone."""
+    parent = os.getpid()
+    died = tmp_path / "died"
+    recomputed = []
+    real_fork_point = checkpoint.fork_point
+
+    def fork_point(point, snapshot, workload, **kwargs):
+        cell = (kwargs["plan"].specs[0].kind, kwargs["policy"])
+        if cell == (FaultKind.DROP, "halt"):
+            if os.getpid() != parent:
+                died.touch()
+                os._exit(3)
+            recomputed.append(cell)
+        return real_fork_point(point, snapshot, workload, **kwargs)
+
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
+    monkeypatch.setattr(checkpoint, "fork_point", fork_point)
+    report = run_campaign(config=config, **CELLS)
+    assert died.exists()
+    assert recomputed == [(FaultKind.DROP, "halt")]
+    assert multiprocessing.active_children() == []
+    assert report == serial_report(monkeypatch, config=config, **CELLS)
+
+
+def test_a_cell_error_propagates(config, monkeypatch):
+    """An exception a cell raises in a worker reaches the caller, as it
+    does when the cells run in this process."""
+    def fork_point(*args, **kwargs):
+        raise ReproError("cell failed")
+
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
+    monkeypatch.setattr(checkpoint, "fork_point", fork_point)
+    with pytest.raises(ReproError, match="cell failed"):
+        run_campaign(config=config, fork=False, **CELLS)
+    assert multiprocessing.active_children() == []

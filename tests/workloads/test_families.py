@@ -113,13 +113,37 @@ def test_growth_leaves_earlier_workloads_alone():
     assert [len(trace) for trace in small.traces] == lengths
 
 
-def test_memo_holds_at_most_eight_families():
+def _memo_bytes() -> int:
+    return sum(family.nbytes for family in registry._MEMO.values())
+
+
+def test_memo_is_budgeted_by_bytes(monkeypatch):
+    """Least recently used families go first once the columns exceed
+    the byte budget; the family a call just served always stays, even
+    when it alone is over budget."""
+    generate("lu", 2, scale=0.02, seed=0)
+    size = _memo_bytes()
+    monkeypatch.setattr(registry, "_MEMO_BUDGET_BYTES", 3 * size)
     for seed in range(12):
         generate("lu", 2, scale=0.02, seed=seed)
-        assert len(registry._MEMO) <= registry._MEMO_CAPACITY == 8
-    for scale in (0.02, 0.05, 0.1):
-        generate("lu", 2, scale=scale, seed=11)
-    assert len(registry._MEMO) == 8
+        assert _memo_bytes() <= 3 * size
+    generate("lu", 2, scale=0.02, seed=9)     # most recent again
+    assert list(registry._MEMO) == [("lu", 2, 11), ("lu", 2, 12),
+                                    ("lu", 2, 10)]
+    generate("lu", 2, scale=0.5, seed=10)     # grows past the budget
+    assert list(registry._MEMO) == [("lu", 2, 11)]
+    assert _memo_bytes() > 3 * size
+
+
+def test_memo_holds_the_figure_grid():
+    """The Fig 6-10 grid's ten families (5 programs x {2P, 4P} at scale
+    0.5) fit the default budget together, so a figure sweep builds each
+    one once per process."""
+    for name in SPLASH2_NAMES:
+        for cpus in (2, 4):
+            generate(name, cpus, scale=0.5, seed=0)
+    assert len(registry._MEMO) == 10
+    assert _memo_bytes() <= registry._MEMO_BUDGET_BYTES
 
 
 class _YieldingMemo(OrderedDict):
@@ -134,8 +158,10 @@ class _YieldingMemo(OrderedDict):
 
 def test_concurrent_generation_is_exact(monkeypatch):
     """Four threads grow, slice and evict families at once (10 seeds
-    against 8 slots); none raises and every result equals a one-shot
-    generation."""
+    against a budget of about 8 of them); none raises and every result
+    equals a one-shot generation."""
+    generate("radix", 2, scale=0.05, seed=0)
+    monkeypatch.setattr(registry, "_MEMO_BUDGET_BYTES", 8 * _memo_bytes())
     monkeypatch.setattr(registry, "_MEMO", _YieldingMemo())
     calls = [("radix", 2, scale, seed) for seed in range(10)
              for scale in (0.01, 0.03, 0.02, 0.05)]
