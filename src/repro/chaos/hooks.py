@@ -90,6 +90,6 @@ def apply_worker_faults(point) -> None:
             # no exception, the process is simply gone.
             os.kill(os.getpid(), signal.SIGKILL)
         elif kind == "point-hang":
-            # Outlive any sane deadline; the supervisor's pool
+            # Outlive any sane deadline; the scheduler's forced pool
             # restart kills this process long before it wakes.
             time.sleep(float(fault.get("hang_s", 120.0)))

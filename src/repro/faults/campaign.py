@@ -24,7 +24,7 @@ trigger falls before the first snapshot, or whose snapshot fails to
 restore, simply run cold, and no cell emits a snapshot.
 
 Once the prefix has run the cells are independent: they run on the
-sweep's worker pool (``repro.sim.sweep._pool_map``), one task per
+one worker pool (:class:`repro.sim.pool.WorkerPool`), one task per
 cell, under the sweep's settings (``REPRO_SWEEP_WORKERS``,
 ``REPRO_SWEEP_PARALLEL=0``), and the report is byte-identical to an
 in-process run (docs/fault_injection.md).
@@ -309,22 +309,24 @@ def _run_cell(point, cpus: int, clean_recording, cell
 
 
 def _run_cells(run_cell, cells) -> List[Dict[str, object]]:
-    """Every cell's entry, in cell order, on the sweep's worker pool.
+    """Every cell's entry, in cell order, on the one worker pool.
 
     The sweep's settings apply (``REPRO_SWEEP_WORKERS``,
     ``REPRO_SWEEP_PARALLEL=0``); with one worker or one cell the cells
     run in this process. An exception a cell raises propagates, the
     first in cell order; a cell whose worker died is recomputed here,
-    so a pool fault costs a cold recomputation, never the report."""
-    from ..sim.sweep import _default_workers, _parallel_enabled, \
-        _pool_map
+    once the pool is gone, so a pool fault costs a cold recomputation,
+    never the report."""
+    from ..sim.pool import WorkerPool
+    from ..sim.sweep import _default_workers, _parallel_enabled
 
     workers = _default_workers(len(cells)) if _parallel_enabled() else 1
     if workers < 2:
         return [run_cell(cell) for cell in cells]
+    with WorkerPool(workers) as pool:
+        outcomes = pool.map(run_cell, cells)
     entries = []
-    for cell, (entry, exc) in zip(cells,
-                                  _pool_map(run_cell, cells, workers)):
+    for cell, (entry, exc) in zip(cells, outcomes):
         if isinstance(exc, BrokenProcessPool):
             entry = run_cell(cell)
         elif exc is not None:

@@ -20,9 +20,12 @@ warmup again. This package turns that into a long-lived service:
   transport retries and a resumable event stream;
 - :class:`~repro.serve.journal.JobJournal` — the append-only JSONL
   WAL behind ``repro serve --state-dir``/``--resume`` (crashed
-  servers re-admit incomplete jobs; docs/resilience.md);
-- :class:`~repro.serve.supervisor.WorkerSupervisor` — deadline
-  timers + kill-and-respawn over the worker pool.
+  servers re-admit incomplete jobs; docs/resilience.md).
+
+The worker pool is the sweep runner's own
+:class:`~repro.sim.pool.WorkerPool` (kill-and-respawn on a dead or
+hung worker) with ``forkserver`` workers; the scheduler arms each
+point's deadline itself.
 
 Results served over the wire are bit-identical — cycles, per-CPU
 clocks and every statistic — to a direct :func:`run_sweep` call
@@ -38,7 +41,6 @@ from .jobs import JobSpec, parse_job_request, point_from_dict, \
     point_to_dict, result_from_dict, result_to_dict
 from .journal import JobJournal, JournaledJob
 from .scheduler import Job, Scheduler
-from .supervisor import WorkerSupervisor
 
 __all__ = [
     "Job",
@@ -48,7 +50,6 @@ __all__ = [
     "Scheduler",
     "ServeClient",
     "WeightedFairQueue",
-    "WorkerSupervisor",
     "parse_job_request",
     "point_from_dict",
     "point_to_dict",

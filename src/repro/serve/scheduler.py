@@ -15,22 +15,23 @@ entirely from a single asyncio event loop:
   the same point share one execution — both get the result, and the
   bill for the slot is paid once);
 - **execution** — points run on a **warm pool**: one
-  ``ProcessPoolExecutor`` created at :meth:`start` and reused for the
-  server's whole life, with warmup tasks that pre-import the
-  simulator in every worker, so repeated sweeps never pay interpreter
-  spawn + import + AES key-schedule startup again (the
-  ``serving`` section of ``BENCH_engine.json`` measures the win);
+  :class:`~repro.sim.pool.WorkerPool` (``forkserver`` workers) warmed
+  at :meth:`start` and reused for the server's whole life, with
+  warmup tasks that pre-import the simulator in every worker, so
+  repeated sweeps never pay interpreter spawn + import + AES
+  key-schedule startup again (the ``serving`` section of
+  ``BENCH_engine.json`` measures the win);
 - **completion** — results are stored in the cache (atomic publish;
   see ResultCache) and fanned out to every subscribed job; a job
   whose last point lands becomes ``done`` (or ``failed`` if any
   point errored).
 
-Resilience (docs/resilience.md): the pool is owned by a
-:class:`~repro.serve.supervisor.WorkerSupervisor` — a dead worker
+Resilience (docs/resilience.md): a dead worker
 (``BrokenProcessPool``) or a point past its ``point_timeout``
-deadline triggers kill-and-respawn of the pool and the affected
-points re-enter the fair queue with seeded exponential backoff +
-jitter (``serve.retries``). A point that keeps failing is
+deadline — one event-loop timer armed on the point's in-flight
+:class:`_Execution` — triggers kill-and-respawn of the pool and the
+affected points re-enter the fair queue with seeded exponential
+backoff + jitter (``serve.retries``). A point that keeps failing is
 **quarantined** after ``quarantine_after`` consecutive failures
 (``serve.quarantined_points``): it fails fast with the recorded
 error, poisoning neither its job's other points nor other tenants.
@@ -56,23 +57,33 @@ stream the HTTP layer serves is exactly this list.
 from __future__ import annotations
 
 import asyncio
-import functools
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import BackpressureError, ServeError
+from ..sim.pool import WorkerPool, serve_context
 from ..sim.sweep import PointRunner, RecordingStore, ResultCache, \
     SweepPoint, backoff_delay, point_key
 from .fairqueue import WeightedFairQueue
 from .jobs import JobSpec, job_request_dict, parse_job_request, \
     result_to_dict
 from .journal import JobJournal
-from .supervisor import WorkerSupervisor
 
 #: job lifecycle states (terminal: done / failed / cancelled)
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+
+def _warm_worker(_arg) -> int:
+    """Run one micro-simulation so the worker has imported every hot
+    module and built its first system before real points arrive."""
+    from ..config import SystemConfig
+    from ..sim.sweep import build_system
+    from ..workloads.registry import generate
+    workload = generate("fft", 1, scale=0.01, seed=0)
+    return build_system(SystemConfig(num_processors=1)).run(
+        workload).cycles
 
 
 class Job:
@@ -139,7 +150,7 @@ class _Execution:
     """One running point and the (job, index) pairs wanting its result."""
 
     __slots__ = ("key", "point", "subscribers", "started_us",
-                 "settled")
+                 "settled", "timer")
 
     def __init__(self, key: str, point: SweepPoint, started_us: int):
         self.key = key
@@ -151,6 +162,9 @@ class _Execution:
         # whichever comes second is ignored (the slot was already
         # refunded, the subscribers already routed).
         self.settled = False
+        #: the armed ``point_timeout`` timer, until the execution
+        #: settles
+        self.timer: Optional[asyncio.TimerHandle] = None
 
     @property
     def base_key(self) -> str:
@@ -162,10 +176,10 @@ class Scheduler:
 
     ``executor``/``runner`` are injectable for tests (a thread pool
     plus a controllable runner gives deterministic contention); the
-    production path is a warm ``ProcessPoolExecutor`` running
-    :class:`repro.sim.sweep.PointRunner` under worker supervision
-    (record jobs through a recording ``PointRunner``; with
-    ``checkpoint_dir`` both runners fork from one store).
+    production path is a warm :class:`~repro.sim.pool.WorkerPool`
+    running :class:`repro.sim.sweep.PointRunner` (record jobs through
+    a recording ``PointRunner``; with ``checkpoint_dir`` both runners
+    fork from one store).
     ``journal`` (a :class:`JobJournal` or a path) turns on the
     durable WAL; ``point_timeout`` arms the per-point
     deadline; ``retries``/``backoff_s``/``seed`` shape the seeded
@@ -182,7 +196,6 @@ class Scheduler:
                  point_timeout: Optional[float] = None,
                  retries: int = 2, backoff_s: float = 0.05,
                  seed: int = 0, quarantine_after: int = 5,
-                 executor_factory=None,
                  checkpoint_dir: Optional[Union[str, Path]] = None):
         self.cache = cache
         self.record_dir = None if record_dir is None else Path(record_dir)
@@ -218,10 +231,12 @@ class Scheduler:
         self.jobs: Dict[str, Job] = {}
         self._order: List[Job] = []
         self._inflight: Dict[str, _Execution] = {}
-        self._supervisor = WorkerSupervisor(
-            max_workers=self.max_workers, warmup=warmup,
-            executor=executor, executor_factory=executor_factory)
-        self._supervisor.on_restart = self._on_worker_restart
+        self._pool = WorkerPool(self.max_workers, serve_context(),
+                                executor)
+        self._warmup = warmup
+        # An injected executor is ready as handed in; an owned pool
+        # once start() has run.
+        self._started = executor is not None
         self._runner = runner if runner is not None \
             else PointRunner(checkpoints=checkpoints)
         self._running = 0
@@ -263,12 +278,25 @@ class Scheduler:
     # -- lifecycle -----------------------------------------------------
 
     @property
-    def supervisor(self) -> WorkerSupervisor:
-        return self._supervisor
+    def pool(self) -> WorkerPool:
+        return self._pool
 
     async def start(self) -> "Scheduler":
-        """Create (and warm) the worker pool; returns self."""
-        await self._supervisor.start()
+        """Start the fork server, then warm every worker; returns self.
+
+        Call this before the server starts accepting connections: it
+        kicks the fork server to life while no connection FDs exist
+        yet (see :func:`repro.sim.pool.serve_context`) — started any
+        later, the long-lived fork server would inherit whatever
+        sockets happen to be open and pin them forever.
+        """
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._pool.kick)
+        if self._warmup:
+            await asyncio.gather(*(
+                asyncio.wrap_future(self._pool.submit(_warm_worker, None))
+                for _ in range(self.max_workers)))
+        self._started = True
         return self
 
     def resume(self) -> List[Job]:
@@ -329,7 +357,11 @@ class Scheduler:
             handle.cancel()
         self._retry_handles.clear()
         self._pending_retries = 0
-        self._supervisor.stop()
+        # What is still in flight was given up on: no deadline of it
+        # may fire after this.
+        for execution in self._inflight.values():
+            self._disarm(execution)
+        self._pool.close()
         if self.journal is not None:
             self.journal.close()
         return drained
@@ -489,33 +521,50 @@ class Scheduler:
                     job.id, queued.index, queued.key,
                     self._failures.get(queued.key, 0) + 1)
             runner = self._record_runner if recording else self._runner
-            future = self._supervisor.submit(
-                runner, queued.point, deadline_s=self.point_timeout,
-                on_timeout=functools.partial(
-                    self._on_execution_timeout, execution))
+            future = asyncio.wrap_future(
+                self._pool.submit(runner, queued.point))
+            # A submit on a broken pool respawns it: count that too.
+            self.counters["serve.worker_restarts"] = self._pool.restarts
+            if self.point_timeout is not None:
+                execution.timer = asyncio.get_running_loop().call_later(
+                    self.point_timeout, self._on_execution_timeout,
+                    execution, future)
             future.add_done_callback(
                 lambda done, execution=execution:
                 self._on_execution_done(execution, done))
 
+    def _disarm(self, execution: _Execution) -> None:
+        if execution.timer is not None:
+            execution.timer.cancel()
+            execution.timer = None
+
     def _retire(self, execution: _Execution) -> None:
-        """Refund the slot and drop the in-flight entry — once."""
+        """Refund the slot, disarm the deadline and drop the in-flight
+        entry — once."""
         execution.settled = True
+        self._disarm(execution)
         self._running -= 1
         self._inflight.pop(execution.key, None)
 
-    def _on_execution_timeout(self, execution: _Execution) -> None:
+    def _restart_pool(self, force: bool = False) -> None:
+        self._pool.restart(force=force)
+        self.counters["serve.worker_restarts"] = self._pool.restarts
+
+    def _on_execution_timeout(self, execution: _Execution,
+                              future: asyncio.Future) -> None:
         """Deadline timer verdict: the point blew its deadline. The
         worker under it is presumed hung, so the whole pool is killed
         and respawned (a hung process future can never complete);
         other in-flight points die with it and take the retry path as
         worker-loss failures."""
-        if execution.settled:
+        # The future may have completed in this loop iteration, ahead
+        # of its (already scheduled) done-callback.
+        if execution.settled or future.done():
             return
         self._retire(execution)
         error = ("TimeoutError: point exceeded the "
                  f"{self.point_timeout}s deadline")
-        self._supervisor.restart(reason="point deadline exceeded",
-                                 force=True)
+        self._restart_pool(force=True)
         self._route_failure(execution, error)
         self._pump()
         self._check_idle()
@@ -546,10 +595,9 @@ class Scheduler:
             # genuinely broken pool is replaced) and retry.
             if isinstance(exc, asyncio.CancelledError):
                 error = "CancelledError: worker pool restarted"
-                self._supervisor.restart(reason="execution cancelled")
             else:
                 error = f"{type(exc).__name__}: {exc}"
-                self._supervisor.restart(reason=error)
+            self._restart_pool()
             self._route_failure(execution, error)
         else:
             self.counters["serve.points_executed"] += 1
@@ -650,9 +698,6 @@ class Scheduler:
         handle = loop.call_later(delay, fire)
         handle_box.append(handle)
         self._retry_handles.add(handle)
-
-    def _on_worker_restart(self, reason: str) -> None:
-        self.counters["serve.worker_restarts"] += 1
 
     # -- point / job completion ----------------------------------------
 
@@ -775,9 +820,9 @@ class Scheduler:
         accept and run a job right now?"""
         if self._draining:
             return False, "draining"
-        if self._supervisor.executor is None:
+        if not self._started:
             return False, "worker pool not started"
-        if not self._supervisor.alive:
+        if not self._pool.alive:
             return False, "worker pool broken"
         return True, "ok"
 
@@ -822,7 +867,7 @@ class Scheduler:
                 "max": self.max_workers,
                 "busy": self._running,
                 "inflight": len(self._inflight),
-                "warm": self._supervisor.executor is not None,
+                "warm": self._started,
             },
             "cache": {
                 "enabled": self.cache is not None,
@@ -862,7 +907,14 @@ class Scheduler:
                 "journal_skipped":
                     self.counters["serve.journal_skipped"],
                 "quarantined_points": sorted(self.quarantined),
-                "supervisor": self._supervisor.describe(),
+                "supervisor": {
+                    "alive": self._pool.alive,
+                    "restarts": self._pool.restarts,
+                    "supervised_inflight": len(self._inflight),
+                    "watching": any(
+                        execution.timer is not None
+                        for execution in self._inflight.values()),
+                },
             },
             "tenants": tenants,
             "counters": dict(self.counters),
@@ -879,7 +931,7 @@ class Scheduler:
             "serve.workers": self.max_workers,
             "serve.draining": self._draining,
             "serve.pending_retries": self._pending_retries,
-            "serve.pool_alive": self._supervisor.alive,
+            "serve.pool_alive": self._pool.alive,
             "serve.uptime_s": round(
                 time.monotonic() - self._start_monotonic, 3),
             "serve.tenants": self.queue.depths(),

@@ -21,9 +21,10 @@ Execution has one shape: a point runs through the one
 :class:`PointRunner` (plain, recorded, forked from a checkpoint, with
 or without a cache), a *unit* is an ordered list of points — a family
 chain with ``checkpoint_dir``, a single point otherwise — and every
-unit runs in this process or, one unit per task, on a fresh worker
-pool (:func:`_pool_map`, the executor fault campaigns share). The
-serve plane's workers run the same :class:`PointRunner`.
+unit runs in this process or, one unit per task, on a fresh
+:class:`~repro.sim.pool.WorkerPool` per retry round (the one worker
+pool, shared with fault campaigns and the serve plane, whose workers
+run the same :class:`PointRunner`).
 
 Cache invalidation rules: bump :data:`ENGINE_VERSION` whenever a change
 alters simulated *timing or statistics* (it is part of every key; stale
@@ -53,16 +54,16 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, \
-    Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, \
+    Tuple, Union
 
 from ..config import SystemConfig, config_to_dict
 from ..errors import ConfigError, SweepError, TraceError
 from ..smp.metrics import SimulationResult
+from .pool import WorkerPool
 from .store import BlobStore, sha256
 
 if TYPE_CHECKING:
@@ -414,31 +415,6 @@ def _family_units(points: Sequence[SweepPoint],
             for unit in units.values()]
 
 
-def _pool_map(task: Callable, items: Sequence, workers: int
-              ) -> List[Tuple[object, Optional[Exception]]]:
-    """``task(item)`` for every item, one item per task on a fresh
-    pool of up to ``workers`` processes: ``(value, None)`` or ``(None,
-    exception)`` per item, in input order.
-
-    The one executor of sweeps and fault campaigns. Every failure is
-    captured, a dead worker's ``BrokenProcessPool`` included (it
-    poisons the whole executor, so every in-flight item fails fast
-    with it), and the workers are joined before this returns: none
-    outlives the call, and the next call starts on a clean pool."""
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(items)))
-    outcomes: List[Tuple[object, Optional[Exception]]] = []
-    try:
-        futures = [pool.submit(task, item) for item in items]
-        for future in futures:
-            try:
-                outcomes.append((future.result(), None))
-            except Exception as exc:
-                outcomes.append((None, exc))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    return outcomes
-
-
 def run_sweep(points: Sequence[SweepPoint],
               cache: Optional[ResultCache] = None,
               parallel: Optional[bool] = None,
@@ -570,12 +546,13 @@ def run_sweep(points: Sequence[SweepPoint],
                 # A failed unit fails all its points: they retry next
                 # round, cheaply, because what the unit finished was
                 # cached and checkpointed worker-side.
+                with WorkerPool(min(workers, len(units))) as pool:
+                    outcomes = pool.map(runner.run_all, units)
                 unit_rows = [
                     rows if exc is None else
                     [(None, 0.0, f"{type(exc).__name__}: {exc}")]
                     * len(unit)
-                    for unit, (rows, exc) in zip(
-                        units, _pool_map(runner.run_all, units, workers))]
+                    for unit, (rows, exc) in zip(units, outcomes)]
             else:
                 unit_rows = [runner.run_all(unit) for unit in units]
             remaining = {}

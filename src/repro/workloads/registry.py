@@ -34,7 +34,7 @@ WORKLOADS: Dict[str, Callable[..., Workload]] = {
 #: every serve submission, every checkpoint-chain fork — would
 #: otherwise dominate exactly the runs the prefix-sharing executor
 #: speeds up. ``_LOCK`` covers lookup, growth, eviction and slicing:
-#: the serve supervisor runs points on whatever executor it is handed,
+#: the serve scheduler runs points on whatever executor it is handed,
 #: a thread pool included.
 _MEMO: "OrderedDict[Tuple, Family]" = OrderedDict()
 _LOCK = threading.Lock()

@@ -1,26 +1,19 @@
 """Self-healing scheduler: retries, quarantine, deadlines, resume.
 
-Most tests inject thread-pool executors and deterministic runners
+The tests inject thread-pool executors and deterministic runners
 (same idiom as test_scheduler.py) so failure timing is controlled by
-the test. The two supervisor tests at the bottom use a *real*
-process pool — a worker genuinely SIGKILLs itself — because fake
-executors cannot break the way these paths exist to survive.
+the test. Real worker processes are driven in tests/sim/test_pool.py
+and tests/serve/test_point_deadlines.py.
 """
 
 import asyncio
-import os
-import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-
-import pytest
 
 from repro.config import e6000_config
 from repro.serve.jobs import JobSpec
 from repro.serve.journal import JobJournal
 from repro.serve.scheduler import Scheduler
-from repro.serve.supervisor import WorkerSupervisor
 from repro.sim.sweep import ResultCache, SweepPoint
 from repro.smp.metrics import SimulationResult
 
@@ -407,86 +400,5 @@ class TestDrainUnderFire:
                 assert job.state == "done"
                 assert scheduler.ready() == (False, "draining")
             finally:
-                pool.shutdown(wait=False)
-        asyncio.run(scenario())
-
-
-# -- real worker processes ---------------------------------------------
-
-def _kill_self(_arg):
-    """Pool worker target: die the way an OOM kill looks."""
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _echo(value):
-    return value
-
-
-class TestWorkerSupervisor:
-    def test_killed_worker_breaks_then_restart_heals(self):
-        async def scenario():
-            supervisor = WorkerSupervisor(max_workers=1,
-                                          warmup=False)
-            await supervisor.start()
-            try:
-                with pytest.raises(BrokenProcessPool):
-                    await supervisor.submit(_kill_self, None)
-                assert not supervisor.alive
-                assert supervisor.restart(reason="test") is True
-                assert supervisor.alive
-                assert supervisor.restarts == 1
-                assert await supervisor.submit(_echo, 42) == 42
-            finally:
-                supervisor.stop()
-        asyncio.run(scenario())
-
-    def test_submit_on_broken_pool_self_heals(self):
-        async def scenario():
-            supervisor = WorkerSupervisor(max_workers=1,
-                                          warmup=False)
-            await supervisor.start()
-            try:
-                with pytest.raises(BrokenProcessPool):
-                    await supervisor.submit(_kill_self, None)
-                # No explicit restart: submit restores the pool.
-                assert await supervisor.submit(_echo, 7) == 7
-                assert supervisor.restarts == 1
-            finally:
-                supervisor.stop()
-        asyncio.run(scenario())
-
-    def test_watchdog_fires_once_per_overdue_flight(self):
-        async def scenario():
-            pool = ThreadPoolExecutor(max_workers=1)
-            supervisor = WorkerSupervisor(executor=pool)
-            fired = []
-            gate = threading.Semaphore(0)
-            try:
-                future = supervisor.submit(
-                    lambda _arg: gate.acquire(timeout=10), None,
-                    deadline_s=0.03,
-                    on_timeout=lambda: fired.append(True))
-                await asyncio.sleep(0.2)
-                assert fired == [True]  # once, not once-per-tick
-                gate.release()
-                await future
-                # Watchdog winds down once nothing has a deadline.
-                await asyncio.sleep(0.05)
-                assert not supervisor.describe()["watching"]
-            finally:
-                gate.release()
-                supervisor.stop()
-                pool.shutdown(wait=False)
-        asyncio.run(scenario())
-
-    def test_injected_executor_never_replaced(self):
-        async def scenario():
-            pool = ThreadPoolExecutor(max_workers=1)
-            supervisor = WorkerSupervisor(executor=pool)
-            try:
-                assert supervisor.restart(force=True) is False
-                assert supervisor.executor is pool
-            finally:
-                supervisor.stop()
                 pool.shutdown(wait=False)
         asyncio.run(scenario())
