@@ -1,89 +1,93 @@
-"""Engine throughput — simulated accesses per wall-clock second.
+"""Engine throughput and the engine's regression gates.
 
-Not a paper figure: this bench tracks the *simulator's* speed so
-performance regressions in the hot path are caught. It times two
-points on the three machine flavours and writes ``BENCH_engine.json``
-at the repo root with absolute throughputs and the speedup over the
-recorded pre-fastpath engine:
+Not a paper figure: this bench tracks the *simulator's* speed and the
+cost of its optional layers. :func:`measure_report` is its one
+measuring path; :data:`GATES` is its one table of gates (report path,
+operator, bound). Both entry points run the first and evaluate the
+second:
 
-- **hit-heavy**: the fft kernel on the default 1 MB L2 (>90% hits) —
-  dominated by the merged fast path;
-- **miss-heavy**: the ocean model on a 64 KB L2 (~73% hits) —
-  dominated by the slow path (coherence protocol, bus arbitration,
-  security layers), the target of the DESIGN.md §6c streamlining.
+- ``pytest benchmarks/bench_perf_engine.py`` measures at
+  ``BENCH_SCALE``, rewrites ``BENCH_engine.json`` at the repo root and
+  fails on any failed gate;
+- ``python benchmarks/bench_perf_engine.py --check`` measures at the
+  committed report's scale, prints every gate and exits non-zero on
+  any failure (the CI "Engine throughput regression gate").
 
-Run directly (``python benchmarks/bench_perf_engine.py --check``) the
-module is a regression gate instead of a pytest bench: it re-measures
-the six throughput points fresh and compares them against the
-committed ``BENCH_engine.json``, failing if any point slowed down by
-more than ``--threshold`` percent (default 25). The committed file's
-own scale is reused so the comparison is like-for-like. Absolute
-gates ride along: the committed recording overhead must stay within
-its budget, and when the committed report carries a ``serving``
-section the warm/cold speedup is re-measured fresh and gated at
-``SERVING_MIN_SPEEDUP``.
+What is measured, and how each gate reads it:
 
-It also records an **observability** point (DESIGN.md §6d): the
-miss-heavy senss machine untraced, with a full ``repro.obs.Tracer``
-attached, and with a category-filtered tracer (senss+memprotect
-only), asserting the untraced run pays no measurable overhead for
-the observer hooks (budget: 2%), that filtering lands under the
-full-tracing cost, and that tracing leaves simulated cycles
-bit-identical either way.
+- **Throughput** (``configs``, ``missheavy``): accesses/s of the three
+  machine flavours on a hit-heavy point (fft 4P, 1 MB L2, >90% hits —
+  the merged fast path) and a miss-heavy one (ocean 4P, 64 KB L2,
+  ~73% hits — the slow path of DESIGN.md §6c). Each rate is the
+  median over ``REPEATS`` rotating rounds. Gated within
+  ``--threshold`` percent (default 25) of the committed report, and
+  above loose absolute floors.
+- **Disabled hooks** (``guard_opcodes``): with no tracer, recorder or
+  fault injector attached, the hooks cost only their guards. Their
+  share of executed opcodes is counted exactly, not timed, by
+  ``tools/guard_opcodes.py`` on the miss-heavy point: the observer
+  guards (with the bus observer loop) on senss bound the
+  observability and recording budgets, the fault-hook guards on
+  integrated bound the fault-hook budget, 2% each.
+- **Observing** (``observability``, ``recording``, ``fault_hooks``):
+  the miss-heavy senss machine untraced vs with a full tracer and a
+  senss+memprotect-filtered one, untraced vs a full recorder, and the
+  integrated machine without vs with a never-firing fault injector.
+  Simulated cycles must be identical in every mode, filtering must
+  cost no more than full tracing, and the event counts must make
+  sense.
+- **Ratios** (``serving``, ``checkpointing``, ``fault_campaign``): a
+  warm ``repro.serve`` server vs cold per-client sweeps (≥3.0x), a
+  prefix-sharing checkpoint chain vs cold per-point runs (≥1.5x), a
+  forked fault campaign vs cold cells (≥2.0x). Each leg's results
+  must equal its cold leg's. These run in a fresh subprocess so the
+  heap the throughput rounds grew cannot tax their legs.
 
-A **recording** point (docs/record_replay.md) rides along: the same
-miss-heavy senss machine untraced vs with a full ``repro.obs.Recorder``
-(lossless event log + stats snapshots) attached. Recording must never
-change simulated cycles, and a run with recording disabled must cost
-the interleaved noise floor (budget: 2%) — the same gate ``--check``
-re-asserts against the committed report.
+Every wall-clock comparison goes through :func:`paired`: the legs run
+in rotating order (alternating when there are two), one of each per
+round, and a ratio is reported as the median of its per-round ratios
+with the number of rounds the faster leg won. ``REPRO_BENCH_REPEATS``
+sets the number of rounds (default 5).
 
-Finally it records a **serving** point (docs/serving.md): the same
-sweep submitted ``SERVING_SUBMISSIONS`` times, cold (a fresh
-``run_sweep`` pool per client, no cache) vs warm (one persistent
-``repro.serve`` server over localhost HTTP, warm worker pool and
-shared result cache, alternating tenants). Results must be
-bit-identical between the two paths and the warm speedup is gated
-at ``SERVING_MIN_SPEEDUP``.
-
-Two **checkpointing** points (docs/checkpointing.md) ride along: a
-scale-axis sweep run cold per point vs chained through the
-prefix-sharing executor (each point forks the previous point's end
-snapshot and simulates only its tail), and a fault campaign with the
-shared clean prefix simulated once vs once per cell. Both must
-produce bit-identical results to their cold legs and their speedups
-are gated at ``CHECKPOINT_MIN_SPEEDUP`` / ``CAMPAIGN_MIN_SPEEDUP``;
-``--check`` re-measures them (and the serving gate) in a fresh
-subprocess (``--gates-only``) so the ratios aren't taxed by the heap
-the in-process throughput sweep grows.
-
-Reference throughputs were measured on the seed engine (linear-scan
-scheduler, per-access NamedTuples, StatsRegistry on the hot path) on
-the same machine/scale this bench defaults to; the speedup column is
-only meaningful on comparable hardware, so the assertion is a loose
-sanity floor rather than the ~3x the rewrite achieves here.
+Seed throughputs were measured on the pre-fastpath engine (linear-scan
+scheduler, per-access NamedTuples, StatsRegistry on the hot path) at
+scale 0.5 on the reference machine; ``speedup_vs_seed`` is only
+meaningful on comparable hardware.
 """
 
+import asyncio
 import gc
 import json
+import math
+import operator
 import os
 import pathlib
+import statistics
+import subprocess
+import sys
+import tempfile
+import threading
 import time
+from dataclasses import replace
 
 from conftest import (BENCH_SCALE, BENCH_SEED, baseline_config,
-                     senss_config, workload)
+                      senss_config)
 
 from repro.config import KB, SystemConfig
 from repro.sim.sweep import build_system
 from repro.workloads.registry import generate
 
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "tools"))
+import guard_opcodes  # noqa: E402
+
+REPORT = pathlib.Path(__file__).parents[1] / "BENCH_engine.json"
+
 CPUS = 4
 L2_MB = 1
 WORKLOAD = "fft"
-#: best-of-N per point; raise via env on noisy machines — the
-#: observability/fault-hook budgets assert against the measured noise
-#: floor, so they need enough repeats to find a quiet slot.
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+KINDS = ("baseline", "senss", "integrated")
+#: rounds of every paired measurement (and so pairs of every ratio).
+REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
 
 MISSHEAVY_WORKLOAD = "ocean"
 MISSHEAVY_L2_KB = 64
@@ -95,9 +99,15 @@ SEED_THROUGHPUT = {
     "senss": 176465,
     "integrated": 189117,
 }
+HITHEAVY_MIN_RATE = 20_000
+MISSHEAVY_MIN_RATE = 4_000
+
+#: the most a disabled hook family may add, percent of all opcodes.
+DISABLED_BUDGET_PERCENT = 2.0
+FILTERED_CATEGORIES = ("memprotect", "senss")
 
 #: the warm server must beat cold per-client sweeps by at least this
-#: factor on repeated submissions (gated by --check).
+#: factor on repeated submissions.
 SERVING_MIN_SPEEDUP = 3.0
 SERVING_SUBMISSIONS = 3
 SERVING_SEEDS = 4
@@ -105,11 +115,10 @@ SERVING_CPUS = 2
 SERVING_WORKERS = 2
 
 #: a prefix-sharing checkpoint chain over a scale axis must beat cold
-#: per-point runs by at least this factor (gated by --check). The
-#: measured margin is ~2.3x (1.7-2.7x over repeated runs on a 2-vCPU
-#: shared host); the floor keeps the same ~2/3 noise allowance the
-#: original 2x-of-3x floor had. The earlier ~3.5x was measured against
-#: a cold leg that ran on the slower, since removed, vector backend.
+#: per-point runs by at least this factor. The measured margin is
+#: ~2.3x (1.7-2.7x over repeated runs on a 2-vCPU shared host); the
+#: floor keeps the same ~2/3 noise allowance the original 2x-of-3x
+#: floor had.
 CHECKPOINT_MIN_SPEEDUP = 1.5
 CHECKPOINT_WORKLOAD = "radix"
 CHECKPOINT_CPUS = 2
@@ -120,7 +129,7 @@ CHECKPOINT_SCALES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 CHECKPOINT_L1_KB = 8
 CHECKPOINT_L2_KB = 32
 #: a forked fault campaign must beat cold per-cell prefix simulation
-#: by at least this factor (gated by --check).
+#: by at least this factor.
 CAMPAIGN_MIN_SPEEDUP = 2.0
 CAMPAIGN_SCALE = 0.2
 #: deep enough that the shared clean prefix dominates each cell, and
@@ -128,27 +137,131 @@ CAMPAIGN_SCALE = 0.2
 #: cells actually fork (triggers past the event space run clean).
 CAMPAIGN_TRIGGER = 70
 
+#: a bound that reads the committed report's value less --threshold %.
+COMMITTED = "committed"
+#: (report path, operator, bound): a string bound other than
+#: COMMITTED names another path of the same report.
+GATES = (
+    *((f"{section}.{kind}.accesses_per_second", ">=", COMMITTED)
+      for section in ("configs", "missheavy.configs") for kind in KINDS),
+    *((f"configs.{kind}.accesses_per_second", ">", HITHEAVY_MIN_RATE)
+      for kind in KINDS),
+    *((f"missheavy.configs.{kind}.accesses_per_second", ">",
+       MISSHEAVY_MIN_RATE) for kind in KINDS),
+    ("observability.disabled_guard_share_percent", "<=",
+     DISABLED_BUDGET_PERCENT),
+    ("recording.disabled_guard_share_percent", "<=",
+     DISABLED_BUDGET_PERCENT),
+    ("fault_hooks.disabled_guard_share_percent", "<=",
+     DISABLED_BUDGET_PERCENT),
+    ("observability.cycles_identical", "==", True),
+    ("recording.cycles_identical", "==", True),
+    ("fault_hooks.cycles_identical", "==", True),
+    ("observability.full_over_filtered.median", ">=", 1.0),
+    ("observability.filtered.events_recorded", "<",
+     "observability.on.events_recorded"),
+    ("recording.on.events_recorded", ">", 0),
+    ("serving.warm_speedup.median", ">=", SERVING_MIN_SPEEDUP),
+    ("serving.served_equals_direct", "==", True),
+    ("checkpointing.chain_speedup.median", ">=", CHECKPOINT_MIN_SPEEDUP),
+    ("checkpointing.forked_equals_cold", "==", True),
+    ("fault_campaign.fork_speedup.median", ">=", CAMPAIGN_MIN_SPEEDUP),
+    ("fault_campaign.forked_cells", "==", "fault_campaign.cells"),
+    ("fault_campaign.forked_equals_cold", "==", True),
+)
+OPERATORS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+             "<": operator.lt, "==": operator.eq}
+
+
+# -- the one timing helper -----------------------------------------------
+
+def timed(fn):
+    """``(seconds, fn())``, after collecting the previous leg's garbage
+    so it is not charged to this one."""
+    gc.collect()
+    start = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - start, value
+
+
+def paired(legs: dict, rounds: int = REPEATS):
+    """Run each leg once per round, rotating the order every round.
+
+    ``legs`` maps a name to a callable returning ``(seconds, value)``
+    (its setup stays outside the seconds). Returns ``{name: [seconds
+    per round]}`` and ``{name: value of its last round}``. Drift inside
+    the process (allocator, caches, host load) is monotonic, so a fixed
+    order would tax whichever leg always runs later.
+    """
+    names = list(legs)
+    seconds = {name: [] for name in names}
+    values = {}
+    for index in range(rounds):
+        shift = index % len(names)
+        for name in names[shift:] + names[:shift]:
+            elapsed, values[name] = legs[name]()
+            seconds[name].append(elapsed)
+    return seconds, values
+
+
+def ratios(seconds: dict, slow: str, fast: str) -> list:
+    return [s / f for s, f in zip(seconds[slow], seconds[fast])]
+
+
+def ratio(seconds: dict, slow: str, fast: str) -> dict:
+    """Median of the per-round ``slow/fast`` ratios and the rounds in
+    which ``fast`` won."""
+    pairs = ratios(seconds, slow, fast)
+    return {"median": statistics.median(pairs),
+            "wins": sum(r > 1 for r in pairs), "pairs": len(pairs)}
+
+
+def overhead_percent(seconds: dict, leg: str, reference: str) -> float:
+    """Median per-round slowdown of ``leg`` over ``reference``."""
+    return round((statistics.median(ratios(seconds, leg, reference))
+                  - 1) * 100, 2)
+
+
+def rate(seconds: list, count: int, unit: str) -> dict:
+    median = statistics.median(seconds)
+    return {"seconds": round(median, 4), unit: round(count / median, 2)}
+
+
+def run_leg(config: SystemConfig, workload, attach=None):
+    """A paired leg: ``workload`` on a fresh machine (built, and given
+    ``attach(machine)``, outside the timed region). Its value is
+    ``(cycles, events recorded or None)``; the attached log is dropped
+    before the next leg runs."""
+    def leg():
+        system = build_system(config)
+        probe = attach(system) if attach is not None else None
+        elapsed, result = timed(lambda: system.run(workload))
+        log = getattr(probe, "log", None)
+        return elapsed, (result.cycles,
+                         None if log is None else log.total_recorded)
+    return leg
+
+
+def access_rates(seconds: dict, values: dict, accesses: int) -> dict:
+    """Per-leg accesses/s entries of a paired simulation run."""
+    entries = {}
+    for name, leg_seconds in seconds.items():
+        cycles, events = values[name]
+        entry = {"accesses": accesses,
+                 **rate(leg_seconds, accesses, "accesses_per_second"),
+                 "cycles": cycles}
+        entry["accesses_per_second"] = round(entry["accesses_per_second"])
+        if events is not None:
+            entry["events_recorded"] = events
+        entries[name] = entry
+    return entries
+
+
+# -- sections ------------------------------------------------------------
 
 def integrated_config() -> SystemConfig:
     return senss_config(CPUS, L2_MB).with_memprotect(
         encryption_enabled=True, integrity_enabled=True)
-
-
-def measure(config: SystemConfig, bench_workload) -> dict:
-    accesses = bench_workload.total_accesses
-    best = None
-    for _ in range(REPEATS):
-        system = build_system(config)
-        start = time.perf_counter()
-        result = system.run(bench_workload)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return {
-        "accesses": accesses,
-        "seconds": round(best, 4),
-        "accesses_per_second": round(accesses / best),
-        "cycles": result.cycles,
-    }
 
 
 def hitheavy_configs():
@@ -165,24 +278,113 @@ def missheavy_configs():
             for kind, config in hitheavy_configs().items()}
 
 
+def measure_throughput(configs: dict, workload) -> dict:
+    seconds, values = paired({kind: run_leg(config, workload)
+                              for kind, config in configs.items()})
+    return access_rates(seconds, values, workload.total_accesses)
+
+
+def measure_guards(workload, scale: float) -> dict:
+    """Exact guard-opcode counts of the disabled hooks (no tracer,
+    recorder or injector attached) on the miss-heavy senss and
+    integrated machines."""
+    configs = missheavy_configs()
+    guards = guard_opcodes.guard_lines()
+    return {"workload": MISSHEAVY_WORKLOAD, "num_cpus": CPUS,
+            "l2_kb": MISSHEAVY_L2_KB, "scale": scale,
+            **{kind: guard_opcodes.count_run(configs[kind], workload,
+                                             guards)
+               for kind in ("senss", "integrated")}}
+
+
+def guard_share(guards: dict, kind: str, *families: str) -> float:
+    return round(guard_opcodes.share_percent(guards[kind], *families), 3)
+
+
+def measure_observing(workload, scale: float, guards: dict) -> dict:
+    """The observability, fault-hook and recording sections."""
+    from repro.faults import FaultInjector, FaultKind, FaultPlan, \
+        FaultSpec
+    from repro.obs import Recorder, Tracer
+
+    configs = missheavy_configs()
+    accesses = workload.total_accesses
+    point = {"workload": MISSHEAVY_WORKLOAD, "num_cpus": CPUS,
+             "l2_kb": MISSHEAVY_L2_KB, "scale": scale}
+    observer_share = guard_share(guards, "senss", "observer",
+                                 "bus_observers")
+
+    def section(config, legs, overhead_key, disabled_share):
+        seconds, values = paired(legs)
+        entries = access_rates(seconds, values, accesses)
+        cycles = {entry["cycles"] for entry in entries.values()}
+        return seconds, {
+            **point, "config": config, **entries,
+            overhead_key: overhead_percent(seconds, "on", "off"),
+            "disabled_guard_share_percent": disabled_share,
+            "cycles_identical": len(cycles) == 1}
+
+    # Tracing never changes simulated time — filtered or not — and a
+    # senss+memprotect-only tracer skips the bus observer and the
+    # per-miss spans, so it must cost no more than full tracing.
+    senss = configs["senss"]
+    seconds, observability = section("senss", {
+        "off": run_leg(senss, workload),
+        "on": run_leg(senss, workload,
+                      lambda system: Tracer(capacity=1 << 20)
+                      .attach(system)),
+        "filtered": run_leg(senss, workload,
+                            lambda system: Tracer(
+                                capacity=1 << 20,
+                                categories=frozenset(FILTERED_CATEGORIES))
+                            .attach(system)),
+    }, "tracing_overhead_percent", observer_share)
+    observability["filtered"]["categories"] = list(FILTERED_CATEGORIES)
+    observability["filtered_overhead_percent"] = overhead_percent(
+        seconds, "filtered", "off")
+    observability["full_over_filtered"] = ratio(seconds, "on",
+                                                "filtered")
+
+    # An injector with one never-firing spec per hook family runs the
+    # bus, pad and verify hook sites and must change nothing.
+    never = 1 << 40
+    idle_plan = FaultPlan(specs=(
+        FaultSpec(FaultKind.DROP, never),
+        FaultSpec(FaultKind.PAD_CORRUPT, never, cpu=0),
+        FaultSpec(FaultKind.MERKLE_FLIP, never)))
+    integrated = configs["integrated"]
+    _, fault_hooks = section("integrated", {
+        "off": run_leg(integrated, workload),
+        "on": run_leg(integrated, workload,
+                      lambda system: FaultInjector(idle_plan)
+                      .attach(system)),
+    }, "armed_overhead_percent",
+        guard_share(guards, "integrated", "fault_hook"))
+
+    # A Recorder is a Tracer that keeps every event plus stats
+    # snapshots; not recording costs the same observer guards.
+    _, recording = section("senss", {
+        "off": run_leg(senss, workload),
+        "on": run_leg(senss, workload,
+                      lambda system: Recorder().attach(system)),
+    }, "recording_overhead_percent", observer_share)
+    return {"observability": observability, "fault_hooks": fault_hooks,
+            "recording": recording}
+
+
 def measure_serving(scale: float) -> dict:
     """Warm-server vs cold-client throughput on repeated sweeps.
 
     **Cold**: each of ``SERVING_SUBMISSIONS`` clients runs the same
-    sweep through :func:`run_sweep` with a fresh worker pool and no
-    cache — the pre-service topology, paying interpreter spawn +
-    imports + warmup per client. **Warm**: one ``repro.serve`` server
-    (warm pool booted outside the timed region — that is the point:
-    it survives across jobs) takes the same submissions over HTTP
-    from two alternating tenants; the first executes once on the warm
-    pool, the rest are served from the shared cache/dedup path.
-    ``warm_speedup`` is the gated ratio
-    (:data:`SERVING_MIN_SPEEDUP`).
+    sweep through ``run_sweep`` with a fresh worker pool and no cache —
+    the pre-service topology, paying interpreter spawn + imports +
+    warmup per client. **Warm**: a ``repro.serve`` server, booted with
+    an empty result cache outside the timed region (its warm pool
+    surviving across jobs is the point), takes the same submissions
+    over HTTP from two alternating tenants; the first executes once on
+    the warm pool, the rest are served from the shared cache/dedup
+    path. Every warm leg boots its own server.
     """
-    import asyncio
-    import tempfile
-    import threading
-
     from repro.serve.client import ServeClient
     from repro.serve.http import ServeHTTP
     from repro.serve.scheduler import Scheduler
@@ -193,68 +395,68 @@ def measure_serving(scale: float) -> dict:
               for seed in range(SERVING_SEEDS)]
     total_points = len(points) * SERVING_SUBMISSIONS
 
-    start = time.perf_counter()
-    cold_results = None
-    for _ in range(SERVING_SUBMISSIONS):
-        cold_results = run_sweep(points, cache=None, parallel=True,
-                                 max_workers=SERVING_WORKERS)
-    cold_s = time.perf_counter() - start
+    def cold():
+        def clients():
+            for _ in range(SERVING_SUBMISSIONS):
+                results = run_sweep(points, cache=None, parallel=True,
+                                    max_workers=SERVING_WORKERS)
+            return results
+        return timed(clients)
 
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
-    with tempfile.TemporaryDirectory() as cache_dir:
-        async def boot():
-            # Journal + point deadline on: the resilience layer
-            # (docs/resilience.md) must be free when nothing fails,
-            # so the gated speedup is measured with it enabled.
-            scheduler = Scheduler(cache=ResultCache(cache_dir),
-                                  max_workers=SERVING_WORKERS,
-                                  journal=pathlib.Path(cache_dir)
-                                  / "state",
-                                  point_timeout=300.0)
-            await scheduler.start()
-            return await ServeHTTP(scheduler, port=0).start()
 
-        server = asyncio.run_coroutine_threadsafe(
-            boot(), loop).result(timeout=120)
-        client = ServeClient(port=server.port)
-        warm_results = None
-        start = time.perf_counter()
-        for index in range(SERVING_SUBMISSIONS):
-            tenant = "alice" if index % 2 == 0 else "bob"
-            job = client.submit(points, tenant=tenant)
-            client.wait(job["id"])
-            warm_results = client.results(job["id"])
-        warm_s = time.perf_counter() - start
-        asyncio.run_coroutine_threadsafe(server.drain(),
-                                         loop).result(timeout=60)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10)
+    def on_loop(coroutine, timeout):
+        return asyncio.run_coroutine_threadsafe(
+            coroutine, loop).result(timeout=timeout)
 
-    # Serving is only a win if it serves the same simulation.
-    for served, direct in zip(warm_results, cold_results):
-        assert served.cycles == direct.cycles, (served, direct)
-        assert served.stats == direct.stats, (served, direct)
+    async def boot(cache_dir):
+        # Journal + point deadline on: the resilience layer
+        # (docs/resilience.md) must be free when nothing fails, so the
+        # gated speedup is measured with it enabled.
+        scheduler = Scheduler(cache=ResultCache(cache_dir),
+                              max_workers=SERVING_WORKERS,
+                              journal=pathlib.Path(cache_dir) / "state",
+                              point_timeout=300.0)
+        await scheduler.start()
+        return await ServeHTTP(scheduler, port=0).start()
 
-    cold_pps = total_points / cold_s
-    warm_pps = total_points / warm_s
+    def warm():
+        with tempfile.TemporaryDirectory() as cache_dir:
+            server = on_loop(boot(cache_dir), 120)
+            client = ServeClient(port=server.port)
+
+            def submissions():
+                for index in range(SERVING_SUBMISSIONS):
+                    tenant = "alice" if index % 2 == 0 else "bob"
+                    job = client.submit(points, tenant=tenant)
+                    client.wait(job["id"])
+                    results = client.results(job["id"])
+                return results
+            elapsed, results = timed(submissions)
+            on_loop(server.drain(), 60)
+        return elapsed, results
+
+    try:
+        seconds, results = paired({"cold": cold, "warm": warm})
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
     return {
         "workload": WORKLOAD, "num_cpus": SERVING_CPUS,
         "scale": scale, "points_per_submission": len(points),
         "submissions": SERVING_SUBMISSIONS,
         "workers": SERVING_WORKERS,
-        "cold": {"seconds": round(cold_s, 4),
-                 "points_per_second": round(cold_pps, 2)},
-        "warm": {"seconds": round(warm_s, 4),
-                 "points_per_second": round(warm_pps, 2)},
-        "warm_speedup": round(warm_pps / cold_pps, 2),
+        "cold": rate(seconds["cold"], total_points, "points_per_second"),
+        "warm": rate(seconds["warm"], total_points, "points_per_second"),
+        "warm_speedup": ratio(seconds, "cold", "warm"),
+        # Serving is only a win if it serves the same simulation.
+        "served_equals_direct": results["warm"] == results["cold"],
     }
 
 
 def checkpoint_config() -> SystemConfig:
-    from dataclasses import replace
-
     config = senss_config(CHECKPOINT_CPUS, L2_MB).with_l2_size(
         CHECKPOINT_L2_KB * KB)
     return replace(config, l1=replace(config.l1,
@@ -267,19 +469,16 @@ def measure_checkpointing() -> dict:
     The scale axis is the shape ``run_sweep(checkpoint_dir=...)``
     chains: every point is the same trace prefix, so point *k* forks
     point *k-1*'s end snapshot and simulates only its tail. **Cold**
-    runs every point from reset; **chain** runs :func:`run_chain`
-    against a fresh store (the first point pays full price and seeds
-    the chain). ``chain_speedup`` is the gated ratio
-    (:data:`CHECKPOINT_MIN_SPEEDUP`).
+    runs every point from reset; **chain** runs ``run_chain`` against
+    a fresh store (the first point pays full price and seeds the
+    chain).
     """
-    import tempfile
-
     from repro.sim.checkpoint import CheckpointStore, run_chain
     from repro.sim.sweep import SweepPoint, run_point
 
-    config = checkpoint_config()
-    points = [SweepPoint(CHECKPOINT_WORKLOAD, config, scale=scale,
-                         seed=BENCH_SEED) for scale in CHECKPOINT_SCALES]
+    points = [SweepPoint(CHECKPOINT_WORKLOAD, checkpoint_config(),
+                         scale=scale, seed=BENCH_SEED)
+              for scale in CHECKPOINT_SCALES]
     # Grow the points' one trace family to the largest scale outside
     # both timed legs — trace synthesis cost is identical either way
     # and would drown the executor difference at these point sizes;
@@ -287,35 +486,27 @@ def measure_checkpointing() -> dict:
     generate(CHECKPOINT_WORKLOAD, CHECKPOINT_CPUS,
              scale=max(CHECKPOINT_SCALES), seed=BENCH_SEED)
 
-    cold_s = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        cold_results = [run_point(point) for point in points]
-        elapsed = time.perf_counter() - start
-        cold_s = elapsed if cold_s is None else min(cold_s, elapsed)
-
-    chain_s = None
-    for _ in range(REPEATS):
+    def chain():
         with tempfile.TemporaryDirectory() as root:
-            start = time.perf_counter()
-            chain = run_chain(points, CheckpointStore(root))
-            elapsed = time.perf_counter() - start
-        chain_s = elapsed if chain_s is None else min(chain_s, elapsed)
+            store = CheckpointStore(root)
+            return timed(lambda: run_chain(points, store))
 
-    # Prefix sharing is only a win if the forked runs ARE the runs.
-    for direct, (forked, _, error) in zip(cold_results, chain):
-        assert error is None, chain
-        assert forked == direct, (forked, direct)
-
+    seconds, results = paired({
+        "cold": lambda: timed(lambda: [run_point(point)
+                                       for point in points]),
+        "chain": chain})
+    forked = [(result, error) for result, _, error in results["chain"]]
     return {
         "workload": CHECKPOINT_WORKLOAD, "num_cpus": CHECKPOINT_CPUS,
         "l1_kb": CHECKPOINT_L1_KB, "l2_kb": CHECKPOINT_L2_KB,
         "scales": list(CHECKPOINT_SCALES),
-        "cold": {"seconds": round(cold_s, 4),
-                 "points_per_second": round(len(points) / cold_s, 2)},
-        "chain": {"seconds": round(chain_s, 4),
-                  "points_per_second": round(len(points) / chain_s, 2)},
-        "chain_speedup": round(cold_s / chain_s, 2),
+        "cold": rate(seconds["cold"], len(points), "points_per_second"),
+        "chain": rate(seconds["chain"], len(points),
+                      "points_per_second"),
+        "chain_speedup": ratio(seconds, "cold", "chain"),
+        # Prefix sharing is only a win if the forked runs ARE the runs.
+        "forked_equals_cold": forked == [(result, None)
+                                         for result in results["cold"]],
     }
 
 
@@ -323,13 +514,12 @@ def measure_fault_campaign() -> dict:
     """Fault campaign with forked clean prefixes vs cold per cell.
 
     Every (kind, policy) cell of a campaign simulates the same clean
-    prefix up to its trigger; with ``fork=True`` that prefix runs
-    once and each cell restores the deepest snapshot preceding its
-    trigger. Reports must match cell for cell modulo the fork
-    bookkeeping keys. ``fork_speedup`` is the gated ratio
-    (:data:`CAMPAIGN_MIN_SPEEDUP`). Both legs run their cells in this
-    process (``REPRO_SWEEP_PARALLEL=0``): the ratio measures forking
-    against cold cells, not the worker pool both legs would share.
+    prefix up to its trigger; with ``fork=True`` that prefix runs once
+    and each cell restores the deepest snapshot preceding its trigger.
+    Reports must match cell for cell modulo the fork bookkeeping keys.
+    Both legs run their cells in this process
+    (``REPRO_SWEEP_PARALLEL=0``): the ratio measures forking against
+    cold cells, not the worker pool both legs would share.
     """
     from unittest import mock
 
@@ -341,593 +531,174 @@ def measure_fault_campaign() -> dict:
                   workload=CHECKPOINT_WORKLOAD, cpus=CHECKPOINT_CPUS,
                   scale=CAMPAIGN_SCALE, seed=BENCH_SEED,
                   trigger=CAMPAIGN_TRIGGER)
-
     with mock.patch.dict(os.environ, {"REPRO_SWEEP_PARALLEL": "0"}):
-        cold_s = None
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            cold_report = run_campaign(fork=False, **kwargs)
-            elapsed = time.perf_counter() - start
-            cold_s = elapsed if cold_s is None else min(cold_s, elapsed)
-
-        fork_s = None
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            fork_report = run_campaign(fork=True, **kwargs)
-            elapsed = time.perf_counter() - start
-            fork_s = elapsed if fork_s is None else min(fork_s, elapsed)
+        seconds, reports = paired({
+            "cold": lambda: timed(lambda: run_campaign(fork=False,
+                                                       **kwargs)),
+            "fork": lambda: timed(lambda: run_campaign(fork=True,
+                                                       **kwargs))})
 
     def stripped(report: dict) -> list:
         return [{key: value for key, value in entry.items()
                  if key != "forked"} for entry in report["entries"]]
 
-    # Forking must not change a single cell's verdict.
-    assert stripped(cold_report) == stripped(fork_report), (
-        cold_report, fork_report)
-
-    cells = len(fork_report["entries"])
+    cells = len(reports["fork"]["entries"])
     return {
         "workload": CHECKPOINT_WORKLOAD, "num_cpus": CHECKPOINT_CPUS,
         "scale": CAMPAIGN_SCALE, "trigger": CAMPAIGN_TRIGGER,
         "kinds": list(FaultKind.BUS), "policies": list(POLICIES),
         "cells": cells,
-        "forked_cells": fork_report.get("forked_cells", 0),
-        "cold": {"seconds": round(cold_s, 4),
-                 "cells_per_second": round(cells / cold_s, 2)},
-        "fork": {"seconds": round(fork_s, 4),
-                 "cells_per_second": round(cells / fork_s, 2)},
-        "fork_speedup": round(cold_s / fork_s, 2),
+        "forked_cells": reports["fork"].get("forked_cells", 0),
+        "cold": rate(seconds["cold"], cells, "cells_per_second"),
+        "fork": rate(seconds["fork"], cells, "cells_per_second"),
+        "fork_speedup": ratio(seconds, "cold", "fork"),
+        # Forking must not change a single cell's verdict.
+        "forked_equals_cold": (stripped(reports["cold"])
+                               == stripped(reports["fork"])),
     }
+
+
+def measure_ratio_sections(scale: float) -> dict:
+    return {"serving": measure_serving(scale * 0.2),
+            "checkpointing": measure_checkpointing(),
+            "fault_campaign": measure_fault_campaign()}
+
+
+def measure_report(scale: float) -> dict:
+    """Measure every section at ``scale``: the one measuring path."""
+    hit = generate(WORKLOAD, CPUS, scale=scale, seed=BENCH_SEED)
+    miss = generate(MISSHEAVY_WORKLOAD, CPUS, scale=scale,
+                    seed=BENCH_SEED)
+    configs = measure_throughput(hitheavy_configs(), hit)
+    for kind, entry in configs.items():
+        entry["seed_accesses_per_second"] = SEED_THROUGHPUT[kind]
+        entry["speedup_vs_seed"] = round(
+            entry["accesses_per_second"] / SEED_THROUGHPUT[kind], 2)
+    report = {"workload": WORKLOAD, "num_cpus": CPUS, "l2_mb": L2_MB,
+              "scale": scale, "repeats": REPEATS, "configs": configs,
+              "missheavy": {"workload": MISSHEAVY_WORKLOAD,
+                            "num_cpus": CPUS,
+                            "l2_kb": MISSHEAVY_L2_KB, "scale": scale,
+                            "configs": measure_throughput(
+                                missheavy_configs(), miss)}}
+    report["guard_opcodes"] = measure_guards(miss, scale)
+    report.update(measure_observing(miss, scale, report["guard_opcodes"]))
+    # The ratio legs run in a fresh interpreter: the heap this one grew
+    # taxes two legs unevenly enough to flip a ~10%-margin ratio.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "ratios.json"
+        subprocess.run([sys.executable, __file__, "--ratio-sections",
+                        str(scale), str(out)], check=True)
+        report.update(json.loads(out.read_text()))
+    return report
+
+
+# -- gates ---------------------------------------------------------------
+
+def lookup(report: dict, path: str):
+    value = report
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def evaluate(report: dict, committed: dict, threshold: float = 25.0):
+    """Yield ``(path, value, op, bound, ok)`` for every gate.
+
+    COMMITTED bounds are skipped when the committed report was measured
+    at another scale (``REPRO_BENCH_SCALE``).
+    """
+    for path, op, bound in GATES:
+        if bound == COMMITTED:
+            if committed["scale"] != report["scale"]:
+                continue
+            bound = math.ceil(lookup(committed, path)
+                              * (1 - threshold / 100))
+        elif isinstance(bound, str):
+            bound = lookup(report, bound)
+        value = lookup(report, path)
+        yield path, value, op, bound, OPERATORS[op](value, bound)
+
+
+def _number(value) -> str:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"{value:,}"
+    return str(value)
+
+
+def gate_table(report: dict, committed: dict, threshold: float = 25.0):
+    """The printed gate table and the paths of the failed gates."""
+    from repro.analysis.report import format_table
+
+    rows, failures = [], []
+    for path, value, op, bound, ok in evaluate(report, committed,
+                                               threshold):
+        shown = _number(value)
+        if path.endswith(".median"):
+            pairs = lookup(report, path[:-len(".median")])
+            shown = (f"{value:.3f}x ({pairs['wins']}/{pairs['pairs']} "
+                     "pairs won)")
+        rows.append([path, shown, f"{op} {_number(bound)}",
+                     "ok" if ok else "FAIL"])
+        if not ok:
+            failures.append(path)
+    title = (f"Engine gates — scale {report['scale']:g}, "
+             f"{report['repeats']} rounds per paired measurement")
+    return format_table(title, ["gate", "measured", "bound", ""],
+                        rows), failures
 
 
 def test_engine_throughput(benchmark, emit):
-    from repro.analysis.report import format_table
-
-    configs = hitheavy_configs()
-    report = {"workload": WORKLOAD, "num_cpus": CPUS, "l2_mb": L2_MB,
-              "scale": BENCH_SCALE, "configs": {}}
-    rows = []
-    for kind, config in configs.items():
-        measured = measure(config, workload(WORKLOAD, CPUS))
-        measured["seed_accesses_per_second"] = SEED_THROUGHPUT[kind]
-        measured["speedup_vs_seed"] = round(
-            measured["accesses_per_second"] / SEED_THROUGHPUT[kind], 2)
-        report["configs"][kind] = measured
-        rows.append([kind, f"{measured['accesses_per_second']:,}",
-                     f"{SEED_THROUGHPUT[kind]:,}",
-                     f"{measured['speedup_vs_seed']:.2f}x"])
-
-    table = format_table(
-        f"Engine throughput — {WORKLOAD}, {CPUS}P, {L2_MB}M L2, "
-        f"scale {BENCH_SCALE:g} (accesses/s, best of {REPEATS})",
-        ["config", "accesses/s", "seed engine", "speedup"], rows)
+    committed = json.loads(REPORT.read_text())
+    report = measure_report(BENCH_SCALE)
+    REPORT.write_text(json.dumps(report, indent=2) + "\n")
+    table, failures = gate_table(report, committed)
     emit(table)
-
-    # Miss-heavy companion point: slow-path throughput tracking.
-    missheavy_workload = generate(MISSHEAVY_WORKLOAD, CPUS,
-                                  scale=BENCH_SCALE, seed=BENCH_SEED)
-    report["missheavy"] = {"workload": MISSHEAVY_WORKLOAD,
-                           "num_cpus": CPUS,
-                           "l2_kb": MISSHEAVY_L2_KB,
-                           "scale": BENCH_SCALE, "configs": {}}
-    rows = []
-    for kind, config in missheavy_configs().items():
-        measured = measure(config, missheavy_workload)
-        report["missheavy"]["configs"][kind] = measured
-        rows.append([kind, f"{measured['accesses_per_second']:,}",
-                     f"{measured['seconds']:.3f}"])
-    table = format_table(
-        f"Engine throughput, miss-heavy — {MISSHEAVY_WORKLOAD}, "
-        f"{CPUS}P, {MISSHEAVY_L2_KB}K L2, scale {BENCH_SCALE:g} "
-        f"(accesses/s, best of {REPEATS})",
-        ["config", "accesses/s", "seconds"], rows)
-    emit(table)
-
-    # Observability point (DESIGN.md §6d): the observer hooks must be
-    # ~free when no tracer is attached, and attaching one must not
-    # change simulated results. Interleaved best-of-N on the
-    # slow-path-heavy senss point (every hook site exercised): "ref"
-    # and "off" run identical untraced code back to back, so their
-    # ratio is the noise floor the disabled-overhead budget is
-    # checked against — drift between separate batches would
-    # otherwise swamp the single `is not None` test per hook. The
-    # mode order rotates each repeat: allocator/cache drift within
-    # the process is monotonic, so a fixed order would systematically
-    # tax whichever mode runs later in the triple.
-    # The "filtered" mode measures per-category filtering (DESIGN.md
-    # §6d): a tracer recording only the senss/memprotect categories
-    # never hooks the bus or the per-miss spans, so it skips the most
-    # frequent events on miss-heavy runs (the bus route itself is the
-    # same scratch route in every mode).
-    from repro.obs import Tracer
-    senss_small = missheavy_configs()["senss"]
-    accesses = missheavy_workload.total_accesses
-    modes = ("ref", "off", "on", "filtered")
-    filtered_categories = frozenset({"senss", "memprotect"})
-    best, cycles = {}, {}
-    traced_events = filtered_events = 0
-    for repeat in range(REPEATS):
-        shift = repeat % len(modes)
-        for mode in modes[shift:] + modes[:shift]:
-            system = build_system(senss_small)
-            if mode == "on":
-                tracer = Tracer(capacity=1 << 20).attach(system)
-            elif mode == "filtered":
-                tracer = Tracer(capacity=1 << 20,
-                                categories=filtered_categories
-                                ).attach(system)
-            # Drop the previous iteration's log before timing — its
-            # collection otherwise lands inside the next run.
-            gc.collect()
-            start = time.perf_counter()
-            result = system.run(missheavy_workload)
-            elapsed = time.perf_counter() - start
-            best[mode] = min(best.get(mode, elapsed), elapsed)
-            cycles[mode] = result.cycles
-            if mode == "on":
-                traced_events = tracer.log.total_recorded
-                tracer = None
-            elif mode == "filtered":
-                filtered_events = tracer.log.total_recorded
-                tracer = None
-            # Dropping the log promptly matters: megabytes of trace
-            # columns alive through a later mode's timed region taxes
-            # that mode and skews the ref/off noise floor.
-    rates = {mode: round(accesses / seconds)
-             for mode, seconds in best.items()}
-    disabled_pct = round((rates["ref"] / rates["off"] - 1) * 100, 2)
-    tracing_pct = round((rates["off"] / rates["on"] - 1) * 100, 2)
-    filtered_pct = round(
-        (rates["off"] / rates["filtered"] - 1) * 100, 2)
-    report["observability"] = {
-        "workload": MISSHEAVY_WORKLOAD, "num_cpus": CPUS,
-        "l2_kb": MISSHEAVY_L2_KB, "scale": BENCH_SCALE,
-        "config": "senss",
-        "off": {"accesses": accesses,
-                "seconds": round(best["off"], 4),
-                "accesses_per_second": rates["off"],
-                "cycles": cycles["off"]},
-        "on": {"accesses": accesses,
-               "seconds": round(best["on"], 4),
-               "accesses_per_second": rates["on"],
-               "cycles": cycles["on"],
-               "events_recorded": traced_events},
-        "filtered": {"accesses": accesses,
-                     "categories": sorted(filtered_categories),
-                     "seconds": round(best["filtered"], 4),
-                     "accesses_per_second": rates["filtered"],
-                     "cycles": cycles["filtered"],
-                     "events_recorded": filtered_events},
-        "overhead_when_disabled_percent": disabled_pct,
-        "tracing_overhead_percent": tracing_pct,
-        "filtered_overhead_percent": filtered_pct,
-    }
-    table = format_table(
-        f"Observability overhead — senss, {MISSHEAVY_WORKLOAD}, "
-        f"{MISSHEAVY_L2_KB}K L2 (accesses/s, best of {REPEATS})",
-        ["mode", "accesses/s", "overhead"],
-        [["hooks only (no tracer)", f"{rates['off']:,}",
-          f"{disabled_pct:+.2f}%"],
-         ["tracer attached (all categories)", f"{rates['on']:,}",
-          f"{tracing_pct:+.2f}%"],
-         ["tracer attached (senss,memprotect)",
-          f"{rates['filtered']:,}", f"{filtered_pct:+.2f}%"]])
-    emit(table)
-
-    # Tracing never changes simulated time — filtered or not.
-    assert cycles["ref"] == cycles["off"] == cycles["on"] \
-        == cycles["filtered"]
-    assert disabled_pct <= 2.0, report["observability"]
-    # Filtering must recover most of the armed cost: a senss-only
-    # tracer skips the bus observer, so it has to land well under the
-    # full-tracing overhead.
-    assert filtered_pct <= tracing_pct, report["observability"]
-    assert filtered_events < traced_events, report["observability"]
-
-    # Fault-hook point (docs/fault_injection.md): like the observer
-    # hooks, the two fault-hook sites must be ~free when no injector
-    # is attached, and an attached injector whose plan never triggers
-    # must leave simulated cycles bit-identical. Same interleaved
-    # ref/off/on discipline; "on" attaches an injector with one
-    # never-firing spec per hook family on the integrated machine so
-    # the bus, pad and verify hook sites all run. Same rotating mode
-    # order as above.
-    from repro.faults import FaultInjector, FaultKind, FaultPlan, \
-        FaultSpec
-    integrated_small = missheavy_configs()["integrated"]
-    never = 1 << 40
-    idle_plan = FaultPlan(specs=(
-        FaultSpec(FaultKind.DROP, never),
-        FaultSpec(FaultKind.PAD_CORRUPT, never, cpu=0),
-        FaultSpec(FaultKind.MERKLE_FLIP, never)))
-    fault_modes = ("ref", "off", "on")
-    best, cycles = {}, {}
-    for repeat in range(REPEATS):
-        shift = repeat % len(fault_modes)
-        for mode in fault_modes[shift:] + fault_modes[:shift]:
-            system = build_system(integrated_small)
-            if mode == "on":
-                FaultInjector(idle_plan).attach(system)
-            gc.collect()
-            start = time.perf_counter()
-            result = system.run(missheavy_workload)
-            elapsed = time.perf_counter() - start
-            best[mode] = min(best.get(mode, elapsed), elapsed)
-            cycles[mode] = result.cycles
-    rates = {mode: round(accesses / seconds)
-             for mode, seconds in best.items()}
-    disabled_pct = round((rates["ref"] / rates["off"] - 1) * 100, 2)
-    armed_pct = round((rates["off"] / rates["on"] - 1) * 100, 2)
-    report["fault_hooks"] = {
-        "workload": MISSHEAVY_WORKLOAD, "num_cpus": CPUS,
-        "l2_kb": MISSHEAVY_L2_KB, "scale": BENCH_SCALE,
-        "config": "integrated",
-        "off": {"accesses": accesses,
-                "seconds": round(best["off"], 4),
-                "accesses_per_second": rates["off"],
-                "cycles": cycles["off"]},
-        "on": {"accesses": accesses,
-               "seconds": round(best["on"], 4),
-               "accesses_per_second": rates["on"],
-               "cycles": cycles["on"]},
-        "overhead_when_disabled_percent": disabled_pct,
-        "armed_overhead_percent": armed_pct,
-    }
-    table = format_table(
-        f"Fault-hook overhead — integrated, {MISSHEAVY_WORKLOAD}, "
-        f"{MISSHEAVY_L2_KB}K L2 (accesses/s, best of {REPEATS})",
-        ["mode", "accesses/s", "overhead"],
-        [["hooks only (no injector)", f"{rates['off']:,}",
-          f"{disabled_pct:+.2f}%"],
-         ["injector armed, never fires", f"{rates['on']:,}",
-          f"{armed_pct:+.2f}%"]])
-    emit(table)
-
-    # A never-firing plan changes nothing and costs the noise floor.
-    assert cycles["ref"] == cycles["off"] == cycles["on"]
-    assert disabled_pct <= 2.0, report["fault_hooks"]
-
-    # Recording point (docs/record_replay.md): a Recorder is a Tracer
-    # that keeps every event plus stats snapshots, so "on" bounds the
-    # full record-for-replay cost, while "off" (no recorder attached —
-    # recording disabled) must pay nothing beyond the same observer
-    # hooks the tracing budget already gates, and must keep simulated
-    # cycles bit-identical to the untraced goldens. Unlike the points
-    # above, the "on" leg is measured in its own batch after the
-    # ref/off pairs: its lossless event log and stats snapshots
-    # allocate megabytes per run, and interleaving those spikes between the ref/off runs visibly
-    # skews the A/A noise floor the disabled budget is checked
-    # against. The alternating ref/off pairs keep the drift
-    # protection that matters for that gate.
-    from repro.obs import Recorder
-    best, cycles = {}, {}
-    recorded_events = 0
-    for repeat in range(REPEATS):
-        pair = ("ref", "off") if repeat % 2 else ("off", "ref")
-        for mode in pair:
-            system = build_system(senss_small)
-            gc.collect()
-            start = time.perf_counter()
-            result = system.run(missheavy_workload)
-            elapsed = time.perf_counter() - start
-            best[mode] = min(best.get(mode, elapsed), elapsed)
-            cycles[mode] = result.cycles
-    for repeat in range(REPEATS):
-        system = build_system(senss_small)
-        recorder = Recorder().attach(system)
-        gc.collect()
-        start = time.perf_counter()
-        result = system.run(missheavy_workload)
-        elapsed = time.perf_counter() - start
-        best["on"] = min(best.get("on", elapsed), elapsed)
-        cycles["on"] = result.cycles
-        recorded_events = recorder.log.total_recorded
-        # Drop the full event log before the next repeat's timing.
-        recorder = None
-    rates = {mode: round(accesses / seconds)
-             for mode, seconds in best.items()}
-    disabled_pct = round((rates["ref"] / rates["off"] - 1) * 100, 2)
-    recording_pct = round((rates["off"] / rates["on"] - 1) * 100, 2)
-    report["recording"] = {
-        "workload": MISSHEAVY_WORKLOAD, "num_cpus": CPUS,
-        "l2_kb": MISSHEAVY_L2_KB, "scale": BENCH_SCALE,
-        "config": "senss",
-        "off": {"accesses": accesses,
-                "seconds": round(best["off"], 4),
-                "accesses_per_second": rates["off"],
-                "cycles": cycles["off"]},
-        "on": {"accesses": accesses,
-               "seconds": round(best["on"], 4),
-               "accesses_per_second": rates["on"],
-               "cycles": cycles["on"],
-               "events_recorded": recorded_events},
-        "overhead_when_disabled_percent": disabled_pct,
-        "recording_overhead_percent": recording_pct,
-    }
-    table = format_table(
-        f"Recording overhead — senss, {MISSHEAVY_WORKLOAD}, "
-        f"{MISSHEAVY_L2_KB}K L2 (accesses/s, best of {REPEATS})",
-        ["mode", "accesses/s", "overhead"],
-        [["recording disabled", f"{rates['off']:,}",
-          f"{disabled_pct:+.2f}%"],
-         ["recorder attached (full event log)", f"{rates['on']:,}",
-          f"{recording_pct:+.2f}%"]])
-    emit(table)
-
-    # Recording never changes simulated time, and not recording
-    # costs the noise floor.
-    assert cycles["ref"] == cycles["off"] == cycles["on"]
-    assert disabled_pct <= 2.0, report["recording"]
-    assert recorded_events > 0, report["recording"]
-
-    # Serving point (docs/serving.md): warm persistent server vs cold
-    # per-client run_sweep on repeated identical submissions — the
-    # workload repro.serve exists for. A smaller scale keeps the cold
-    # leg (which really spawns a fresh pool per client) affordable.
-    report["serving"] = measure_serving(BENCH_SCALE * 0.2)
-    serving = report["serving"]
-    table = format_table(
-        f"Simulation service — {serving['workload']}, "
-        f"{serving['num_cpus']}P, {serving['points_per_submission']} "
-        f"points x {serving['submissions']} submissions "
-        f"(points/s, {serving['workers']} workers)",
-        ["mode", "points/s", "seconds"],
-        [["cold run_sweep per client",
-          f"{serving['cold']['points_per_second']:,}",
-          f"{serving['cold']['seconds']:.3f}"],
-         ["warm server, shared cache",
-          f"{serving['warm']['points_per_second']:,}",
-          f"{serving['warm']['seconds']:.3f}"]])
-    emit(table)
-    emit(f"warm/cold speedup: {serving['warm_speedup']:.2f}x "
-         f"(floor {SERVING_MIN_SPEEDUP:g}x)")
-    assert serving["warm_speedup"] >= SERVING_MIN_SPEEDUP, serving
-
-    # Checkpointing points (docs/checkpointing.md): the scale-axis
-    # chain and the forked fault campaign, both asserted bit-identical
-    # to their cold legs inside the measure functions.
-    report["checkpointing"] = measure_checkpointing()
-    chain = report["checkpointing"]
-    table = format_table(
-        f"Checkpoint chain — {chain['workload']}, "
-        f"{chain['num_cpus']}P, {len(chain['scales'])} scales "
-        f"{chain['scales'][0]:g}..{chain['scales'][-1]:g} "
-        f"(points/s, best of {REPEATS})",
-        ["mode", "points/s", "seconds"],
-        [["cold per-point runs",
-          f"{chain['cold']['points_per_second']:,}",
-          f"{chain['cold']['seconds']:.3f}"],
-         ["prefix-sharing chain",
-          f"{chain['chain']['points_per_second']:,}",
-          f"{chain['chain']['seconds']:.3f}"]])
-    emit(table)
-    emit(f"chain speedup: {chain['chain_speedup']:.2f}x "
-         f"(floor {CHECKPOINT_MIN_SPEEDUP:g}x)")
-    assert chain["chain_speedup"] >= CHECKPOINT_MIN_SPEEDUP, chain
-
-    report["fault_campaign"] = measure_fault_campaign()
-    campaign = report["fault_campaign"]
-    table = format_table(
-        f"Fault campaign — {campaign['workload']}, "
-        f"{campaign['num_cpus']}P, {campaign['cells']} cells, "
-        f"trigger {campaign['trigger']} (cells/s, best of {REPEATS})",
-        ["mode", "cells/s", "seconds"],
-        [["cold prefix per cell",
-          f"{campaign['cold']['cells_per_second']:,}",
-          f"{campaign['cold']['seconds']:.3f}"],
-         ["forked clean prefix",
-          f"{campaign['fork']['cells_per_second']:,}",
-          f"{campaign['fork']['seconds']:.3f}"]])
-    emit(table)
-    emit(f"campaign fork speedup: {campaign['fork_speedup']:.2f}x "
-         f"(floor {CAMPAIGN_MIN_SPEEDUP:g}x)")
-    assert campaign["fork_speedup"] >= CAMPAIGN_MIN_SPEEDUP, campaign
-    assert campaign["forked_cells"] == campaign["cells"], campaign
-
-    out = pathlib.Path(__file__).parent.parent / "BENCH_engine.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
-
-    # Loose floor: even slow CI hardware should beat a fraction of the
-    # reference machine's *seed* numbers given the ~3x engine rewrite.
-    for kind, measured in report["configs"].items():
-        assert measured["accesses_per_second"] > 20_000, (
-            kind, measured)
-    for kind, measured in report["missheavy"]["configs"].items():
-        assert measured["accesses_per_second"] > 4_000, (
-            kind, measured)
+    assert not failures, failures
 
     benchmark.pedantic(
-        lambda: build_system(configs["baseline"]).run(
-            workload(WORKLOAD, CPUS)),
+        lambda: build_system(hitheavy_configs()["baseline"]).run(
+            generate(WORKLOAD, CPUS, scale=BENCH_SCALE, seed=BENCH_SEED)),
         rounds=1, iterations=1)
-
-
-# -- regression-gate CLI (python bench_perf_engine.py --check) ----------
-
-def _fresh_points(scale: float, repeats: int) -> dict:
-    """Re-measure the throughput points at ``scale``.
-
-    Returns ``{"configs": {...}, "missheavy": {"configs": {...}}}``
-    shaped like the committed report so the comparison walks every
-    section with one loop.
-    """
-    global REPEATS
-    previous_repeats = REPEATS
-    REPEATS = repeats
-    try:
-        hit_workload = generate(WORKLOAD, CPUS, scale=scale,
-                                seed=BENCH_SEED)
-        miss_workload = generate(MISSHEAVY_WORKLOAD, CPUS, scale=scale,
-                                 seed=BENCH_SEED)
-        configs = hitheavy_configs()
-        fresh = {"configs": {}, "missheavy": {"configs": {}}}
-        for kind, config in configs.items():
-            fresh["configs"][kind] = measure(config, hit_workload)
-        for kind, config in missheavy_configs().items():
-            fresh["missheavy"]["configs"][kind] = measure(
-                config, miss_workload)
-        return fresh
-    finally:
-        REPEATS = previous_repeats
-        # Drop the memoized full-scale workloads: the serving /
-        # checkpoint gates that may re-measure next are wall-clock
-        # ratios, and ~100 MB of retained trace columns visibly taxes
-        # their timed regions.
-        from repro.workloads.registry import clear_memo
-        clear_memo()
-
-
-def _compare(committed: dict, fresh: dict, threshold_pct: float):
-    """Yield one (label, committed, fresh, delta_pct, ok) per config."""
-    sections = [("", committed.get("configs", {}),
-                 fresh.get("configs", {})),
-                ("missheavy/",
-                 committed.get("missheavy", {}).get("configs", {}),
-                 fresh.get("missheavy", {}).get("configs", {}))]
-    for prefix, old_configs, new_configs in sections:
-        for kind, old in old_configs.items():
-            new = new_configs.get(kind)
-            if new is None:
-                continue
-            old_rate = old["accesses_per_second"]
-            new_rate = new["accesses_per_second"]
-            delta_pct = (new_rate / old_rate - 1) * 100
-            ok = new_rate >= old_rate * (1 - threshold_pct / 100)
-            yield prefix + kind, old_rate, new_rate, delta_pct, ok
-
-
-def _ratio_gates(committed: dict, scale: float) -> int:
-    """Re-measure the wall-clock ratio gates against their floors.
-
-    Invoked by ``--check`` in a fresh subprocess (``--gates-only``)
-    so the measured ratios aren't taxed by the heap the throughput
-    sweep grows; returns the number of failed gates.
-    """
-    failures = []
-    if "serving" in committed:
-        serving = measure_serving(
-            committed["serving"].get("scale", scale * 0.2))
-        ok = serving["warm_speedup"] >= SERVING_MIN_SPEEDUP
-        print(f"serving warm/cold speedup: "
-              f"{serving['warm_speedup']:.2f}x "
-              f"(committed {committed['serving']['warm_speedup']:.2f}x,"
-              f" floor {SERVING_MIN_SPEEDUP:g}x)"
-              f"{'' if ok else '  << REGRESSION'}")
-        if not ok:
-            failures.append("serving/warm_speedup")
-
-    if "checkpointing" in committed:
-        chain = measure_checkpointing()
-        ok = chain["chain_speedup"] >= CHECKPOINT_MIN_SPEEDUP
-        print(f"checkpoint chain speedup: "
-              f"{chain['chain_speedup']:.2f}x "
-              f"(committed "
-              f"{committed['checkpointing']['chain_speedup']:.2f}x,"
-              f" floor {CHECKPOINT_MIN_SPEEDUP:g}x)"
-              f"{'' if ok else '  << REGRESSION'}")
-        if not ok:
-            failures.append("checkpointing/chain_speedup")
-
-    if "fault_campaign" in committed:
-        campaign = measure_fault_campaign()
-        ok = campaign["fork_speedup"] >= CAMPAIGN_MIN_SPEEDUP
-        print(f"campaign fork speedup: "
-              f"{campaign['fork_speedup']:.2f}x "
-              f"(committed "
-              f"{committed['fault_campaign']['fork_speedup']:.2f}x,"
-              f" floor {CAMPAIGN_MIN_SPEEDUP:g}x)"
-              f"{'' if ok else '  << REGRESSION'}")
-        if not ok:
-            failures.append("fault_campaign/fork_speedup")
-    return len(failures)
 
 
 def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Engine-throughput regression gate: fresh run vs "
-                    "the committed BENCH_engine.json.")
+        description="Engine regression gates: measure every section and "
+                    "evaluate every gate against the committed "
+                    "BENCH_engine.json.")
     parser.add_argument("--check", action="store_true",
-                        help="compare against the committed report and "
-                             "exit non-zero on regression")
-    parser.add_argument("--baseline",
-                        default=str(pathlib.Path(__file__).parent.parent
-                                    / "BENCH_engine.json"),
+                        help="exit non-zero when any gate fails")
+    parser.add_argument("--baseline", default=str(REPORT),
                         help="committed report to compare against")
     parser.add_argument("--threshold", type=float, default=25.0,
-                        help="max tolerated slowdown, percent "
-                             "(default 25)")
-    parser.add_argument("--repeats", type=int, default=REPEATS,
-                        help="best-of-N repeats per point")
-    parser.add_argument("--gates-only", action="store_true",
-                        help="re-measure only the wall-clock ratio "
-                             "gates (serving/checkpointing/campaign); "
-                             "used internally by --check, which runs "
-                             "them in a fresh subprocess")
+                        help="max tolerated throughput slowdown vs the "
+                             "committed report, percent (default 25)")
+    parser.add_argument("--ratio-sections", nargs=2,
+                        metavar=("SCALE", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+
+    if args.ratio_sections:
+        scale, out = args.ratio_sections
+        sections = measure_ratio_sections(float(scale))
+        pathlib.Path(out).write_text(json.dumps(sections))
+        return 0
 
     committed_path = pathlib.Path(args.baseline)
     committed = json.loads(committed_path.read_text())
-    scale = committed.get("scale", BENCH_SCALE)
-    failures = []
-
-    if args.gates_only:
-        return _ratio_gates(committed, scale)
-
-    fresh = _fresh_points(scale, args.repeats)
-
-    width = max(len("config"), *(len(label) for label, *_ in
-                                 _compare(committed, fresh, 0)))
-    print(f"{'config':<{width}}  {'committed':>10}  {'fresh':>10}  "
-          f"{'delta':>8}")
-    for label, old_rate, new_rate, delta_pct, ok in _compare(
-            committed, fresh, args.threshold):
-        flag = "" if ok else "  << REGRESSION"
-        print(f"{label:<{width}}  {old_rate:>10,}  {new_rate:>10,}  "
-              f"{delta_pct:>+7.1f}%{flag}")
-        if not ok:
-            failures.append(label)
-
-    # Absolute gates travel with the committed report.
-    recording = committed.get("recording")
-    if recording is not None:
-        pct = recording["overhead_when_disabled_percent"]
-        ok = pct <= 2.0
-        print(f"recording disabled overhead (committed): "
-              f"{pct:+.2f}% (budget 2%)"
-              f"{'' if ok else '  << REGRESSION'}")
-        if not ok:
-            failures.append("recording/overhead_when_disabled")
-
-    if args.check:
-        # The wall-clock *ratio* gates (serving, checkpointing, fault
-        # campaign) re-measure in a fresh subprocess: each compares
-        # two timed legs against an absolute floor, and the heap this
-        # process grew running the full throughput sweep taxes the
-        # legs unevenly enough to flip a ~10%-margin ratio (and
-        # symmetrically, running them first in-process slows the
-        # sweep's absolute points past the 25% threshold).
-        import subprocess
-        import sys
-        code = subprocess.run(
-            [sys.executable, __file__, "--gates-only",
-             "--baseline", str(committed_path)]).returncode
-        if code:
-            failures.append(
-                "ratio gates (serving/checkpointing/campaign)")
-
+    report = measure_report(committed["scale"])
+    table, failures = gate_table(report, committed, args.threshold)
+    print(table)
     if not args.check:
         return 0
     if failures:
-        print(f"FAIL: {', '.join(failures)} regressed vs "
-              f"{committed_path.name}")
+        print(f"FAIL: {', '.join(failures)}")
         return 1
-    print(f"OK: all configs within {args.threshold:g}% of "
-          f"{committed_path.name}")
+    print(f"OK: every gate passed against {committed_path.name}")
     return 0
 
 
 if __name__ == "__main__":
-    import sys
     sys.exit(main())

@@ -17,21 +17,23 @@ A job request is::
 Config dicts are the :func:`repro.config.config_to_dict` shape and
 may be partial — :func:`repro.config.config_from_dict` fills omitted
 fields with defaults and rejects unknown names, so a typoed knob is a
-400, never a silently different machine. Results travel as the same
-payload shape :class:`~repro.sim.sweep.ResultCache` stores (minus the
-checksum), so a streamed result round-trips losslessly into a
-:class:`~repro.smp.metrics.SimulationResult`.
+400, never a silently different machine. Results travel through
+:func:`~repro.smp.metrics.result_to_dict`, the codec
+:class:`~repro.sim.sweep.ResultCache` stores (minus the checksum), so
+a streamed result round-trips losslessly into a
+:class:`~repro.smp.metrics.SimulationResult`; this module re-exports
+the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..config import SystemConfig, config_from_dict, config_to_dict
 from ..errors import ConfigError, ServeError
 from ..sim.sweep import SweepPoint
-from ..smp.metrics import SimulationResult
+from ..smp.metrics import result_from_dict, result_to_dict  # noqa: F401
 
 #: tenant names are path/log-safe tokens
 _TENANT_CHARS = frozenset(
@@ -86,24 +88,6 @@ def point_from_dict(payload) -> SweepPoint:
         raise ServeError(str(exc)) from None
     return SweepPoint(workload=workload, config=config,
                       scale=float(scale), seed=seed)
-
-
-def result_to_dict(result: SimulationResult) -> Dict[str, object]:
-    return {"workload": result.workload,
-            "num_cpus": result.num_cpus,
-            "cycles": result.cycles,
-            "per_cpu_cycles": list(result.per_cpu_cycles),
-            "stats": dict(result.stats)}
-
-
-def result_from_dict(payload) -> Optional[SimulationResult]:
-    if payload is None:
-        return None
-    return SimulationResult(workload=payload["workload"],
-                            num_cpus=payload["num_cpus"],
-                            cycles=payload["cycles"],
-                            per_cpu_cycles=list(payload["per_cpu_cycles"]),
-                            stats=dict(payload["stats"]))
 
 
 def parse_job_request(payload) -> JobSpec:

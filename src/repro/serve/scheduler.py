@@ -20,7 +20,9 @@ entirely from a single asyncio event loop:
   warmup tasks that pre-import the simulator in every worker, so
   repeated sweeps never pay interpreter spawn + import + AES
   key-schedule startup again (the ``serving`` section of
-  ``BENCH_engine.json`` measures the win);
+  ``BENCH_engine.json`` measures the win as the median warm/cold
+  ratio of alternating pairs, each warm leg on a freshly booted
+  server with an empty cache);
 - **completion** — results are stored in the cache (atomic publish;
   see ResultCache) and fanned out to every subscribed job; a job
   whose last point lands becomes ``done`` (or ``failed`` if any

@@ -62,7 +62,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, \
 
 from ..config import SystemConfig, config_to_dict
 from ..errors import ConfigError, SweepError, TraceError
-from ..smp.metrics import SimulationResult
+from ..smp.metrics import SimulationResult, result_from_dict, \
+    result_to_dict
 from .pool import WorkerPool
 from .store import BlobStore, sha256
 
@@ -325,24 +326,13 @@ class ResultCache(BlobStore):
         payload = json.load(handle)
         if payload.pop("checksum", None) != cls._checksum(payload):
             raise ValueError("missing or mismatched checksum")
-        return SimulationResult(
-            workload=payload["workload"],
-            num_cpus=payload["num_cpus"],
-            cycles=payload["cycles"],
-            per_cpu_cycles=list(payload["per_cpu_cycles"]),
-            stats=dict(payload["stats"].items()))
+        return result_from_dict(payload)
 
     def load(self, point: SweepPoint) -> Optional[SimulationResult]:
         return self._read(self._path(point_key(point)), self._decode)
 
     def store(self, point: SweepPoint, result: SimulationResult) -> None:
-        payload = {
-            "workload": result.workload,
-            "num_cpus": result.num_cpus,
-            "cycles": result.cycles,
-            "per_cpu_cycles": list(result.per_cpu_cycles),
-            "stats": dict(result.stats),
-        }
+        payload = result_to_dict(result)
         payload["checksum"] = self._checksum(payload)
         self._publish(self._path(point_key(point)),
                       json.dumps(payload, sort_keys=True).encode())

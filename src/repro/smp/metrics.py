@@ -13,7 +13,7 @@ The paper reports two headline numbers per configuration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -51,6 +51,27 @@ class SimulationResult:
                 f"({self.cache_to_cache_transfers} c2c, "
                 f"{self.memory_transfers} mem, "
                 f"{self.auth_messages} auth)")
+
+
+def result_to_dict(result: SimulationResult) -> Dict[str, object]:
+    """The JSON form of a result: the result cache's entries and the
+    serve API's result rows (docs/serving.md) both use it."""
+    return {"workload": result.workload,
+            "num_cpus": result.num_cpus,
+            "cycles": result.cycles,
+            "per_cpu_cycles": list(result.per_cpu_cycles),
+            "stats": dict(result.stats)}
+
+
+def result_from_dict(payload) -> Optional[SimulationResult]:
+    """Inverse of :func:`result_to_dict`; ``None`` stays ``None``."""
+    if payload is None:
+        return None
+    return SimulationResult(workload=payload["workload"],
+                            num_cpus=payload["num_cpus"],
+                            cycles=payload["cycles"],
+                            per_cpu_cycles=list(payload["per_cpu_cycles"]),
+                            stats=dict(payload["stats"]))
 
 
 def slowdown_percent(baseline: SimulationResult,

@@ -148,6 +148,26 @@ class TestResultCache:
         cache._path(point_key(target)).write_text(json.dumps({"x": 1}))
         assert cache.load(target) is None
 
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        """The entry format is part of the cache contract: caches
+        written at ENGINE_VERSION 5 must keep hitting, so a codec
+        change has to keep these bytes or bump the version."""
+        from repro.smp.metrics import SimulationResult
+        result = SimulationResult("fft", 2, 1234, [1234, 1200],
+                                  {"bus.transactions": 7, "l1.hits": 3})
+        pinned = (
+            b'{"checksum": "c1cda26c4780bb85fbea77a5122978228f0dc7de5498'
+            b'7e798ad2e64eb4f0ce13", "cycles": 1234, "num_cpus": 2, '
+            b'"per_cpu_cycles": [1234, 1200], "stats": '
+            b'{"bus.transactions": 7, "l1.hits": 3}, "workload": "fft"}')
+        assert ENGINE_VERSION == 5
+        cache = ResultCache(tmp_path)
+        cache.store(point(), result)
+        path = cache._path(point_key(point()))
+        assert path.read_bytes() == pinned
+        path.write_bytes(pinned)
+        assert cache.load(point()) == result
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(point(), run_point(point()))
