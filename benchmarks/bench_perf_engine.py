@@ -7,8 +7,8 @@ operator, bound). Both entry points run the first and evaluate the
 second:
 
 - ``pytest benchmarks/bench_perf_engine.py`` measures at
-  ``BENCH_SCALE``, rewrites ``BENCH_engine.json`` at the repo root and
-  fails on any failed gate;
+  ``BENCH_SCALE``, fails on any failed gate and otherwise rewrites
+  ``BENCH_engine.json`` at the repo root;
 - ``python benchmarks/bench_perf_engine.py --check`` measures at the
   committed report's scale, prints every gate and exits non-zero on
   any failure (the CI "Engine throughput regression gate").
@@ -25,10 +25,11 @@ What is measured, and how each gate reads it:
 - **Disabled hooks** (``guard_opcodes``): with no tracer, recorder or
   fault injector attached, the hooks cost only their guards. Their
   share of executed opcodes is counted exactly, not timed, by
-  ``tools/guard_opcodes.py`` on the miss-heavy point: the observer
-  guards (with the bus observer loop) on senss bound the
-  observability and recording budgets, the fault-hook guards on
-  integrated bound the fault-hook budget, 2% each.
+  ``tools/guard_opcodes.py`` on the miss-heavy point at the fixed
+  ``GUARD_SCALE``: the observer guards (with the bus observer loop)
+  on senss bound the observability and recording budgets, the
+  fault-hook guards on integrated bound the fault-hook budget, 2%
+  each.
 - **Observing** (``observability``, ``recording``, ``fault_hooks``):
   the miss-heavy senss machine untraced vs with a full tracer and a
   senss+memprotect-filtered one, untraced vs a full recorder, and the
@@ -104,6 +105,11 @@ MISSHEAVY_MIN_RATE = 4_000
 
 #: the most a disabled hook family may add, percent of all opcodes.
 DISABLED_BUDGET_PERCENT = 2.0
+#: miss-heavy scale the guard opcodes are counted at. The counts are
+#: exact and the shares move little with scale (0.755%/0.802% at 0.5
+#: vs 0.745%/0.786% here), but the per-opcode tracer runs ~40x slower
+#: than the simulator.
+GUARD_SCALE = 0.05
 FILTERED_CATEGORIES = ("memprotect", "senss")
 
 #: the warm server must beat cold per-client sweeps by at least this
@@ -284,14 +290,16 @@ def measure_throughput(configs: dict, workload) -> dict:
     return access_rates(seconds, values, workload.total_accesses)
 
 
-def measure_guards(workload, scale: float) -> dict:
+def measure_guards() -> dict:
     """Exact guard-opcode counts of the disabled hooks (no tracer,
     recorder or injector attached) on the miss-heavy senss and
-    integrated machines."""
+    integrated machines at ``GUARD_SCALE``."""
     configs = missheavy_configs()
     guards = guard_opcodes.guard_lines()
+    workload = generate(MISSHEAVY_WORKLOAD, CPUS, scale=GUARD_SCALE,
+                        seed=BENCH_SEED)
     return {"workload": MISSHEAVY_WORKLOAD, "num_cpus": CPUS,
-            "l2_kb": MISSHEAVY_L2_KB, "scale": scale,
+            "l2_kb": MISSHEAVY_L2_KB, "scale": GUARD_SCALE,
             **{kind: guard_opcodes.count_run(configs[kind], workload,
                                              guards)
                for kind in ("senss", "integrated")}}
@@ -581,7 +589,7 @@ def measure_report(scale: float) -> dict:
                             "l2_kb": MISSHEAVY_L2_KB, "scale": scale,
                             "configs": measure_throughput(
                                 missheavy_configs(), miss)}}
-    report["guard_opcodes"] = measure_guards(miss, scale)
+    report["guard_opcodes"] = measure_guards()
     report.update(measure_observing(miss, scale, report["guard_opcodes"]))
     # The ratio legs run in a fresh interpreter: the heap this one grew
     # taxes two legs unevenly enough to flip a ~10%-margin ratio.
@@ -651,10 +659,11 @@ def gate_table(report: dict, committed: dict, threshold: float = 25.0):
 def test_engine_throughput(benchmark, emit):
     committed = json.loads(REPORT.read_text())
     report = measure_report(BENCH_SCALE)
-    REPORT.write_text(json.dumps(report, indent=2) + "\n")
     table, failures = gate_table(report, committed)
     emit(table)
+    # A failed run must not replace the report it failed against.
     assert not failures, failures
+    REPORT.write_text(json.dumps(report, indent=2) + "\n")
 
     benchmark.pedantic(
         lambda: build_system(hitheavy_configs()["baseline"]).run(

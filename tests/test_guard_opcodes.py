@@ -14,10 +14,12 @@ import guard_opcodes  # noqa: E402
 def two_runs():
     """fft 2P integrated at scale 0.01: every hook family's sites run
     (bus, SENSS, pad cache, hash tree) in a few seconds."""
+    from repro.config import e6000_config
     from repro.workloads.registry import generate
 
     workload = generate("fft", 2, scale=0.01, seed=0)
-    config = guard_opcodes.point_config("integrated", 2, 1024)
+    config = e6000_config(num_processors=2).with_memprotect(
+        encryption_enabled=True, integrity_enabled=True)
     guards = guard_opcodes.guard_lines()
     return [guard_opcodes.count_run(config, workload, guards)
             for _ in range(2)]

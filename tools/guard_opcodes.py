@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Count the opcodes a simulation spends on its disabled hook guards.
 
 The observer and fault-injection hooks cost nothing but their guards
@@ -19,18 +18,12 @@ trees, so a new hook site is counted without editing this file. A
 guard line is charged in full, including any other test sharing the
 line (``if mask_wait and self.observer is not None``), so a share is
 an upper bound on the guards' cost. Counts are deterministic: the same
-point gives the same numbers on every run.
-
-    PYTHONPATH=src python tools/guard_opcodes.py --config senss --scale 0.5
-
-A per-opcode callback slows the simulator by about 40x: the
-miss-heavy point at scale 0.5 counts in ~12 s (senss) and ~20 s
-(integrated) on a 2-vCPU host.
+point gives the same numbers on every run. A per-opcode callback
+slows the simulator by about 40x.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import gc
 import os
@@ -165,43 +158,3 @@ def share_percent(counts: dict, *families: str) -> float:
     guarded = sum(counts["guard_opcodes"][family] for family in families)
     return guarded / counts["opcodes"] * 100
 
-
-def point_config(kind: str, cpus: int, l2_kb: int):
-    """The bench's machine flavours: baseline, senss, integrated."""
-    from repro.config import KB, e6000_config
-
-    config = e6000_config(num_processors=cpus,
-                          senss_enabled=kind != "baseline")
-    config = config.with_l2_size(l2_kb * KB)
-    if kind == "integrated":
-        config = config.with_memprotect(encryption_enabled=True,
-                                        integrity_enabled=True)
-    return config
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Exact share of executed opcodes spent on the "
-                    "disabled observer/fault-hook guards, on the "
-                    "engine bench's miss-heavy point (ocean 4P, 64 KB "
-                    "L2).")
-    parser.add_argument("--config", default="senss",
-                        choices=("baseline", "senss", "integrated"))
-    parser.add_argument("--scale", type=float, default=0.5)
-    args = parser.parse_args(argv)
-
-    from repro.workloads.registry import generate
-
-    workload = generate("ocean", 4, scale=args.scale, seed=0)
-    counts = count_run(point_config(args.config, 4, 64), workload)
-    print(f"ocean 4P 64K L2 {args.config} scale {args.scale:g}: "
-          f"{counts['opcodes']:,} opcodes")
-    for family in FAMILIES:
-        print(f"  {family:<14} {counts['guard_opcodes'][family]:>12,}"
-              f"  {share_percent(counts, family):6.3f}%"
-              f"  ({counts['guard_lines'][family]} lines)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
