@@ -136,8 +136,7 @@ class _Server:
                    "--workers", str(self.workers),
                    "--cache-dir", str(self.cache_dir),
                    "--state-dir", str(self.state_dir),
-                   "--point-timeout", str(self.point_timeout),
-                   "--no-warmup"]
+                   "--point-timeout", str(self.point_timeout)]
         if self.record_dir is not None:
             command += ["--record-dir", str(self.record_dir)]
         if resume:

@@ -61,21 +61,20 @@ from .workloads.registry import SPLASH2_NAMES, generate
 
 def _version_string() -> str:
     from .sim.sweep import ENGINE_VERSION
+    store = _checkpoint_summary()
     return (f"repro {__version__} (engine {ENGINE_VERSION})"
-            + _checkpoint_suffix())
+            + (f" [checkpoints: {store}]" if store else ""))
 
 
-def _checkpoint_suffix() -> str:
-    """Checkpoint-store stats for --version, '' when the default
-    store directory does not exist (fresh checkout)."""
+def _checkpoint_summary() -> str:
+    """'N snapshots, X MB' of the default checkpoint store, for
+    --version and profile; '' when its directory does not exist
+    (fresh checkout)."""
     from .sim.checkpoint import DEFAULT_CHECKPOINT_DIR, CheckpointStore
     if not DEFAULT_CHECKPOINT_DIR.is_dir():
         return ""
     stats = CheckpointStore(DEFAULT_CHECKPOINT_DIR).stats()
-    rate = stats["hit_rate"]
-    return (f" [checkpoints {stats['count']}, "
-            f"{stats['bytes'] / 1e6:.1f} MB, "
-            f"hit rate {'-' if rate is None else format(rate, '.0%')}]")
+    return f"{stats['count']} snapshots, {stats['bytes'] / 1e6:.1f} MB"
 
 
 def _add_machine_arguments(command, default_scale: float) -> None:
@@ -274,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-tenant queued-point budget; a job "
                             "that would exceed it is rejected whole "
                             "with HTTP 429")
-    serve.add_argument("--no-warmup", action="store_true",
-                       help="skip the worker warmup pass")
     serve.add_argument("--record-dir", default=None, metavar="PATH",
                        help="directory for job-requested recordings; "
                             "unset = jobs asking to record are "
@@ -637,15 +634,9 @@ def _cmd_profile(args) -> int:
         ["config", "accesses/s", "Mcycles/s", "seconds"],
         rows))
 
-    from .sim.checkpoint import DEFAULT_CHECKPOINT_DIR, CheckpointStore
-    if DEFAULT_CHECKPOINT_DIR.is_dir():
-        stats = CheckpointStore(DEFAULT_CHECKPOINT_DIR).stats()
-        rate = stats["hit_rate"]
-        print(f"checkpoint store  : {stats['count']} snapshots, "
-              f"{stats['bytes'] / 1e6:.1f} MB, "
-              f"hit rate "
-              f"{'-' if rate is None else format(rate, '.0%')} "
-              f"({stats['hits']} hits / {stats['misses']} misses)")
+    store = _checkpoint_summary()
+    if store:
+        print(f"checkpoint store  : {store}")
 
     if args.breakdown:
         _profile_breakdown(args, workload)
@@ -881,7 +872,6 @@ def _cmd_serve(args) -> int:
                                   max_mb=args.cache_max_mb),
                               max_workers=args.workers,
                               max_queued_per_tenant=args.max_queued,
-                              warmup=not args.no_warmup,
                               record_dir=args.record_dir,
                               journal=journal,
                               point_timeout=args.point_timeout,

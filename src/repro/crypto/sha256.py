@@ -1,80 +1,24 @@
-"""SHA-256, implemented from scratch (FIPS 180-4).
+"""SHA-256 and HMAC-SHA256, from the standard library.
 
 The non-chained baseline SENSS is compared against — Shi et al. [20]
 — authenticates each bus transaction "using a hash function SHA256".
 Our :class:`~repro.core.authentication.NonChainedAuthenticator` can
-therefore use the real thing. The implementation follows FIPS 180-4
-directly and is validated against the NIST test vectors.
+therefore use the real thing; tests/crypto/test_sha256.py checks it
+against the NIST and RFC 4231 vectors.
 """
 
 from __future__ import annotations
 
-import struct
-
-
-_K = [
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B,
-    0x59F111F1, 0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01,
-    0x243185BE, 0x550C7DC3, 0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7,
-    0xC19BF174, 0xE49B69C1, 0xEFBE4786, 0x0FC19DC6, 0x240CA1CC,
-    0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA, 0x983E5152,
-    0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
-    0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC,
-    0x53380D13, 0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85,
-    0xA2BFE8A1, 0xA81A664B, 0xC24B8B70, 0xC76C51A3, 0xD192E819,
-    0xD6990624, 0xF40E3585, 0x106AA070, 0x19A4C116, 0x1E376C08,
-    0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A, 0x5B9CCA4F,
-    0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-]
-
-_H0 = [0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-       0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19]
-
-_MASK = 0xFFFFFFFF
-
-
-def _rotr(value: int, amount: int) -> int:
-    return ((value >> amount) | (value << (32 - amount))) & _MASK
-
-
-def _compress(state, block: bytes):
-    w = list(struct.unpack(">16I", block))
-    for t in range(16, 64):
-        s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
-        s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
-        w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK)
-    a, b, c, d, e, f, g, h = state
-    for t in range(64):
-        big_s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-        ch = (e & f) ^ (~e & g)
-        temp1 = (h + big_s1 + ch + _K[t] + w[t]) & _MASK
-        big_s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        temp2 = (big_s0 + maj) & _MASK
-        h, g, f, e = g, f, e, (d + temp1) & _MASK
-        d, c, b, a = c, b, a, (temp1 + temp2) & _MASK
-    return [(x + y) & _MASK for x, y in zip(state,
-                                            (a, b, c, d, e, f, g, h))]
+import hashlib
+import hmac
 
 
 def sha256(message: bytes) -> bytes:
     """One-shot SHA-256 digest (32 bytes)."""
-    length_bits = len(message) * 8
-    padded = message + b"\x80"
-    padded += b"\x00" * ((56 - len(padded)) % 64)
-    padded += struct.pack(">Q", length_bits)
-    state = list(_H0)
-    for offset in range(0, len(padded), 64):
-        state = _compress(state, padded[offset:offset + 64])
-    return struct.pack(">8I", *state)
+    return hashlib.sha256(message).digest()
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 (RFC 2104) — the keyed per-message MAC the
     non-chained baseline attaches to each bus transfer."""
-    if len(key) > 64:
-        key = sha256(key)
-    key = key.ljust(64, b"\x00")
-    inner = sha256(bytes(k ^ 0x36 for k in key) + message)
-    return sha256(bytes(k ^ 0x5C for k in key) + inner)
+    return hmac.new(key, message, hashlib.sha256).digest()

@@ -1,15 +1,16 @@
 """Durable job journal: an append-only JSONL write-ahead log.
 
-The scheduler volunteers everything it accepts into one journal file
-(``<state-dir>/journal.jsonl``): job submission (with the full job
-spec, so the job can be rebuilt from the journal alone), per-point
-dispatch, completion and failure, cancellation, and terminal state.
-On restart, ``repro serve --resume`` replays the journal and
-re-admits every job that never reached a terminal state — its points
-re-enter the fair queue, where already-completed points short-circuit
-through the shared :class:`~repro.sim.sweep.ResultCache` (results are
-*not* stored in the journal; ``point_key`` idempotency makes re-
-dispatching a completed point a cache hit, never a re-simulation).
+The scheduler writes each job it accepts into one journal file
+(``<state-dir>/journal.jsonl``), and only what recovery reads: job
+submission (with the full job spec, so the job can be rebuilt from
+the journal alone), cancellation, and terminal state. On restart,
+``repro serve --resume`` replays the journal and re-admits every job
+that never reached a terminal state — its points re-enter the fair
+queue, where already-completed points short-circuit through the
+shared :class:`~repro.sim.sweep.ResultCache` (results are *not*
+stored in the journal; ``point_key`` idempotency makes re-dispatching
+a completed point a cache hit, never a re-simulation). Per-point
+progress is not journalled: it lives in each job's event stream.
 
 Durability model: every record is one JSON line, written and flushed
 before the action it describes is observable to clients. A flush
@@ -19,9 +20,11 @@ default — the journal protects against crashed or killed servers,
 which is the failure mode the chaos harness injects). A crash can
 tear at most the final line mid-write; :meth:`replay` tolerates that
 by skipping any line that fails to parse. Records carry a ``rec``
-discriminator and ``v`` schema version; unknown record kinds are
-skipped on replay so old servers can read journals written by newer
-ones.
+discriminator (the ``open`` header also the ``v`` schema version);
+unknown record kinds are skipped on replay so old servers can read
+journals written by newer ones, and a journal that still carries the
+per-point ``start`` / ``done`` / ``fail`` / ``retry`` records of older
+servers resumes the same jobs.
 
 Rotation: on startup the previous journal (if any) is renamed to
 ``journal.jsonl.prev`` — after a ``--resume`` every incomplete job is
@@ -35,9 +38,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Union
 
 #: bump when a record shape changes incompatibly
 JOURNAL_SCHEMA_VERSION = 1
@@ -53,21 +56,12 @@ class JournaledJob:
     job_id: str
     payload: Optional[dict] = None    # the job-request dict (spec)
     state: Optional[str] = None       # terminal state, or None
-    started: Set[int] = field(default_factory=set)
-    done: Set[int] = field(default_factory=set)
-    failed: Set[int] = field(default_factory=set)
 
     @property
     def incomplete(self) -> bool:
         """True when the job was accepted but never reached a
         terminal state — the jobs ``--resume`` re-admits."""
         return self.payload is not None and self.state is None
-
-    @property
-    def inflight(self) -> Set[int]:
-        """Points dispatched but never completed (in flight at the
-        crash, or lost with a killed worker)."""
-        return self.started - self.done - self.failed
 
 
 class JobJournal:
@@ -124,25 +118,6 @@ class JobJournal:
         self.append({"rec": "submit", "job": job_id,
                      "spec": spec_payload})
 
-    def point_started(self, job_id: str, index: int, key: str,
-                      attempt: int) -> None:
-        self.append({"rec": "start", "job": job_id, "index": index,
-                     "key": key, "attempt": attempt})
-
-    def point_done(self, job_id: str, index: int, source: str) -> None:
-        self.append({"rec": "done", "job": job_id, "index": index,
-                     "source": source})
-
-    def point_failed(self, job_id: str, index: int, error: str,
-                     quarantined: bool = False) -> None:
-        self.append({"rec": "fail", "job": job_id, "index": index,
-                     "error": error, "quarantined": quarantined})
-
-    def point_retry(self, job_id: str, index: int, attempt: int,
-                    error: str) -> None:
-        self.append({"rec": "retry", "job": job_id, "index": index,
-                     "attempt": attempt, "error": error})
-
     def job_cancelled(self, job_id: str) -> None:
         self.append({"rec": "cancel", "job": job_id})
 
@@ -176,7 +151,10 @@ class JobJournal:
                     continue
                 kind = record.get("rec")
                 job_id = record.get("job")
-                if kind == "open" or not isinstance(job_id, str):
+                # unknown kinds (and the per-point records of older
+                # servers): forward/backward-compatible skip
+                if kind not in ("submit", "cancel", "end") \
+                        or not isinstance(job_id, str):
                     continue
                 entry = jobs.get(job_id)
                 if entry is None:
@@ -184,15 +162,8 @@ class JobJournal:
                     order.append(job_id)
                 if kind == "submit":
                     entry.payload = record.get("spec")
-                elif kind == "start":
-                    entry.started.add(record.get("index"))
-                elif kind == "done":
-                    entry.done.add(record.get("index"))
-                elif kind == "fail":
-                    entry.failed.add(record.get("index"))
-                elif kind in ("cancel", "end"):
+                else:
                     entry.state = record.get("state", "cancelled")
-                # unknown kinds: forward-compatible skip
         return [jobs[job_id] for job_id in order]
 
     def rotate(self) -> Optional[Path]:

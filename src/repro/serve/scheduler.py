@@ -37,9 +37,9 @@ backoff + jitter (``serve.retries``). A point that keeps failing is
 **quarantined** after ``quarantine_after`` consecutive failures
 (``serve.quarantined_points``): it fails fast with the recorded
 error, poisoning neither its job's other points nor other tenants.
-Every admission / dispatch / completion / failure is appended to the
-:class:`~repro.serve.journal.JobJournal` WAL (when configured), so a
-crashed server can :meth:`resume` incomplete jobs — completed points
+Every job admission, cancellation and terminal state is appended to
+the :class:`~repro.serve.journal.JobJournal` WAL (when configured), so
+a crashed server can :meth:`resume` incomplete jobs — completed points
 short-circuit through the cache, only genuinely unfinished work
 re-executes.
 
@@ -518,10 +518,6 @@ class Scheduler:
             execution.subscribers.add((job, queued.index))
             self._inflight[exec_key] = execution
             self._running += 1
-            if self.journal is not None:
-                self.journal.point_started(
-                    job.id, queued.index, queued.key,
-                    self._failures.get(queued.key, 0) + 1)
             runner = self._record_runner if recording else self._runner
             future = asyncio.wrap_future(
                 self._pool.submit(runner, queued.point))
@@ -662,9 +658,6 @@ class Scheduler:
                 self._emit(job, "point_retry", "i",
                            {"index": index, "attempt": attempt,
                             "error": error}, tid=index)
-                if self.journal is not None:
-                    self.journal.point_retry(job.id, index, attempt,
-                                             error)
             self._schedule_retry(execution, live)
         else:
             self.counters["serve.points_failed"] += 1
@@ -710,8 +703,6 @@ class Scheduler:
         job.results[index] = payload
         job.pending -= 1
         self._tenant_entry(job.spec.tenant)["completed"] += 1
-        if self.journal is not None:
-            self.journal.point_done(job.id, index, source)
         self._emit(job, "point_done", "X",
                    {"index": index, "cycles": payload["cycles"],
                     "source": source},
@@ -731,9 +722,6 @@ class Scheduler:
         if quarantined:
             job.quarantined_indexes.add(index)
         self._tenant_entry(job.spec.tenant)["failed"] += 1
-        if self.journal is not None:
-            self.journal.point_failed(job.id, index, error,
-                                      quarantined=quarantined)
         self._emit(job, "point_failed", "i",
                    {"index": index, "error": error,
                     "quarantined": quarantined}, tid=index)

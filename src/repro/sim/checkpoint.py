@@ -366,9 +366,8 @@ class CheckpointStore(BlobStore):
     may share a store), ``.corrupt`` quarantine of a file failing
     magic, meta or checksum, and the ``max_mb`` LRU budget are the
     BlobStore's; a file :func:`restore` refuses is quarantined too
-    (:meth:`quarantine`). Hit/miss/store counts persist best-effort in
-    a ``_stats.json`` sidecar — concurrent increments may race and
-    lose counts, so the reported hit rate is approximate by design.
+    (:meth:`quarantine`). The store keeps only snapshots: whether a
+    point forked is reported exactly, per point, by :func:`run_forked`.
     """
 
     SUFFIX = ".ckpt"
@@ -385,14 +384,11 @@ class CheckpointStore(BlobStore):
         self._publish(path, MAGIC
                       + json.dumps(snapshot.meta, sort_keys=True).encode()
                       + b"\n" + snapshot.blob)
-        self._note("stores")
         self.gc()
         return path
 
     def load(self, family: str, tag: str) -> Optional[MachineSnapshot]:
-        snapshot = self._read(self._path(family, tag), _decode_snapshot)
-        self._note("misses" if snapshot is None else "hits")
-        return snapshot
+        return self._read(self._path(family, tag), _decode_snapshot)
 
     def metas(self, family: str) -> List[Dict[str, object]]:
         """Meta lines of every entry in ``family`` (blob untouched)."""
@@ -414,16 +410,12 @@ class CheckpointStore(BlobStore):
         the deepest candidate is the one that validates in every
         non-corrupt case anyway.
         """
-        probed = False
         for meta in sorted(self.metas(family), key=lambda meta: (
                 -int(meta.get("accesses", 0)), str(meta.get("tag")))):
             if validates_against(meta, workload):
-                probed = True
                 snapshot = self.load(family, str(meta.get("tag")))
                 if snapshot is not None:
                     return snapshot
-        if not probed:
-            self._note("misses")  # load() never ran, count the probe
         return None
 
     def quarantine(self, snapshot: MachineSnapshot) -> None:
@@ -432,39 +424,11 @@ class CheckpointStore(BlobStore):
         :meth:`best` chooses it again."""
         self._quarantine(self._path(snapshot.family, snapshot.tag))
 
-    def _note(self, field: str, delta: int = 1) -> None:
-        """Best-effort sidecar counter bump (approximate under races)."""
-        path = self.root / "_stats.json"
-        try:
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                payload = {}
-            payload[field] = int(payload.get(field, 0)) + delta
-            self._publish(path,
-                          json.dumps(payload, sort_keys=True).encode())
-        except OSError:
-            pass
-
-    def stats(self) -> Dict[str, object]:
-        """Entry count, byte size and (approximate) hit rate."""
+    def stats(self) -> Dict[str, int]:
+        """Snapshot count and total bytes on disk."""
         entries = self._entries()
-        try:
-            sidecar = json.loads(
-                (self.root / "_stats.json").read_text())
-        except (OSError, ValueError):
-            sidecar = {}
-        hits = int(sidecar.get("hits", 0))
-        misses = int(sidecar.get("misses", 0))
-        probes = hits + misses
-        return {
-            "count": len(entries),
-            "bytes": sum(size for _mtime, size, _path in entries),
-            "hits": hits,
-            "misses": misses,
-            "stores": int(sidecar.get("stores", 0)),
-            "hit_rate": round(hits / probes, 4) if probes else None,
-        }
+        return {"count": len(entries),
+                "bytes": sum(size for _mtime, size, _path in entries)}
 
 
 def _scale_tag(scale: float) -> str:

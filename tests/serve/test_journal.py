@@ -1,14 +1,19 @@
 """The job journal: WAL append, replay, torn tails, rotation.
 
-Pure file-level tests — no scheduler, no event loop. The scheduler's
-use of the journal (resume semantics, drain-under-fire) is covered in
-test_resilience.py.
+File-level tests, plus one scheduler resume of a journal in the older
+per-point format. The scheduler's use of the journal (resume
+semantics, drain-under-fire) is covered in test_resilience.py.
 """
 
+import asyncio
+import dataclasses
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.serve.journal import (JOURNAL_NAME, JobJournal,
                                  JournaledJob)
+from repro.serve.scheduler import Scheduler
+from repro.smp.metrics import SimulationResult
 
 
 def payload(seeds=(0, 1)):
@@ -22,25 +27,15 @@ class TestAppendReplay:
     def test_replay_reconstructs_incomplete_job(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.job_submitted("job-000001", payload())
-        journal.point_started("job-000001", 0, "k0", attempt=1)
-        journal.point_done("job-000001", 0, source="executed")
         journal.close()
 
         entries = JobJournal.replay(tmp_path)
-        assert len(entries) == 1
-        entry = entries[0]
-        assert isinstance(entry, JournaledJob)
-        assert entry.job_id == "job-000001"
-        assert entry.payload == payload()
-        assert entry.incomplete
-        assert entry.done == {0}
-        assert entry.inflight == set()
+        assert entries == [JournaledJob("job-000001", payload(), None)]
+        assert entries[0].incomplete
 
     def test_terminal_job_not_incomplete(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.job_submitted("job-000001", payload())
-        journal.point_done("job-000001", 0, source="executed")
-        journal.point_done("job-000001", 1, source="cache")
         journal.job_done("job-000001", "done")
         journal.close()
 
@@ -57,19 +52,23 @@ class TestAppendReplay:
         assert entries[0].state == "cancelled"
         assert not entries[0].incomplete
 
-    def test_inflight_is_started_minus_settled(self, tmp_path):
+    def test_job_record_shapes(self, tmp_path):
+        """Only job-level records are written: the header, submit,
+        cancel and end — nothing per point."""
         journal = JobJournal(tmp_path)
-        journal.job_submitted("job-000001", payload((0, 1, 2)))
-        journal.point_started("job-000001", 0, "k0", attempt=1)
-        journal.point_started("job-000001", 1, "k1", attempt=1)
-        journal.point_started("job-000001", 2, "k2", attempt=1)
-        journal.point_done("job-000001", 0, source="executed")
-        journal.point_failed("job-000001", 1, "boom",
-                             quarantined=False)
+        journal.job_submitted("job-000001", payload())
+        journal.job_submitted("job-000002", payload())
+        journal.job_cancelled("job-000001")
+        journal.job_done("job-000002", "done")
         journal.close()
-        entry = JobJournal.replay(tmp_path)[0]
-        assert entry.inflight == {2}
-        assert entry.failed == {1}
+        records = [json.loads(line) for line in
+                   (tmp_path / JOURNAL_NAME).read_text().splitlines()]
+        assert [record["rec"] for record in records] == \
+            ["open", "submit", "submit", "cancel", "end"]
+        assert journal.records_written == 5
+        assert {field.name for field in
+                dataclasses.fields(JournaledJob)} == \
+            {"job_id", "payload", "state"}
 
     def test_replay_preserves_submission_order(self, tmp_path):
         journal = JobJournal(tmp_path)
@@ -87,14 +86,16 @@ class TestDurability:
         must keep everything before it."""
         journal = JobJournal(tmp_path)
         journal.job_submitted("job-000001", payload())
-        journal.point_done("job-000001", 0, source="executed")
+        journal.job_submitted("job-000002", payload())
+        journal.job_done("job-000001", "done")
         journal.close()
         path = tmp_path / JOURNAL_NAME
         with path.open("ab") as handle:
-            handle.write(b'{"rec": "point", "kind": "do')  # torn
-        entry = JobJournal.replay(tmp_path)[0]
-        assert entry.done == {0}
-        assert entry.incomplete
+            handle.write(b'{"job": "job-000002", "rec": "en')  # torn
+        entries = JobJournal.replay(tmp_path)
+        assert [(entry.job_id, entry.state) for entry in entries] == \
+            [("job-000001", "done"), ("job-000002", None)]
+        assert entries[1].incomplete
 
     def test_unknown_record_kinds_are_ignored(self, tmp_path):
         """Forward compatibility: a journal written by a newer version
@@ -184,3 +185,102 @@ class TestPaths:
         assert lines[0]["rec"] == "open"
         assert lines[0]["v"] == 1
         assert all("ts" in record for record in lines)
+
+
+#: A journal as servers that journalled every point wrote it: per-point
+#: ``start`` / ``done`` / ``fail`` / ``retry`` records between the job
+#: records, ending in a line torn by a crash mid-append.
+PER_POINT_JOURNAL = [
+    {"rec": "open", "v": 1},
+    {"rec": "submit", "job": "job-000001", "spec": payload((0, 1))},
+    {"rec": "start", "job": "job-000001", "index": 0, "key": "k0",
+     "attempt": 1},
+    {"rec": "done", "job": "job-000001", "index": 0,
+     "source": "executed"},
+    {"rec": "done", "job": "job-000001", "index": 1, "source": "cache"},
+    {"rec": "end", "job": "job-000001", "state": "done"},
+    {"rec": "submit", "job": "job-000002", "spec": payload((2, 3))},
+    {"rec": "start", "job": "job-000002", "index": 0, "key": "k2",
+     "attempt": 1},
+    {"rec": "done", "job": "job-000002", "index": 0,
+     "source": "executed"},
+    {"rec": "start", "job": "job-000002", "index": 1, "key": "k3",
+     "attempt": 1},
+    {"rec": "retry", "job": "job-000002", "index": 1, "attempt": 2,
+     "error": "worker died"},
+    {"rec": "submit", "job": "job-000003", "spec": payload((4,))},
+    {"rec": "start", "job": "job-000003", "index": 0, "key": "k4",
+     "attempt": 1},
+    {"rec": "cancel", "job": "job-000003"},
+    {"rec": "submit", "job": "job-000004", "spec": payload((5,))},
+    {"rec": "start", "job": "job-000004", "index": 0, "key": "k5",
+     "attempt": 1},
+    {"rec": "fail", "job": "job-000004", "index": 0, "error": "boom",
+     "quarantined": True},
+    {"rec": "end", "job": "job-000004", "state": "failed"},
+    {"rec": "submit", "job": "job-000005", "spec": payload((6,))},
+    {"rec": "start", "job": "job-000005", "index": 0, "key": "k6",
+     "attempt": 1},
+    {"rec": "fail", "job": "job-000005", "index": 0, "error": "boom",
+     "quarantined": False},
+]
+
+
+def write_per_point_journal(state_dir):
+    state_dir.mkdir()
+    with (state_dir / JOURNAL_NAME).open("w") as handle:
+        for record in PER_POINT_JOURNAL:
+            record = dict(record, ts=1700000000.0)
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.write('{"attempt": 1, "index": 0, "job": "job-0000')
+
+
+def fake_run(point):
+    return SimulationResult(
+        workload=point.workload, num_cpus=2, cycles=100 + point.seed,
+        per_cpu_cycles=[100 + point.seed, 99], stats={}), 0.001
+
+
+class TestPerPointJournal:
+    def test_replay_reads_only_job_records(self, tmp_path):
+        write_per_point_journal(tmp_path / "state")
+        entries = JobJournal.replay(tmp_path / "state")
+        assert [(entry.job_id, entry.state) for entry in entries] == [
+            ("job-000001", "done"), ("job-000002", None),
+            ("job-000003", "cancelled"), ("job-000004", "failed"),
+            ("job-000005", None)]
+
+    def test_scheduler_resumes_incomplete_jobs_under_their_ids(
+            self, tmp_path):
+        """A journal with per-point records resumes exactly its
+        unfinished jobs, with their original ids and specs; the fresh
+        journal holds job-level records only."""
+        state = tmp_path / "state"
+        write_per_point_journal(state)
+
+        async def scenario():
+            pool = ThreadPoolExecutor(max_workers=1)
+            scheduler = Scheduler(max_workers=1, executor=pool,
+                                  runner=fake_run, journal=state)
+            try:
+                resumed = scheduler.resume()
+                assert [job.id for job in resumed] == \
+                    ["job-000002", "job-000005"]
+                assert [[point.seed for point in job.spec.points]
+                        for job in resumed] == [[2, 3], [6]]
+                for job in resumed:
+                    while not job.terminal:
+                        await asyncio.sleep(0.005)
+                    assert job.state == "done"
+            finally:
+                scheduler.journal.close()
+                pool.shutdown(wait=False)
+        asyncio.run(scenario())
+        records = [json.loads(line) for line in
+                   (state / JOURNAL_NAME).read_text().splitlines()]
+        assert [(record["rec"], record.get("job")) for record in
+                records] == [
+            ("open", None), ("submit", "job-000002"),
+            ("submit", "job-000005"), ("end", "job-000002"),
+            ("end", "job-000005")]
+        assert (state / (JOURNAL_NAME + ".prev")).exists()

@@ -143,9 +143,9 @@ class TestConcurrentQuarantine:
 class TestConcurrentCheckpointWriters:
     def test_same_snapshot_many_threads(self, tmp_path):
         """Threads of one process storing one snapshot: each publish
-        (and each stats-sidecar bump) stages into its own scratch
-        file, so no writer renames another's file out from under it,
-        nothing is left behind, and the entry loads."""
+        stages into its own scratch file, so no writer renames
+        another's file out from under it, nothing is left behind, and
+        the entry loads."""
         from repro.sim.checkpoint import CheckpointStore, capture
         from repro.sim.sweep import build_system
         from repro.smp.fastpath import new_counters

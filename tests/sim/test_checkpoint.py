@@ -530,19 +530,15 @@ class TestCheckpointStore:
         assert len(calls) == 1
         assert loads == [shots[-1].tag]
 
-    def test_stats_track_hits_misses_stores(self, tmp_path):
+    def test_stats_count_snapshots_and_bytes(self, tmp_path):
         store = CheckpointStore(tmp_path)
+        assert store.stats() == {"count": 0, "bytes": 0}
         snapshot, _ = TestValidation().make_snapshot(point())
-        store.store(snapshot)
+        path = store.store(snapshot)
         assert store.load(snapshot.family, snapshot.tag) is not None
         assert store.load(snapshot.family, "nope") is None
-        stats = store.stats()
-        assert stats["count"] == 1
-        assert stats["bytes"] > 0
-        assert stats["stores"] == 1
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
+        assert store.stats() == {"count": 1,
+                                 "bytes": path.stat().st_size}
 
 
 class TestResultCacheBound:
@@ -576,10 +572,24 @@ class TestForkChain:
         points = [point(scale=scale) for scale in self.SCALES]
         store = CheckpointStore(tmp_path)
         first = run_chain(points, store)
-        again = run_chain(points, store)
-        assert store.stats()["hits"] > 0
-        for (a, _, _), (b, _, _) in zip(first, again):
-            assert_same_result(a, b)
+        runner = PointRunner(checkpoints=store)
+        for target, (reference, _, _) in zip(points, first):
+            result, _seconds, counters = runner(target)
+            assert counters["serve.checkpoint_hits"] == 1, target
+            assert_same_result(reference, result)
+
+    def test_store_holds_only_snapshot_files(self, tmp_path):
+        """A chain and a re-fork leave nothing but ``*.ckpt`` entries
+        in the store: no sidecar, no scratch files."""
+        points = [point(scale=scale) for scale in self.SCALES]
+        store = CheckpointStore(tmp_path)
+        run_chain(points, store)
+        _result, _seconds, counters = \
+            PointRunner(checkpoints=store)(points[-1])
+        assert counters["serve.checkpoint_hits"] == 1
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names and all(name.endswith(".ckpt") for name in names)
+        assert not (tmp_path / "_stats.json").exists()
 
     def test_forked_recordings_equal_cold_recordings(self, tmp_path):
         points = [point(scale=scale) for scale in self.SCALES]

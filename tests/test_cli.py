@@ -88,6 +88,34 @@ def test_version_flag(capsys):
     assert f"engine {ENGINE_VERSION}" in out
 
 
+def test_version_reports_default_checkpoint_store(tmp_path, monkeypatch,
+                                                  capsys):
+    """``--version`` appends the default store's snapshot count and
+    size on the same line; a checkout without a store prints none."""
+    from repro import __version__
+    from repro.config import e6000_config
+    from repro.sim.checkpoint import DEFAULT_CHECKPOINT_DIR, \
+        CheckpointStore
+    from repro.sim.sweep import ENGINE_VERSION, PointRunner, SweepPoint
+    monkeypatch.chdir(tmp_path)
+    head = f"repro {__version__} (engine {ENGINE_VERSION})"
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out == head + "\n"
+
+    store = CheckpointStore(DEFAULT_CHECKPOINT_DIR)
+    PointRunner(checkpoints=store)(SweepPoint(
+        "radix", e6000_config(num_processors=2), scale=0.02, seed=0))
+    stats = store.stats()
+    assert stats["count"] == 1
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == (
+        f"{head} [checkpoints: 1 snapshots, "
+        f"{stats['bytes'] / 1e6:.1f} MB]\n")
+
+
 def test_trace_command_writes_valid_json(tmp_path, capsys):
     import json
 
