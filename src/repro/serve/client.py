@@ -14,8 +14,8 @@ Typical use::
     final = client.wait(job["id"])          # follows the event stream
     results = client.results(job["id"])     # SimulationResults
 
-Resilience (docs/resilience.md): connect and read phases carry
-separate timeouts, transport-level failures (refused / reset /
+Resilience (docs/resilience.md): one ``timeout`` bounds the connect
+and every blocking read, transport-level failures (refused / reset /
 timed-out connections) are retried with seeded exponential backoff,
 and the event stream is **resumable** — a connection dropped
 mid-NDJSON-line reconnects and skips the events already seen (the
@@ -49,18 +49,12 @@ from .jobs import job_request_dict, result_from_dict
 class ServeClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
                  timeout: float = 60.0,
-                 connect_timeout: Optional[float] = None,
-                 read_timeout: Optional[float] = None,
                  retries: int = 2, backoff_s: float = 0.2,
                  seed: int = 0):
         self.host = host
         self.port = port
+        #: bounds both the connect and each blocking read
         self.timeout = timeout
-        #: connect/read phases fall back to the blanket timeout
-        self.connect_timeout = connect_timeout \
-            if connect_timeout is not None else timeout
-        self.read_timeout = read_timeout \
-            if read_timeout is not None else timeout
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.seed = seed
@@ -68,10 +62,8 @@ class ServeClient:
     # -- HTTP plumbing -------------------------------------------------
 
     def _connect(self) -> socket.socket:
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout)
-        sock.settimeout(self.read_timeout)
-        return sock
+        return socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
 
     @staticmethod
     def _send_request(sock: socket.socket, method: str, path: str,
@@ -166,9 +158,6 @@ class ServeClient:
         Raises ServeError(503) when the server answers not-ready."""
         return self._request("GET", "/v1/readyz")
 
-    def stats(self) -> dict:
-        return self._request("GET", "/v1/stats")
-
     def metrics(self) -> dict:
         """The live metrics plane (``/v1/metrics``; schema in
         docs/serving.md)."""
@@ -181,7 +170,7 @@ class ServeClient:
 
         ``record=True`` asks the server to keep a deterministic
         recording per point (needs a server started with
-        ``--record-dir``); fetch them with :meth:`recording`.
+        ``--record-dir``); fetch them with :meth:`recording_bytes`.
         """
         return self._request(
             "POST", "/v1/jobs",
@@ -214,13 +203,6 @@ class ServeClient:
     def errors(self, job_id: str) -> List[Optional[str]]:
         payload = self._request("GET", f"/v1/jobs/{job_id}/results")
         return payload["errors"]
-
-    def recording(self, job_id: str, index: int) -> dict:
-        """The raw recording payload for one point of a record job
-        (load it with ``repro.obs.Recording(payload)`` or save the
-        JSON and use ``repro replay``/``repro diff``)."""
-        return self._request(
-            "GET", f"/v1/jobs/{job_id}/recordings/{index}")
 
     def recording_bytes(self, job_id: str, index: int) -> bytes:
         """The recording exactly as served — the server ships the

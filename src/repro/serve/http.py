@@ -13,11 +13,11 @@ Endpoints (all under ``/v1``)::
     GET    /v1/readyz             readiness (200 only when the server
                                   is admitting work and its pool is
                                   alive; 503 with a reason otherwise)
-    GET    /v1/stats              scheduler counters + gauges
     GET    /v1/metrics            live metrics plane: queue depth,
                                   warm-pool state, cache hit rate,
-                                  per-tenant throughput (JSON schema
-                                  in docs/serving.md)
+                                  per-tenant throughput, every
+                                  serve.* counter (JSON schema in
+                                  docs/serving.md)
     POST   /v1/jobs               submit a job (201 / 400 / 429 / 503)
     GET    /v1/jobs[?tenant=t]    job summaries
     GET    /v1/jobs/{id}          one job summary
@@ -194,10 +194,6 @@ class ServeHTTP:
             await self._send_json(
                 writer, 200 if ready else 503,
                 {"ready": ready, "reason": reason})
-            return
-        if rest == ["stats"] and method == "GET":
-            await self._send_json(writer, 200,
-                                  self.scheduler.stats())
             return
         if rest == ["metrics"] and method == "GET":
             await self._send_json(writer, 200,

@@ -230,8 +230,8 @@ class Scheduler:
         self.seed = seed
         self.quarantine_after = max(1, quarantine_after)
         self.queue = WeightedFairQueue()
+        #: every admitted job, in admission order
         self.jobs: Dict[str, Job] = {}
-        self._order: List[Job] = []
         self._inflight: Dict[str, _Execution] = {}
         self._pool = WorkerPool(self.max_workers, serve_context(),
                                 executor)
@@ -371,7 +371,7 @@ class Scheduler:
     def _is_idle(self) -> bool:
         return not self.queue and not self._inflight and \
             self._pending_retries == 0 and \
-            all(job.terminal for job in self._order)
+            all(job.terminal for job in self.jobs.values())
 
     def _idle_event(self) -> asyncio.Event:
         if self._idle is None:
@@ -416,7 +416,6 @@ class Scheduler:
             self._serial = max(self._serial, serial)
         job = Job(spec, serial)
         self.jobs[job.id] = job
-        self._order.append(job)
         self.counters["serve.jobs_accepted"] += 1
         if self.journal is not None:
             self.journal.job_submitted(job.id, job_request_dict(
@@ -460,7 +459,7 @@ class Scheduler:
         return job
 
     def list_jobs(self, tenant: Optional[str] = None) -> List[Job]:
-        return [job for job in self._order
+        return [job for job in self.jobs.values()
                 if tenant is None or job.spec.tenant == tenant]
 
     # -- dispatch ------------------------------------------------------
@@ -846,7 +845,7 @@ class Scheduler:
                 if uptime_s > 0 else 0.0,
             }
         return {
-            "schema_version": 3,
+            "schema_version": 4,
             "uptime_s": round(uptime_s, 3),
             "draining": self._draining,
             "queue": {
@@ -897,33 +896,7 @@ class Scheduler:
                 "journal_skipped":
                     self.counters["serve.journal_skipped"],
                 "quarantined_points": sorted(self.quarantined),
-                "supervisor": {
-                    "alive": self._pool.alive,
-                    "restarts": self._pool.restarts,
-                    "supervised_inflight": len(self._inflight),
-                    "watching": any(
-                        execution.timer is not None
-                        for execution in self._inflight.values()),
-                },
             },
             "tenants": tenants,
             "counters": dict(self.counters),
         }
-
-    def stats(self) -> dict:
-        """Counters plus live gauges (the ``/v1/stats`` payload)."""
-        payload = dict(self.counters)
-        payload.update({
-            "serve.queue_depth": len(self.queue),
-            "serve.inflight": len(self._inflight),
-            "serve.active_jobs": sum(
-                1 for job in self._order if not job.terminal),
-            "serve.workers": self.max_workers,
-            "serve.draining": self._draining,
-            "serve.pending_retries": self._pending_retries,
-            "serve.pool_alive": self._pool.alive,
-            "serve.uptime_s": round(
-                time.monotonic() - self._start_monotonic, 3),
-            "serve.tenants": self.queue.depths(),
-        })
-        return payload

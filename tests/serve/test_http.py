@@ -21,6 +21,7 @@ from repro.errors import BackpressureError, ServeError
 from repro.obs.schema import validate_chrome_trace
 from repro.serve.client import ServeClient
 from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_BYTES, ServeHTTP
+from repro.serve.jobs import job_request_dict
 from repro.serve.scheduler import Scheduler
 from repro.sim.sweep import ResultCache, SweepPoint, run_sweep
 
@@ -135,11 +136,12 @@ class TestEndToEnd:
 
     def test_stats_counters(self, service):
         _, client = service
-        stats = client.stats()
-        assert stats["serve.jobs_accepted"] >= 4
-        assert stats["serve.points_executed"] >= 3
-        assert stats["serve.workers"] == 2
-        assert stats["serve.draining"] is False
+        metrics = client.metrics()
+        counters = metrics["counters"]
+        assert counters["serve.jobs_accepted"] >= 4
+        assert counters["serve.points_executed"] >= 3
+        assert metrics["workers"]["max"] == 2
+        assert metrics["draining"] is False
 
     def test_unknown_job_404(self, service):
         _, client = service
@@ -173,7 +175,7 @@ class TestEndToEnd:
     def test_metrics_endpoint(self, service):
         _, client = service
         metrics = client.metrics()
-        assert metrics["schema_version"] == 3
+        assert metrics["schema_version"] == 4
         assert metrics["workers"]["max"] == 2
         assert metrics["cache"]["enabled"] is True
         assert 0.0 <= metrics["cache"]["hit_rate"] <= 1.0
@@ -184,7 +186,6 @@ class TestEndToEnd:
     def test_record_job_streams_recording(self, service):
         """A record job's artifact fetched over the wire is a valid,
         checksum-intact recording of the requested point."""
-        import json as json_module
         from repro.obs import Recording
         from repro.sim.sweep import point_key
         _, client = service
@@ -192,10 +193,10 @@ class TestEndToEnd:
         job = client.submit(points, tenant="recorder", record=True)
         final = client.wait(job["id"])
         assert final["state"] == "done"
-        payload = client.recording(job["id"], 0)
+        payload = json.loads(client.recording_bytes(job["id"], 0))
         # checksum is over the canonical core, so validation survives
-        # the wire round-trip through the client's JSON parse
-        recording = Recording.loads(json_module.dumps(payload))
+        # the wire round-trip through a JSON parse
+        recording = Recording.loads(json.dumps(payload))
         assert recording.fingerprint == point_key(points[0])
         assert recording.to_result().cycles == \
             client.results(job["id"])[0].cycles
@@ -227,7 +228,7 @@ class TestEndToEnd:
         job = client.submit(points_for([0]), tenant="plain")
         client.wait(job["id"])
         with pytest.raises(ServeError) as info:
-            client.recording(job["id"], 0)
+            client.recording_bytes(job["id"], 0)
         assert info.value.status == 404
 
     def test_unknown_workload_fails_job_not_server(self, service):
@@ -306,3 +307,27 @@ class TestMalformedFraming:
         assert got == status
         assert "error" in json.loads(body)
         assert client.healthz() == {"status": "ok"}
+
+
+class TestStatusCodes:
+    """Statuses pinned on the raw wire, below the client's mapping."""
+
+    def test_stats_endpoint_is_gone(self, service):
+        _, client = service
+        got, body = raw_exchange(
+            client.port, b"GET /v1/stats HTTP/1.1\r\n\r\n")
+        assert got == 404
+        assert "error" in json.loads(body)
+
+    def test_submit_answers_201(self, service):
+        _, client = service
+        body = json.dumps(job_request_dict(
+            points_for([0]), tenant="created")).encode()
+        got, reply = raw_exchange(
+            client.port,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body)
+        assert got == 201
+        job = json.loads(reply)
+        assert job["tenant"] == "created"
+        assert client.wait(job["id"])["state"] == "done"

@@ -93,7 +93,7 @@ class TestMetrics:
                 job = scheduler.submit(spec("alice", [0, 1]))
                 await wait_until(lambda: job.terminal)
                 metrics = scheduler.metrics()
-                assert metrics["schema_version"] == 3
+                assert metrics["schema_version"] == 4
                 assert metrics["queue"]["depth"] == 0
                 assert metrics["workers"]["max"] == 2
                 assert metrics["cache"] == {

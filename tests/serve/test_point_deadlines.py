@@ -24,10 +24,6 @@ from repro.serve.scheduler import Scheduler
 from repro.sim.sweep import SweepPoint
 from repro.smp.metrics import SimulationResult
 
-SUPERVISOR_KEYS = {"alive", "restarts", "supervised_inflight",
-                   "watching"}
-
-
 def _result(point):
     return SimulationResult(
         workload=point.workload, num_cpus=2, cycles=100_000 + point.seed,
@@ -69,10 +65,6 @@ async def wait_until(predicate, timeout=10.0):
         await asyncio.sleep(0.005)
 
 
-def supervisor_state(scheduler):
-    return scheduler.metrics()["resilience"]["supervisor"]
-
-
 def test_hung_point_kills_its_worker_and_the_next_job_is_served():
     async def scenario():
         scheduler = Scheduler(max_workers=1, warmup=False,
@@ -92,10 +84,10 @@ def test_hung_point_kills_its_worker_and_the_next_job_is_served():
             await wait_until(lambda: served.terminal)
             assert served.state == "done"
             metrics = scheduler.metrics()
-            assert metrics["schema_version"] == 3
-            assert set(supervisor_state(scheduler)) == SUPERVISOR_KEYS
-            assert supervisor_state(scheduler)["restarts"] == 1
-            assert supervisor_state(scheduler)["alive"] is True
+            assert metrics["schema_version"] == 4
+            assert "supervisor" not in metrics["resilience"]
+            assert metrics["counters"]["serve.worker_restarts"] == 1
+            assert scheduler.pool.alive is True
         finally:
             await scheduler.drain(timeout=5.0)
     asyncio.run(scenario())
@@ -136,15 +128,17 @@ def test_completed_point_disarms_its_timer_immediately():
                               runner=runner, point_timeout=0.2)
         try:
             job = scheduler.submit(spec([1]))
-            assert supervisor_state(scheduler) == {
-                "alive": True, "restarts": 0,
-                "supervised_inflight": 1, "watching": True}
+            metrics = scheduler.metrics()
+            assert scheduler.pool.alive is True
+            assert metrics["counters"]["serve.worker_restarts"] == 0
+            assert metrics["workers"]["inflight"] == 1
+            (execution,) = scheduler._inflight.values()
+            assert execution.timer is not None
             runner.gate.release()
             await wait_until(lambda: job.terminal)
             # No sleep: the done-callback retired the execution.
-            assert supervisor_state(scheduler)["watching"] is False
-            assert supervisor_state(scheduler)[
-                "supervised_inflight"] == 0
+            assert execution.timer is None
+            assert scheduler.metrics()["workers"]["inflight"] == 0
             await asyncio.sleep(0.3)
             assert job.state == "done"
             assert scheduler.counters["serve.points_failed"] == 0
@@ -163,13 +157,16 @@ def test_overdue_point_times_out_exactly_once():
                               point_timeout=0.03)
         try:
             job = scheduler.submit(spec([1]))
+            (execution,) = scheduler._inflight.values()
+            assert execution.timer is not None
             await asyncio.sleep(0.2)
             failed = [event for event in job.events
                       if event["name"] == "point_failed"]
             assert len(failed) == 1
             assert "0.03s deadline" in failed[0]["args"]["error"]
             assert scheduler.counters["serve.points_failed"] == 1
-            assert supervisor_state(scheduler)["watching"] is False
+            assert execution.timer is None
+            assert scheduler.metrics()["workers"]["inflight"] == 0
             runner.gate.release()
             await asyncio.sleep(0.05)
             assert scheduler.counters["serve.points_failed"] == 1

@@ -249,6 +249,22 @@ def test_diff_identical_recordings_exit_zero(tmp_path, capsys):
     assert "identical" in out
 
 
+def test_record_timings_keep_the_recording_valid(tmp_path):
+    """--timings stamps wall-clock phases outside the checksum: the
+    file still loads (checksum verified) and records the same run as
+    an untimed recording of the point."""
+    import json
+    from repro.obs import Recording
+    timed = tmp_path / "timed.rec.json"
+    plain = tmp_path / "plain.rec.json"
+    args = ["record", "fft", "--cpus", "2", "--scale", "0.05"]
+    assert main(args + ["--timings", "--out", str(timed)]) == 0
+    assert main(args + ["--out", str(plain)]) == 0
+    assert json.loads(timed.read_text())["timings"]["record"] > 0
+    recording = Recording.load(timed)
+    assert recording.core_equal(Recording.load(plain))
+
+
 def test_diff_missing_file_exits_two(tmp_path, capsys):
     assert main(["diff", str(tmp_path / "a.json"),
                  str(tmp_path / "b.json")]) == 2

@@ -13,8 +13,9 @@ outputs from multiple runs into one comparison table:
     python tools/collect_results.py --reports run1.json run2.json
 
 With ``--bench-diff``, compares two ``BENCH_engine.json`` snapshots
-(old first) and prints the per-config throughput speedups — the table
-used in PR descriptions and by the CI regression gate:
+(old first) and prints the per-config throughput speedups, a table
+for comparing two snapshots by hand (CI's regression gate is
+``benchmarks/bench_perf_engine.py --check``, which does not use it):
 
     python tools/collect_results.py --bench-diff OLD.json NEW.json
 
