@@ -2,32 +2,24 @@
 
 ``run_campaign`` simulates one workload once per (fault kind, recovery
 policy) cell on a miss-heavy secured machine — small L2 so the bus and
-memory paths actually carry traffic, short authentication interval so
-the MAC check fires often enough to bound detection latency — and
-reduces the scoreboards into a JSON-ready report. ``python -m repro
-faults`` is a thin CLI over it; CI runs it as the fault-matrix smoke
-job and fails on any undetected fault.
+memory paths carry traffic, short authentication interval so the MAC
+check bounds detection latency — and reduces the scoreboards into a
+JSON-ready report. ``python -m repro faults`` is a thin CLI over it;
+CI's fault-matrix smoke job fails on any undetected fault.
 
-Every cell is identical up to its fault trigger, so with ``fork=True``
-(the default) the campaign simulates the **clean prefix once**, under
-a :class:`~repro.faults.injector.FaultInjector` with an empty plan
-(the injector alone counts the fault streams), pausing every few
-thousand accesses to capture in-memory machine snapshots
-(``repro.sim.checkpoint``) labelled with the injector's cursors. Each
-cell forks from the deepest snapshot that still precedes its trigger
-and re-arms the prefix injector the restored machine carries with its
-own plan and policy — results, scoreboards and recordings stay
-bit-identical to cold runs (pinned by tests/sim/test_checkpoint.py).
-Cells run through :func:`repro.sim.checkpoint.fork_point` with no
-store, like every point that starts from a snapshot: cells whose
-trigger falls before the first snapshot, or whose snapshot fails to
-restore, simply run cold, and no cell emits a snapshot.
-
-Once the prefix has run the cells are independent: they run on the
-one worker pool (:class:`repro.sim.pool.WorkerPool`), one task per
-cell, under the sweep's settings (``REPRO_SWEEP_WORKERS``,
-``REPRO_SWEEP_PARALLEL=0``), and the report is byte-identical to an
-in-process run (docs/fault_injection.md).
+A cell is a :class:`~repro.sim.sweep.SweepPoint` with a one-fault
+plan and a recovery policy. The cells are one
+:func:`~repro.sim.sweep.run_sweep` — the executor, failure rule and
+retry of every point — and each result's ``faults`` section holds the
+cell's scoreboard. Every cell is identical up to its trigger, so with
+``fork=True`` the clean prefix runs once, as the *armed* point (an
+empty plan: an injector counts the fault streams, nothing fires),
+storing a snapshot every few thousand accesses in a temporary
+:class:`~repro.sim.checkpoint.CheckpointStore`; each cell forks from
+the deepest one still before its trigger
+(:meth:`~repro.sim.checkpoint.CheckpointStore.best`) and re-arms the
+injector it carries. Reports are byte-identical forked or cold,
+pooled or in process (docs/fault_injection.md).
 
 ``verify_identity`` is the bit-identity half of the acceptance
 criterion: a system with an injector attached whose plan never
@@ -36,12 +28,12 @@ triggers must produce results identical to an untouched system.
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
-from functools import partial
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from pathlib import Path
+from typing import Dict, Optional, Sequence
 
 from ..config import KB, SystemConfig, e6000_config
-from ..errors import ReproError
+from ..errors import ReproError, SweepError
 from .injector import FaultInjector, stream_position
 from .plan import FaultKind, FaultPlan, FaultSpec
 from .recovery import HALT, POLICIES, REKEY_REPLAY
@@ -86,44 +78,31 @@ def default_spec(kind: str, num_cpus: int,
     return FaultSpec(kind, trigger)
 
 
-def _pick_snapshot(snapshots, spec: FaultSpec):
-    """Deepest snapshot strictly before the spec's trigger event.
-
-    ``count <= trigger`` is the soundness condition: counts are
-    events-already-happened, the fault fires on event index
-    ``trigger``, so equality still precedes the injection.
-    """
-    usable = [snapshot for snapshot in snapshots
-              if stream_position(snapshot.meta["extra"], spec)
-              <= spec.trigger]
-    if not usable:
-        return None
-    return max(usable, key=lambda snapshot: snapshot.accesses)
-
-
 def _simulate_prefix(bench_workload, point, specs: Sequence[FaultSpec],
-                     record_diff: bool, chunk: Optional[int] = None):
-    """Run the clean (fault-free) prefix once, snapshotting as it goes.
+                     record_diff: bool, store,
+                     chunk: Optional[int] = None):
+    """Run the clean prefix once, as ``point`` armed (an empty plan),
+    storing a snapshot every ``chunk`` accesses in ``store``, each
+    labelled with the injector's cursors (meta ``extra``).
 
-    Returns ``(snapshots, clean_recording)``. Without ``record_diff``
-    the run stops as soon as every spec's trigger has passed (no later
-    snapshot could be forked from); with it, the run continues to
-    completion so its recording replaces the separate clean
-    ``record_run`` the un-forked path pays for.
+    Without ``record_diff`` the run stops once every spec's trigger has
+    passed (no later snapshot is forkable) and returns None; with it,
+    the run completes and returns its recording, which replaces the
+    clean ``record_run`` the un-forked path pays for.
     """
     from ..sim.checkpoint import capture, start_state
     from ..smp.fastpath import _finish_run, _run_loop
 
+    armed = replace(point, plan=FaultPlan())
     # Recorder first, injector second — as in every cell; both travel
     # inside every captured snapshot.
     _forked, (system, clocks, cursors, counters) = start_state(
-        point, bench_workload, recorded=record_diff)
-    injector = FaultInjector(FaultPlan()).attach(system)
+        armed, bench_workload, recorded=record_diff)
+    injector = FaultInjector(armed.plan).attach(system)
 
     if chunk is None:
         chunk = max(512, bench_workload.total_accesses // 12)
 
-    snapshots = []
     running = True
     snapshotting = True
     while running:
@@ -131,8 +110,8 @@ def _simulate_prefix(bench_workload, point, specs: Sequence[FaultSpec],
                             counters, stop_accesses=chunk)
         if snapshotting:
             position = injector.cursors()
-            snapshots.append(capture(
-                system, bench_workload, point, clocks, cursors,
+            store.store(capture(
+                system, bench_workload, armed, clocks, cursors,
                 counters, tag=f"prefix-{sum(cursors)}",
                 recorded=record_diff, extra=position))
             if all(stream_position(position, spec) > spec.trigger
@@ -147,7 +126,7 @@ def _simulate_prefix(bench_workload, point, specs: Sequence[FaultSpec],
         result = _finish_run(system, bench_workload, clocks, counters)
         clean_recording = Recording.build(point, system._obs, result)
     system.release()
-    return snapshots, clean_recording
+    return clean_recording
 
 
 def _all_within_interval(entries: Sequence[Dict[str, object]],
@@ -190,25 +169,28 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
                  ) -> Dict[str, object]:
     """One run per (kind, policy) cell; returns the matrix report.
 
-    With ``fork=True`` the shared clean prefix is simulated once and
-    every cell forks from the deepest snapshot preceding its trigger
-    (module docstring); ``fork=False`` forces the historical
-    every-cell-cold behavior. ``trigger`` overrides every kind's
-    default trigger index (deep triggers are where forking pays).
+    ``fork=True`` forks every cell from the shared clean prefix
+    (module docstring); ``fork=False`` runs every cell cold, with no
+    store. ``trigger`` overrides every kind's default trigger index
+    (deep triggers are where forking pays).
 
-    With ``record_diff=True`` the clean (fault-free) run is recorded
-    once — in fork mode it *is* the prefix run, not a separate
-    simulation — every cell additionally records its faulted run, and
-    each entry gains a ``divergence`` summary — where the faulted
-    timeline first departs from the clean one and by how much (the
-    full machinery is ``repro.obs.diff``; see docs/record_replay.md).
+    With ``record_diff=True`` the clean run is recorded once — in fork
+    mode it *is* the prefix run — every cell records into a temporary
+    recording store, and each entry gains a ``divergence`` summary:
+    where the faulted timeline first departs from the clean one and by
+    how much (``repro.obs.diff``; docs/record_replay.md).
 
-    The cells run on the sweep's worker pool, or in this process with
-    ``REPRO_SWEEP_PARALLEL=0``, one worker or one cell; entries come
-    in (kind, policy) order either way. An exception a cell raises
-    propagates; a cell whose worker died is recomputed in process.
+    Entries come in (kind, policy) order. A cell that raises or whose
+    worker dies is retried on a fresh pool; one that still fails
+    raises :class:`~repro.errors.SweepError` naming it.
     """
-    from ..sim.sweep import SweepPoint
+    from tempfile import TemporaryDirectory
+
+    from ..obs.diff import divergence_summary
+    from ..obs.recording import record_run
+    from ..sim.checkpoint import CheckpointStore
+    from ..sim.sweep import (RecordingStore, SweepPoint, SweepTimings,
+                             run_sweep)
     from ..workloads.registry import generate
 
     for policy in policies:
@@ -220,27 +202,41 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     # family instead of building it.
     bench_workload = generate(workload, cpus, scale=scale, seed=seed)
     clean_point = SweepPoint(workload, config, scale=scale, seed=seed)
-    cell_specs = {kind: default_spec(kind, cpus, trigger)
-                  for kind in kinds}
-
-    snapshots = []
-    clean_recording = None
-    if fork:
-        snapshots, clean_recording = _simulate_prefix(
-            bench_workload, clean_point, list(cell_specs.values()),
-            record_diff)
-    elif record_diff:
-        from ..obs.recording import record_run
-        clean_recording = record_run(clean_point)
-
-    cells = [(kind, policy, cell_specs[kind],
-              _pick_snapshot(snapshots, cell_specs[kind]))
+    cells = [replace(clean_point, policy=policy, plan=FaultPlan(
+                 specs=(default_spec(kind, cpus, trigger),), seed=seed))
              for kind in kinds for policy in policies]
-    entries = _run_cells(partial(_run_cell, clean_point, cpus,
-                                 clean_recording), cells)
 
-    detected_all = all(entry["detected"] for entry in entries)
-    within_interval = _all_within_interval(entries, interval)
+    timings = SweepTimings()
+    with TemporaryDirectory(prefix="repro-campaign-") as scratch:
+        store_dir = Path(scratch, "checkpoints") if fork else None
+        record_dir = Path(scratch, "recordings") if record_diff else None
+        clean_recording = None
+        if fork:
+            clean_recording = _simulate_prefix(
+                bench_workload, clean_point,
+                [spec for cell in cells for spec in cell.plan],
+                record_diff, CheckpointStore(store_dir))
+        elif record_diff:
+            clean_recording = record_run(clean_point)
+        try:
+            results = run_sweep(cells, timings=timings,
+                                record_dir=record_dir,
+                                checkpoint_dir=store_dir)
+        except SweepError as exc:
+            names = ", ".join(
+                f"{cells[failure.index].plan.specs[0].kind}/"
+                f"{cells[failure.index].policy}"
+                for failure in exc.failures)
+            raise SweepError(f"campaign cells {names} failed: {exc}",
+                             failures=exc.failures) from None
+        entries = [_entry(cell, result, cell.key in timings.forked)
+                   for cell, result in zip(cells, results)]
+        if record_diff:
+            recordings = RecordingStore(record_dir)
+            for cell, entry in zip(cells, entries):
+                entry["divergence"] = divergence_summary(
+                    clean_recording, recordings.load(cell.key))
+
     report = {
         "workload": workload,
         "num_cpus": cpus,
@@ -250,11 +246,10 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
         "kinds": list(kinds),
         "policies": list(policies),
         "entries": entries,
-        "all_detected": detected_all,
-        "within_interval": within_interval,
+        "all_detected": all(entry["detected"] for entry in entries),
+        "within_interval": _all_within_interval(entries, interval),
         "fork": fork,
-        "forked_cells": sum(1 for entry in entries
-                            if entry["forked"]),
+        "forked_cells": len(timings.forked),
     }
     if record_diff:
         report["record_diff"] = True
@@ -262,138 +257,49 @@ def run_campaign(kinds: Sequence[str] = FaultKind.ALL,
     return report
 
 
-def _run_cell(point, cpus: int, clean_recording, cell
-              ) -> Dict[str, object]:
-    """Run one ``(kind, policy, spec, snapshot)`` cell; its report
-    entry.
-
-    A pool task: everything it needs is in its arguments (the point,
-    the cell and, with ``record_diff``, the clean recording the cell
-    diffs against), and it gets its trace through ``generate`` — in a
-    forked worker the family memo is the parent's, otherwise the
-    worker generates the family once."""
-    from ..sim.checkpoint import fork_point
-    from ..workloads.registry import generate
-
-    kind, policy, spec, snapshot = cell
-    plan = FaultPlan(specs=(spec,), seed=point.seed)
-    record_diff = clean_recording is not None
-    run = fork_point(point, snapshot,
-                     generate(point.workload, cpus, scale=point.scale,
-                              seed=point.seed),
-                     recorded=record_diff, plan=plan, policy=policy)
-    records = run.scoreboard.records
-    record = records[0] if records else None
-    entry: Dict[str, object] = {
-        "kind": kind,
-        "policy": policy,
-        "forked": run.forked,
+def _entry(cell, result, forked: bool) -> Dict[str, object]:
+    """A cell's report entry, from its result's ``faults`` section (a
+    halted cell's result has ``cycles == -1``)."""
+    faults = result.faults
+    records = faults["records"]
+    record = records[0] if records else {}
+    halted = faults["halted"]
+    return {
+        "kind": cell.plan.specs[0].kind,
+        "policy": cell.policy,
+        "forked": forked,
         "triggered": bool(records),
-        "detected": record.detected if record else False,
-        "mechanism": record.mechanism if record else None,
-        "latency_tx": record.latency_tx if record else -1,
-        "latency_cycles": (record.latency_cycles
-                           if record else -1),
-        "masked": record.masked if record else False,
-        "recovered": record.recovered if record else False,
-        "completed": run.halted is None,
-        "halted": run.halted is not None,
-        "error": run.halted or "",
-        "cycles": -1 if run.result is None else run.result.cycles,
-        "penalty_cycles": run.scoreboard.penalty_cycles,
+        "detected": record.get("detected", False),
+        "mechanism": record.get("mechanism"),
+        "latency_tx": record.get("latency_tx", -1),
+        "latency_cycles": record.get("latency_cycles", -1),
+        "masked": record.get("masked", False),
+        "recovered": record.get("recovered", False),
+        "completed": halted is None,
+        "halted": halted is not None,
+        "error": halted or "",
+        "cycles": result.cycles,
+        "penalty_cycles": faults["penalty_cycles"],
     }
-    if record_diff:
-        entry["divergence"] = _divergence_summary(
-            clean_recording, point, run, plan, policy)
-    return entry
-
-
-def _run_cells(run_cell, cells) -> List[Dict[str, object]]:
-    """Every cell's entry, in cell order, on the one worker pool.
-
-    The sweep's settings apply (``REPRO_SWEEP_WORKERS``,
-    ``REPRO_SWEEP_PARALLEL=0``); with one worker or one cell the cells
-    run in this process. An exception a cell raises propagates, the
-    first in cell order; a cell whose worker died is recomputed here,
-    once the pool is gone, so a pool fault costs a cold recomputation,
-    never the report."""
-    from ..sim.pool import WorkerPool
-    from ..sim.sweep import _default_workers, _parallel_enabled
-
-    workers = _default_workers(len(cells)) if _parallel_enabled() else 1
-    if workers < 2:
-        return [run_cell(cell) for cell in cells]
-    with WorkerPool(workers) as pool:
-        outcomes = pool.map(run_cell, cells)
-    entries = []
-    for cell, (entry, exc) in zip(cells, outcomes):
-        if isinstance(exc, BrokenProcessPool):
-            entry = run_cell(cell)
-        elif exc is not None:
-            raise exc
-        entries.append(entry)
-    return entries
-
-
-def _divergence_summary(clean_recording, clean_point, run,
-                        plan: FaultPlan, policy: str
-                        ) -> Dict[str, object]:
-    """Reduce a cell's diff-vs-clean to the campaign-report fields."""
-    from ..obs.diff import diff_recordings
-    from ..obs.recording import Recording
-    faulted = Recording.build(clean_point, run.recorder, run.result,
-                              halted=run.halted, fault_plan=plan,
-                              fault_policy=policy)
-    diff = diff_recordings(clean_recording, faulted)
-    first = diff["first_divergence"]
-    summary: Dict[str, object] = {
-        "identical": diff["identical"],
-        "counters_changed": len(diff["counters"]),
-        "cycles_delta": None if diff["cycles"] is None
-        else diff["cycles"]["delta"],
-    }
-    if first is not None:
-        side = first["b"] or first["a"]
-        summary["first_divergence"] = {
-            "index": first["index"],
-            "event": side["name"],
-            "category": side["category"],
-            "cycle": side["cycle"],
-            "cpu": side["cpu"],
-        }
-    return summary
 
 
 def verify_identity(config: Optional[SystemConfig] = None,
                     workload: str = "ocean", cpus: int = 4,
                     scale: float = 0.05,
                     seed: int = 0) -> Dict[str, object]:
-    """No-trigger injector on the run driver (``fork_point``) vs a
-    vanilla ``system.run``: must be bit-identical."""
-    from ..sim.checkpoint import fork_point
-    from ..sim.sweep import SweepPoint, build_system
-    from ..workloads.registry import generate
+    """A cell whose plan never fires (every hook runs, nothing ever
+    perturbs) vs a vanilla run: must be bit-identical."""
+    from ..sim.sweep import PointRunner, SweepPoint, run_point
 
     if config is None:
         config = campaign_config(cpus=cpus)
-    bench_workload = generate(workload, cpus, scale=scale, seed=seed)
-
-    vanilla = build_system(config).run(bench_workload)
-
-    # A plan whose trigger index the run never reaches: every hook
-    # fires, nothing ever perturbs.
-    plan = FaultPlan.single(FaultKind.DROP, trigger=1 << 40)
-    run = fork_point(SweepPoint(workload, config, scale=scale,
-                                seed=seed), None, bench_workload, plan=plan)
-    faulted = run.result
-
-    identical = (vanilla.cycles == faulted.cycles
-                 and list(vanilla.per_cpu_cycles)
-                 == list(faulted.per_cpu_cycles)
-                 and vanilla.stats == faulted.stats)
+    point = SweepPoint(workload, config, scale=scale, seed=seed)
+    vanilla = run_point(point)
+    faulted = PointRunner()(replace(point, plan=FaultPlan.single(
+        FaultKind.DROP, trigger=1 << 40)))[0]
     return {
-        "identical": identical,
+        "identical": replace(faulted, faults=None) == vanilla,
         "cycles": vanilla.cycles,
         "cycles_with_hooks": faulted.cycles,
-        "untriggered": len(plan) - run.scoreboard.injected,
+        "untriggered": 1 - faulted.faults["injected"],
     }

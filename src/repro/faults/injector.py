@@ -34,10 +34,10 @@ out of ``system.run``.
 Only the injector counts the fault streams (:meth:`FaultInjector.
 cursors`). A campaign's clean prefix runs under an empty-plan
 injector that pickles with the machine; a forked cell re-arms it
-(:meth:`FaultInjector.arm_on`). Faulted runs — campaign cells,
-``record_run`` with a plan, ``replay --perturb fault=...`` — execute
-through :func:`repro.sim.checkpoint.fork_point`, the one run driver,
-which arms the plan and reports a halting recovery.
+(:meth:`FaultInjector.arm_on`). Faulted runs — points with a plan:
+campaign cells, ``replay --perturb fault=...`` — execute through
+:func:`repro.sim.checkpoint.fork_point`, the one run driver, which
+arms the point's plan and reports a halting recovery.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ def stream_position(cursors: Dict[str, object], spec: FaultSpec) -> int:
     is measured against: the fault fires when it reaches
     ``spec.trigger``."""
     if spec.kind in FaultKind.BUS:
-        return cursors["stream"].get(spec.group_id, 0)
+        return cursors["stream"].get(str(spec.group_id), 0)
     if spec.kind == FaultKind.MERKLE_FLIP:
         return cursors["verify"]
-    return cursors["pad"].get(spec.cpu, 0)
+    return cursors["pad"].get(str(spec.cpu), 0)
 
 
 class FaultInjector:
@@ -203,9 +203,12 @@ class FaultInjector:
 
     def cursors(self) -> Dict[str, object]:
         """Events already seen per stream: protected messages per
-        group, pad consultations per CPU, hash-tree verifies."""
-        return {"stream": dict(self._stream_index),
-                "pad": dict(self._pad_index),
+        group, pad consultations per CPU, hash-tree verifies; keyed by
+        decimal strings, which a JSON round trip keeps."""
+        return {"stream": {str(group): count for group, count
+                           in self._stream_index.items()},
+                "pad": {str(cpu): count for cpu, count
+                        in self._pad_index.items()},
                 "verify": self._verify_index}
 
     # -- chain bookkeeping ---------------------------------------------

@@ -27,7 +27,8 @@ diff of a recording against its own unperturbed replay is empty
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import zip_longest
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .recording import Recording
 from .ring import TraceEvent
@@ -50,19 +51,16 @@ def _render(event: Optional[TraceEvent]) -> Optional[Dict[str, object]]:
             "args": converted["args"]}
 
 
-def _first_divergence(events_a: List[TraceEvent],
-                      events_b: List[TraceEvent]
+def _first_divergence(events_a: Iterable[TraceEvent],
+                      events_b: Iterable[TraceEvent]
                       ) -> Optional[Dict[str, object]]:
-    for index, (left, right) in enumerate(zip(events_a, events_b)):
+    """The first index where the streams differ, a stream that ended
+    first included (its side renders as None); stops there."""
+    for index, (left, right) in enumerate(zip_longest(events_a,
+                                                      events_b)):
         if left != right:
             return {"index": index, "a": _render(left),
                     "b": _render(right)}
-    if len(events_a) != len(events_b):
-        index = min(len(events_a), len(events_b))
-        left = events_a[index] if index < len(events_a) else None
-        right = events_b[index] if index < len(events_b) else None
-        return {"index": index, "a": _render(left),
-                "b": _render(right)}
     return None
 
 
@@ -177,6 +175,34 @@ def diff_recordings(a: Recording, b: Recording) -> Dict[str, object]:
         "counters": {} if identical else _counter_deltas(a, b),
         "histogram": _skew_histogram(events_a, events_b),
     }
+
+
+def divergence_summary(a: Recording, b: Recording) -> Dict[str, object]:
+    """The short form of :func:`diff_recordings` a fault campaign's
+    entries carry (its ``divergence``): identity, how many counters
+    changed, the cycle delta and the first divergent event. It skips
+    the phase and skew passes and stops reading the event streams at
+    the first divergence."""
+    identical = a.core_equal(b)
+    summary: Dict[str, object] = {
+        "identical": identical,
+        "counters_changed": 0 if identical
+        else len(_counter_deltas(a, b)),
+        "cycles_delta": None if a.cycles is None or b.cycles is None
+        else b.cycles - a.cycles,
+    }
+    first = None if identical \
+        else _first_divergence(a.events(), b.events())
+    if first is not None:
+        side = first["b"] or first["a"]
+        summary["first_divergence"] = {
+            "index": first["index"],
+            "event": side["name"],
+            "category": side["category"],
+            "cycle": side["cycle"],
+            "cpu": side["cpu"],
+        }
+    return summary
 
 
 def _event_line(side: Dict[str, object]) -> str:

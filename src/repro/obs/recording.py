@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -94,16 +95,21 @@ def _checksum(core: Dict[str, object]) -> str:
 
 
 def _plan_to_dict(plan, policy: Optional[str]) -> Dict[str, object]:
-    return {
-        "seed": plan.seed,
-        "policy": policy,
-        "specs": [{"kind": spec.kind, "trigger": spec.trigger,
-                   "group_id": spec.group_id, "cpu": spec.cpu,
-                   "victims": list(spec.victims),
-                   "claimed_pid": spec.claimed_pid,
-                   "label": spec.label}
-                  for spec in plan.specs],
-    }
+    """A fault plan and its recovery policy as JSON: a recording's
+    ``fault_plan``, and part of a faulted point's key."""
+    return {"seed": plan.seed, "policy": policy,
+            "specs": [{**asdict(spec), "victims": list(spec.victims)}
+                      for spec in plan.specs]}
+
+
+def _point_faults(payload: Dict[str, object]) -> Dict[str, object]:
+    """Inverse of :func:`_plan_to_dict`: a point's ``plan`` and
+    ``policy`` fields."""
+    from ..faults.plan import FaultPlan, FaultSpec
+    specs = tuple(FaultSpec(**{**spec, "victims": tuple(spec["victims"])})
+                  for spec in payload["specs"])
+    return {"plan": FaultPlan(specs=specs, seed=payload["seed"]),
+            "policy": payload["policy"]}
 
 
 class Recording:
@@ -124,7 +130,6 @@ class Recording:
     def build(cls, point, recorder: Recorder,
               result: Optional[SimulationResult],
               halted: Optional[str] = None,
-              fault_plan=None, fault_policy: Optional[str] = None,
               perturbation: Optional[Dict[str, str]] = None,
               timings: Optional[Dict[str, float]] = None
               ) -> "Recording":
@@ -150,8 +155,8 @@ class Recording:
                 "per_cpu_cycles": list(result.per_cpu_cycles),
                 "stats": dict(result.stats)},
             "halted": halted,
-            "fault_plan": None if fault_plan is None
-            else _plan_to_dict(fault_plan, fault_policy),
+            "fault_plan": None if point.plan is None
+            else _plan_to_dict(point.plan, point.policy),
             "perturbation": perturbation,
             "timings": dict(timings) if timings else {},
         }
@@ -268,14 +273,16 @@ class Recording:
 
     def point(self):
         """Rebuild the :class:`~repro.sim.sweep.SweepPoint` this
-        recording captured."""
+        recording captured, fault plan and policy included."""
         from ..config import config_from_dict
         from ..sim.sweep import SweepPoint
         workload = self.payload["workload"]
         config = config_from_dict(self.payload["config"])
+        fault_plan = self.payload.get("fault_plan")
+        faults = {} if fault_plan is None else _point_faults(fault_plan)
         return SweepPoint(workload=workload["name"], config=config,
                           scale=workload["scale"],
-                          seed=workload["seed"])
+                          seed=workload["seed"], **faults)
 
     def to_result(self) -> SimulationResult:
         """The recorded final result; raises for halted runs."""
@@ -302,7 +309,6 @@ class Recording:
 
 
 def record_run(point, snapshot_every: int = 1,
-               fault_plan=None, fault_policy: str = "rekey-replay",
                perturbation: Optional[Dict[str, str]] = None,
                timings: Optional[Dict[str, float]] = None
                ) -> Recording:
@@ -310,21 +316,20 @@ def record_run(point, snapshot_every: int = 1,
 
     The run goes through :func:`repro.sim.checkpoint.fork_point`
     (cold: no snapshot, no store), the driver fault-campaign cells and
-    recorded sweep points take too. A non-empty ``fault_plan``
+    recorded sweep points take too. A point with a fault plan
     additionally arms a
-    :class:`~repro.faults.injector.FaultInjector`; a ``halt``-policy
-    recovery that aborts the run is captured as a halted recording
-    (``result: null``) rather than raised. Pass ``timings`` (e.g.
+    :class:`~repro.faults.injector.FaultInjector` under its policy; a
+    ``halt``-policy recovery that aborts the run is captured as a
+    halted recording (``result: null``) rather than raised, and the
+    recording's fingerprint is the cell's key. Pass ``timings`` (e.g.
     ``PhaseTimer.as_dict()``) to embed wall-clock phases — they are
     excluded from the checksum and from diffs, but embedding them
     still breaks byte-identity between repeat recordings, so the
     default leaves them out.
     """
     from ..sim.checkpoint import fork_point
-    run = fork_point(point, None, recorded=True, plan=fault_plan,
-                     policy=fault_policy, snapshot_every=snapshot_every)
+    run = fork_point(point, None, recorded=True,
+                     snapshot_every=snapshot_every)
     return Recording.build(point, run.recorder, run.result,
-                           halted=run.halted, fault_plan=fault_plan,
-                           fault_policy=(None if fault_plan is None
-                                         else fault_policy),
-                           perturbation=perturbation, timings=timings)
+                           halted=run.halted, perturbation=perturbation,
+                           timings=timings)

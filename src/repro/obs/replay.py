@@ -79,27 +79,21 @@ def _fault_plan(value: str, num_cpus: int):
 
 
 def apply_perturbation(point, name: str, value: str):
-    """Return ``(perturbed_point, fault_plan_or_None)``."""
+    """Return the point with one knob changed; ``fault`` gives it a
+    fault plan under :data:`FAULT_REPLAY_POLICY`."""
     config = point.config
     if name == "auth_interval":
         return replace(point, config=config.with_auth_interval(
-            _as_int(name, value))), None
+            _as_int(name, value)))
     if name == "masks":
         masks = None if value.lower() in ("none", "perfect", "0") \
             else _as_int(name, value)
-        return replace(point, config=config.with_masks(masks)), None
-    if name == "aes_latency":
-        crypto = replace(config.crypto,
-                         aes_latency=_as_int(name, value))
-        return replace(point, config=replace(config, crypto=crypto)), \
-            None
-    if name == "hash_latency":
-        crypto = replace(config.crypto,
-                         hash_latency=_as_int(name, value))
-        return replace(point, config=replace(config, crypto=crypto)), \
-            None
+        return replace(point, config=config.with_masks(masks))
+    if name in ("aes_latency", "hash_latency"):
+        crypto = replace(config.crypto, **{name: _as_int(name, value)})
+        return replace(point, config=replace(config, crypto=crypto))
     if name == "seed":
-        return replace(point, seed=_as_int(name, value)), None
+        return replace(point, seed=_as_int(name, value))
     if name == "scale":
         try:
             scale = float(value)
@@ -107,9 +101,11 @@ def apply_perturbation(point, name: str, value: str):
             raise ConfigError(
                 f"perturbation scale needs a number, got {value!r}"
             ) from None
-        return replace(point, scale=scale), None
+        return replace(point, scale=scale)
     if name == "fault":
-        return point, _fault_plan(value, config.num_processors)
+        return replace(point,
+                       plan=_fault_plan(value, config.num_processors),
+                       policy=FAULT_REPLAY_POLICY)
     raise ConfigError(f"unknown perturbation {name!r}")
 
 
@@ -121,19 +117,18 @@ def replay_recording(recording: Recording,
 
     With ``perturb=None`` the replay is a pure determinism check: its
     recording must diff empty against the source (pinned by
-    tests/obs/test_replay_diff.py). The returned recording carries the
-    perturbation label so a diff report can name what changed.
+    tests/obs/test_replay_diff.py), a faulted source included — the
+    recording's point carries its fault plan and policy. The returned
+    recording carries the perturbation label so a diff report can name
+    what changed.
     """
     point = recording.point()
-    fault_plan = None
     perturbation = None
     if perturb is not None:
         name, value = parse_perturbation(perturb)
-        point, fault_plan = apply_perturbation(point, name, value)
+        point = apply_perturbation(point, name, value)
         perturbation = {"name": name, "value": value}
     if snapshot_every is None:
         snapshot_every = recording.snapshot_every
     return record_run(point, snapshot_every=snapshot_every,
-                      fault_plan=fault_plan,
-                      fault_policy=FAULT_REPLAY_POLICY,
                       perturbation=perturbation)

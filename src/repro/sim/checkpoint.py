@@ -18,8 +18,9 @@ per point. This module factors the shared part out:
   snapshot; forked results — and recordings taken through a forked
   run — are bit-identical to cold runs (pinned by
   tests/sim/test_checkpoint.py). :func:`fork_point` is the one run
-  driver — chain, sweep and serve points, fault-campaign cells and
-  ``record_run`` — and releases every machine it ran.
+  driver — chain, sweep and serve points, fault-campaign cells (which
+  never emit a snapshot) and ``record_run`` — and releases every
+  machine it ran.
 - :class:`CheckpointStore` is the disk-backed, LRU-bounded store next
   to the :class:`~repro.sim.sweep.ResultCache` (both are key and
   encoding schemes over one :class:`~repro.sim.store.BlobStore`);
@@ -30,12 +31,12 @@ per point. This module factors the shared part out:
 - :func:`run_forked` is what :class:`~repro.sim.sweep.PointRunner`
   calls for a forked or recorded point — in sweeps, chains and the
   serve plane alike: it picks the deepest valid stored snapshot
-  (:meth:`CheckpointStore.best`, the one selection rule) and forks
-  from it.
+  (:meth:`CheckpointStore.best`, the one selection rule; for a
+  campaign cell, the deepest the campaign's clean prefix stored
+  before its trigger) and forks from it.
 - :func:`start_state` is the one start rule — of :func:`fork_point`
-  and of the fault campaign's snapshotting clean prefix: restore the
-  chosen snapshot if it validates and restores, else start a fresh
-  machine.
+  and of that clean prefix: restore the chosen snapshot if it
+  validates and restores, else start a fresh machine.
 
 Soundness is checked, not assumed: a snapshot records a sha256
 digest of each CPU's *consumed trace prefix* (write flags, addresses,
@@ -128,16 +129,22 @@ def family_key(point: SweepPoint, recorded: bool = False) -> str:
     config) family share prefixes. ``recorded`` partitions the space:
     a snapshot taken with a Recorder attached carries the recorder
     inside the pickled machine, so it must never be forked into a
-    plain (unrecorded) run, and vice versa.
+    plain (unrecorded) run, and vice versa. ``armed`` (a point with a
+    fault plan, of any content) partitions it again: such snapshots
+    carry an injector, which a plain run must not inherit and a cell
+    must not lack (a fresh one counts its streams from zero).
     """
-    return content_key({
+    payload = {
         "engine": ENGINE_VERSION,
         "checkpoint": CHECKPOINT_VERSION,
         "workload": point.workload,
         "seed": point.seed,
         "recorded": bool(recorded),
         "config": config_to_dict(point.config),
-    })
+    }
+    if point.plan is not None:
+        payload["armed"] = True
+    return content_key(payload)
 
 
 def trace_digests(workload: Workload, cursors: Sequence[int]
@@ -396,13 +403,15 @@ class CheckpointStore(BlobStore):
                  for path in self._paths(f"{family}-")]
         return [meta for meta in metas if meta is not None]
 
-    def best(self, family: str, workload: Workload
+    def best(self, family: str, workload: Workload, plan=None
              ) -> Optional[MachineSnapshot]:
         """The deepest stored snapshot of ``family`` whose prefix
         validates against ``workload``, or None (run cold) — the one
         selection rule. Candidates (meta lines) are tried deepest first,
         ties broken by tag, and the first that validates *and* loads
-        wins; only its blob is read.
+        wins; only its blob is read. With a fault ``plan``, a candidate
+        whose injector cursors (its ``extra`` meta) are past some
+        spec's trigger is skipped: the fault must still be ahead.
 
         Validation is lazy: each check hashes the candidate's whole
         consumed prefix, so validating every candidate of a long scale
@@ -410,7 +419,14 @@ class CheckpointStore(BlobStore):
         the deepest candidate is the one that validates in every
         non-corrupt case anyway.
         """
-        for meta in sorted(self.metas(family), key=lambda meta: (
+        metas = self.metas(family)
+        if plan is not None:
+            from ..faults.injector import stream_position
+            # A cursor equal to the trigger still precedes the fault.
+            metas = [meta for meta in metas
+                     if all(stream_position(meta["extra"], spec)
+                            <= spec.trigger for spec in plan)]
+        for meta in sorted(metas, key=lambda meta: (
                 -int(meta.get("accesses", 0)), str(meta.get("tag")))):
             if validates_against(meta, workload):
                 snapshot = self.load(family, str(meta.get("tag")))
@@ -492,29 +508,31 @@ def fork_point(point: SweepPoint,
                snapshot: Optional[MachineSnapshot],
                workload: Optional[Workload] = None,
                store: Optional[CheckpointStore] = None,
-               recorded: bool = False, plan=None, policy: str = "halt",
+               recorded: bool = False,
                snapshot_every: int = 1) -> ForkOutcome:
     """Run ``point`` to completion, from ``snapshot`` if it validates,
     and release the machine: the one run driver.
 
     ``forked`` is False when the snapshot was absent, failed digest
     validation or failed to :func:`restore`, and the run went cold
-    (:func:`start_state`, which also attaches the recorder). A
-    non-empty fault ``plan`` is armed under ``policy``
+    (:func:`start_state`, which also attaches the recorder). The
+    point's fault ``plan`` is armed under its ``policy``
     (:meth:`~repro.faults.injector.FaultInjector.arm_on`), and a
     recovery that halts the run is reported as ``halted``; without a
     plan every error propagates.
 
     With a ``store``, a snapshot the run refused is quarantined there,
-    and a new snapshot is emitted at the run's first-trace-exhaustion
-    instant, tagged by this point's scale, extending the family's
-    prefix chain for larger scales — **unless** some cursor already
-    sits at its trace end when the run starts (e.g. resuming from this
-    scale's own seam snapshot): the run's next exhaustion event is
-    then a *later* one, not the family-shared seam, so emitting would
-    overwrite the valid same-tag snapshot with a state no cold run of
-    a larger scale ever passes through. In that case nothing is
-    emitted; the seam for this scale is already stored.
+    and — for a run without a plan, since a faulted state must never
+    enter a store — a new snapshot is emitted at the run's
+    first-trace-exhaustion instant, tagged by this point's scale,
+    extending the family's prefix chain for larger scales —
+    **unless** some cursor already sits at its trace end when the run
+    starts (e.g. resuming from this scale's own seam snapshot): the
+    run's next exhaustion event is then a *later* one, not the
+    family-shared seam, so emitting would overwrite the valid same-tag
+    snapshot with a state no cold run of a larger scale ever passes
+    through. In that case nothing is emitted; the seam for this scale
+    is already stored.
     """
     if workload is None:
         workload = _generate(point)
@@ -532,7 +550,7 @@ def fork_point(point: SweepPoint,
 
     emit = None
     emitted = []
-    if store is not None and not past_seam:
+    if store is not None and not past_seam and point.plan is None:
         def emit() -> None:
             store.store(capture(system, workload, point, clocks,
                                 cursors, counters,
@@ -543,9 +561,9 @@ def fork_point(point: SweepPoint,
     # Recorder first (fresh, or riding inside the snapshot), injector
     # second: its inject/detect events route through system._obs.
     injector = None
-    if plan:
+    if point.plan is not None:
         from ..faults.injector import FaultInjector
-        injector = FaultInjector.arm_on(system, plan, policy)
+        injector = FaultInjector.arm_on(system, point.plan, point.policy)
     result = halted = None
     try:
         _run_loop(system, workload, clocks, cursors, counters,
@@ -587,10 +605,10 @@ def run_chain(points: Sequence[SweepPoint], store: CheckpointStore,
     Returns ``[(result | None, seconds, error | None), ...]`` in
     input order.
     """
-    return PointRunner(
+    return [row[:3] for row in PointRunner(
         cache=cache, checkpoints=store,
         record_dir=None if record_dir is None else str(record_dir),
-    ).run_all(points)
+    ).run_all(points)]
 
 
 def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
@@ -609,21 +627,32 @@ def run_forked(point: SweepPoint, store: Optional[CheckpointStore],
     cold recorded run — and is published atomically to the
     :class:`~repro.sim.sweep.RecordingStore` in ``record_dir``, under
     the result cache's key.
+
+    A point with a fault plan forks only from before its triggers and
+    its result carries a ``faults`` section (``cycles == -1``: halted).
     """
     recorded = record_dir is not None
     workload = _generate(point)
     snapshot = None
     if store is not None:
         snapshot = store.best(family_key(point, recorded=recorded),
-                              workload)
+                              workload, plan=point.plan)
     outcome = fork_point(point, snapshot, workload=workload, store=store,
                          recorded=recorded)
     result = outcome.result
     if recorded:
         from ..obs.recording import Recording
-        recording = Recording.build(point, outcome.recorder, result)
+        recording = Recording.build(point, outcome.recorder, result,
+                                    halted=outcome.halted)
         RecordingStore(record_dir).store(point_key(point), recording)
-        result = recording.to_result()
+        if result is not None:
+            result = recording.to_result()
+    if point.plan is not None:
+        if result is None:
+            result = SimulationResult(point.workload, workload.num_cpus,
+                                      cycles=-1, per_cpu_cycles=[])
+        result.faults = {**outcome.scoreboard.as_dict(),
+                         "halted": outcome.halted}
     if store is None:
         return result, {}
     return result, {

@@ -1,4 +1,4 @@
-"""One worker pool for sweeps, fault campaigns and the serve plane.
+"""One worker pool for sweeps (fault campaigns too) and the serve plane.
 
 A worker that dies (OOM kill, segfault, chaos ``SIGKILL``) breaks a
 ``ProcessPoolExecutor`` for good: every in-flight future fails with
@@ -10,7 +10,7 @@ demand (forced, it kills a hung worker).
 
 The pool never retries a task and keeps no deadline: each caller
 keeps its own failure rule and the serve scheduler arms its own
-deadline timers (docs/resilience.md). Sweeps and campaigns use the
+deadline timers (docs/resilience.md). Sweeps use the
 platform-default context (``fork`` on Linux), so workers inherit the
 parent's trace memo; the server uses :func:`serve_context`.
 """

@@ -38,11 +38,13 @@ import threading
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
+from ..errors import TraceError
+
 T = TypeVar("T")
 
-#: what a corrupt file raises while being decoded
+#: what a corrupt file (a bad recording: TraceError) raises decoding
 DECODE_ERRORS = (OSError, ValueError, KeyError, TypeError,
-                 AttributeError)
+                 AttributeError, TraceError)
 
 
 def sha256(data: bytes) -> str:

@@ -19,12 +19,13 @@ table. This module runs such sweeps:
 
 Execution has one shape: a point runs through the one
 :class:`PointRunner` (plain, recorded, forked from a checkpoint, with
-or without a cache), a *unit* is an ordered list of points — a family
-chain with ``checkpoint_dir``, a single point otherwise — and every
-unit runs in this process or, one unit per task, on a fresh
-:class:`~repro.sim.pool.WorkerPool` per retry round (the one worker
-pool, shared with fault campaigns and the serve plane, whose workers
-run the same :class:`PointRunner`).
+a fault plan, with or without a cache), a *unit* is an ordered list of
+points — a family chain with ``checkpoint_dir``, a single point
+otherwise — and every unit runs in this process or, one unit per
+task, on a fresh :class:`~repro.sim.pool.WorkerPool` per retry round
+(the one worker pool, shared with the serve plane, whose workers run
+the same :class:`PointRunner`). A fault campaign's cells are points of
+one sweep.
 
 Cache invalidation rules: bump :data:`ENGINE_VERSION` whenever a change
 alters simulated *timing or statistics* (it is part of every key; stale
@@ -34,13 +35,9 @@ fails to read, parse, or checksum is *quarantined* — renamed to
 ``<key>.json.corrupt`` so it is inspectable but never re-read — and
 treated as a miss. Deleting the cache directory is always safe.
 
-The runner is crash-proof: a sweep point that raises (or, in parallel
-mode, whose worker dies) does not abort the sweep. Failed points are
-retried with exponential backoff up to ``retries`` times; completed
-points are cached before any failure is reported.
-``on_error="raise"`` (the default) raises
-:class:`~repro.errors.SweepError` carrying the per-point failures,
-``on_error="none"`` returns ``None`` placeholders in their slots.
+The runner is crash-proof: a point that raises or whose worker dies
+never aborts the sweep; it retries, then fails loudly
+(:func:`run_sweep`).
 
 Environment knobs:
 
@@ -54,20 +51,21 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, \
-    Tuple, Union
+    Set, Tuple, Union
 
 from ..config import SystemConfig, config_to_dict
-from ..errors import ConfigError, SweepError, TraceError
+from ..errors import ConfigError, SweepError
 from ..smp.metrics import SimulationResult, result_from_dict, \
     result_to_dict
 from .pool import WorkerPool
 from .store import BlobStore, sha256
 
 if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
     from .checkpoint import CheckpointStore
 
 #: Bump when a change alters simulated timing or statistics; cached
@@ -97,12 +95,16 @@ def content_key(payload: Dict[str, object]) -> str:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One independent simulation in a sweep."""
+    """One independent simulation in a sweep. An empty fault ``plan``
+    is *armed* (an injector rides along, nothing fires), a non-empty
+    one a fault cell recovering under ``policy``."""
 
     workload: str              # registry name (repro.workloads)
     config: SystemConfig
     scale: float = 1.0
     seed: int = 0
+    plan: Optional[FaultPlan] = None
+    policy: str = "halt"
 
     @cached_property
     def key(self) -> str:
@@ -111,14 +113,20 @@ class SweepPoint:
         of frozen configs and atoms, so the hash cannot go stale.
         ``dataclasses.replace`` builds a new point with a new key,
         equality and hashing ignore the cached value, and a pickled
-        point carries it (pool workers never recompute it)."""
-        return content_key({
+        point carries it (pool workers never recompute it). Plan and
+        policy are part of it only when there is a plan, so a plain
+        point keeps its key."""
+        payload = {
             "engine": ENGINE_VERSION,
             "workload": self.workload,
             "scale": self.scale,
             "seed": self.seed,
             "config": config_to_dict(self.config),
-        })
+        }
+        if self.plan is not None:
+            from ..obs.recording import _plan_to_dict
+            payload["fault_plan"] = _plan_to_dict(self.plan, self.policy)
+        return content_key(payload)
 
 
 def build_system(config: SystemConfig):
@@ -129,6 +137,12 @@ def build_system(config: SystemConfig):
             or config.memprotect.integrity_enabled):
         return build_secure_system(config)
     return SmpSystem(config)
+
+
+#: one point's outcome in a unit: (result | None, seconds, error | None,
+#: counters), as :meth:`PointRunner.run_all` returns it
+UnitRow = Tuple[Optional[SimulationResult], float, Optional[str],
+                Dict[str, int]]
 
 
 def run_point(point: SweepPoint) -> SimulationResult:
@@ -150,7 +164,8 @@ class SweepTimings:
     ``points_failed`` counts points with no result after all retries,
     ``points_retried`` counts points that needed more than one
     attempt, and ``cache_quarantined`` counts corrupt cache entries
-    renamed aside during this sweep.
+    renamed aside during this sweep. ``forked`` holds the keys of the
+    points that ran forked from a stored snapshot.
     """
 
     wall_s: float = 0.0
@@ -163,6 +178,7 @@ class SweepTimings:
     points_retried: int = 0
     cache_quarantined: int = 0
     workers: int = 0
+    forked: Set[str] = field(default_factory=set)
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -206,8 +222,10 @@ def backoff_delay(base_s: float, attempt: int, key: str,
 class PointRunner:
     """The one way a point executes, composed from the sweep options.
 
-    - no options: ``run_point`` (looked up as a module global, so
-      monkeypatched replacements are honored);
+    - no options and no fault plan: ``run_point`` (looked up as a
+      module global, so monkeypatched replacements are honored);
+    - a fault ``plan``: armed under ``policy``, the result carrying a
+      ``faults`` section; it forks but never emits a snapshot;
     - ``checkpoints`` (a :class:`~repro.sim.checkpoint.CheckpointStore`):
       fork from the deepest stored snapshot that validates against the
       point's traces and emit this point's seam snapshot for larger
@@ -243,7 +261,8 @@ class PointRunner:
             apply_worker_faults(point)
         start = time.perf_counter()
         counters: Dict[str, int] = {}
-        if self.checkpoints is None and self.record_dir is None:
+        if self.checkpoints is None and self.record_dir is None \
+                and point.plan is None:
             result = run_point(point)
         else:
             from .checkpoint import run_forked
@@ -253,21 +272,19 @@ class PointRunner:
             self.cache.store(point, result)
         return result, time.perf_counter() - start, counters
 
-    def run_all(self, points: Sequence[SweepPoint]
-                ) -> List[Tuple[Optional[SimulationResult], float,
-                                Optional[str]]]:
+    def run_all(self, points: Sequence[SweepPoint]) -> List[UnitRow]:
         """Run ``points`` in order, capturing each failure so one
-        point never aborts the rest; ``[(result | None, seconds,
-        error | None), ...]`` in input order."""
-        rows: List[Tuple[Optional[SimulationResult], float,
-                         Optional[str]]] = []
+        point never aborts the rest; one :data:`UnitRow` per point,
+        in input order."""
+        rows: List[UnitRow] = []
         for point in points:
             try:
-                result, seconds, _counters = self(point)
+                result, seconds, counters = self(point)
             except Exception as exc:
-                rows.append((None, 0.0, f"{type(exc).__name__}: {exc}"))
+                rows.append((None, 0.0, f"{type(exc).__name__}: {exc}",
+                             {}))
             else:
-                rows.append((result, seconds, None))
+                rows.append((result, seconds, None, counters))
         return rows
 
 
@@ -361,10 +378,7 @@ class RecordingStore(BlobStore):
     def _decode(handle) -> bytes:
         from ..obs.recording import Recording
         data = handle.read()
-        try:
-            Recording.loads(data)
-        except TraceError as exc:
-            raise ValueError(str(exc)) from None
+        Recording.loads(data)
         return data
 
     def store(self, key: str, recording) -> None:
@@ -374,6 +388,13 @@ class RecordingStore(BlobStore):
         """The verified bytes of ``key``'s recording, or None when it
         is absent or failed verification (and was quarantined)."""
         return self._read(self._path(key), self._decode)
+
+    def load(self, key: str):
+        """``key``'s verified :class:`~repro.obs.recording.Recording`,
+        or None, as :meth:`load_bytes`."""
+        from ..obs.recording import Recording
+        return self._read(self._path(key),
+                          lambda handle: Recording.loads(handle.read()))
 
 
 def _default_workers(num_points: int) -> int:
@@ -394,13 +415,15 @@ def _family_units(points: Sequence[SweepPoint],
     (everything but scale) in first-seen order; within a unit the
     scale ordering is what makes each point's first-exhaustion
     snapshot the next point's warm prefix. ``point_key`` breaks scale
-    ties deterministically.
+    ties deterministically. A point with a fault plan emits no
+    snapshot, so nothing follows it: it is a unit of its own.
     """
     from .checkpoint import family_key
     units: Dict[str, List[SweepPoint]] = {}
     for point in points:
-        units.setdefault(family_key(point, recorded=recorded),
-                         []).append(point)
+        unit = point.key if point.plan is not None \
+            else family_key(point, recorded=recorded)
+        units.setdefault(unit, []).append(point)
     return [sorted(unit, key=lambda p: (p.scale, point_key(p)))
             for unit in units.values()]
 
@@ -452,7 +475,7 @@ def run_sweep(points: Sequence[SweepPoint],
     the deepest stored snapshot that validates against its traces
     instead of re-simulating the shared warm-up, and results stay
     bit-identical to cold runs (docs/checkpointing.md). Parallelism is
-    then across chains.
+    then across chains; ``timings.forked`` gets the forked points' keys.
     """
     if on_error not in ("raise", "none"):
         raise ConfigError(
@@ -540,20 +563,24 @@ def run_sweep(points: Sequence[SweepPoint],
                     outcomes = pool.map(runner.run_all, units)
                 unit_rows = [
                     rows if exc is None else
-                    [(None, 0.0, f"{type(exc).__name__}: {exc}")]
+                    [(None, 0.0, f"{type(exc).__name__}: {exc}", {})]
                     * len(unit)
                     for unit, (rows, exc) in zip(units, outcomes)]
             else:
                 unit_rows = [runner.run_all(unit) for unit in units]
             remaining = {}
             for unit, rows in zip(units, unit_rows):
-                for point, (result, seconds, error) in zip(unit, rows):
+                for point, (result, seconds, error, counters) in zip(
+                        unit, rows):
                     key = point_key(point)
                     attempts[key] = attempts.get(key, 0) + 1
                     if error is None:
                         point_seconds.append(seconds)
                         results[key] = result
                         failures.pop(key, None)
+                        if timings is not None and \
+                                counters.get("serve.checkpoint_hits"):
+                            timings.forked.add(key)
                         continue
                     failures[key] = SweepPointFailure(
                         index=first_index[key],

@@ -25,6 +25,8 @@ class SimulationResult:
     cycles: int                       # completion time (max over CPUs)
     per_cpu_cycles: List[int]
     stats: Dict[str, int] = field(default_factory=dict)
+    #: a fault run's scoreboard dict plus ``halted`` (then cycles -1)
+    faults: Optional[Dict[str, object]] = None
 
     @property
     def total_bus_transactions(self) -> int:
@@ -55,12 +57,16 @@ class SimulationResult:
 
 def result_to_dict(result: SimulationResult) -> Dict[str, object]:
     """The JSON form of a result: the result cache's entries and the
-    serve API's result rows (docs/serving.md) both use it."""
-    return {"workload": result.workload,
-            "num_cpus": result.num_cpus,
-            "cycles": result.cycles,
-            "per_cpu_cycles": list(result.per_cpu_cycles),
-            "stats": dict(result.stats)}
+    serve API's result rows (docs/serving.md) both use it. The
+    ``faults`` section is written only when present."""
+    payload = {"workload": result.workload,
+               "num_cpus": result.num_cpus,
+               "cycles": result.cycles,
+               "per_cpu_cycles": list(result.per_cpu_cycles),
+               "stats": dict(result.stats)}
+    if result.faults is not None:
+        payload["faults"] = result.faults
+    return payload
 
 
 def result_from_dict(payload) -> Optional[SimulationResult]:
@@ -71,7 +77,8 @@ def result_from_dict(payload) -> Optional[SimulationResult]:
                             num_cpus=payload["num_cpus"],
                             cycles=payload["cycles"],
                             per_cpu_cycles=list(payload["per_cpu_cycles"]),
-                            stats=dict(payload["stats"]))
+                            stats=dict(payload["stats"]),
+                            faults=payload.get("faults"))
 
 
 def slowdown_percent(baseline: SimulationResult,

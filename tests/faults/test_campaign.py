@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.config import e6000_config
-from repro.errors import ReproError
+from repro.errors import ReproError, SweepError
 from repro.faults import FaultKind
 from repro.faults.campaign import default_spec, run_campaign
 from repro.sim import checkpoint
@@ -140,31 +140,52 @@ def test_pool_report_equals_the_serial_one(config, fork, record_diff,
     assert pooled == serial_report(monkeypatch, **kwargs)
 
 
-def test_a_dead_worker_cell_is_recomputed_here(config, monkeypatch,
-                                               tmp_path):
-    """A cell whose worker process dies mid-run is recomputed in this
-    process: the report is the serial one, and the pool is gone."""
+def killing_fork_point(monkeypatch, dies):
+    """Monkeypatch the run driver so that the ``(drop, halt)`` cell
+    kills the pool worker it runs in while ``dies()`` is true."""
     parent = os.getpid()
-    died = tmp_path / "died"
-    recomputed = []
     real_fork_point = checkpoint.fork_point
 
     def fork_point(point, snapshot, workload, **kwargs):
-        cell = (kwargs["plan"].specs[0].kind, kwargs["policy"])
-        if cell == (FaultKind.DROP, "halt"):
-            if os.getpid() != parent:
-                died.touch()
-                os._exit(3)
-            recomputed.append(cell)
+        cell = (point.plan.specs[0].kind, point.policy)
+        if cell == (FaultKind.DROP, "halt") and os.getpid() != parent \
+                and dies():
+            os._exit(3)
         return real_fork_point(point, snapshot, workload, **kwargs)
 
     monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
     monkeypatch.setattr(checkpoint, "fork_point", fork_point)
+
+
+def test_a_cell_whose_worker_dies_once_is_retried(config, monkeypatch,
+                                                  tmp_path):
+    """A cell whose worker process dies mid-run is retried by
+    ``run_sweep`` on a fresh pool: the report is the serial one, and
+    no worker outlives the campaign."""
+    died = tmp_path / "died"
+
+    def dies_once():
+        if died.exists():
+            return False
+        died.touch()
+        return True
+
+    killing_fork_point(monkeypatch, dies_once)
     report = run_campaign(config=config, **CELLS)
     assert died.exists()
-    assert recomputed == [(FaultKind.DROP, "halt")]
     assert multiprocessing.active_children() == []
     assert report == serial_report(monkeypatch, config=config, **CELLS)
+
+
+def test_a_cell_that_kills_every_worker_fails_loudly(config,
+                                                     monkeypatch):
+    """A cell that kills every worker it runs in exhausts the sweep's
+    retries and raises ``SweepError`` naming the cell; it never runs
+    in this process, which survives, and no worker outlives it."""
+    killing_fork_point(monkeypatch, lambda: True)
+    with pytest.raises(SweepError, match="drop/halt"):
+        run_campaign(config=config, **CELLS)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_cell_error_propagates(config, monkeypatch):

@@ -1,5 +1,7 @@
 """Perturbation replays and structured recording diffs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import KB, e6000_config
@@ -8,7 +10,7 @@ from repro.obs import (PERTURBATIONS, apply_perturbation,
                        diff_recordings, format_diff,
                        parse_perturbation, record_run,
                        replay_recording)
-from repro.sim.sweep import SweepPoint
+from repro.sim.sweep import SweepPoint, point_key
 
 
 def _point(scale=0.02):
@@ -48,19 +50,19 @@ class TestParsePerturbation:
 
 class TestApplyPerturbation:
     def test_auth_interval(self):
-        perturbed, plan = apply_perturbation(_point(),
-                                             "auth_interval", "32")
+        perturbed = apply_perturbation(_point(), "auth_interval", "32")
         assert perturbed.config.senss.auth_interval == 32
-        assert plan is None
+        assert perturbed.plan is None
 
     def test_masks_none_means_perfect(self):
-        perturbed, _ = apply_perturbation(_point(), "masks", "none")
+        perturbed = apply_perturbation(_point(), "masks", "none")
         assert perturbed.config.senss.num_masks is None
 
     def test_fault_yields_plan(self):
-        perturbed, plan = apply_perturbation(_point(), "fault",
-                                             "drop:5")
-        assert perturbed == _point()
+        perturbed = apply_perturbation(_point(), "fault", "drop:5")
+        plan = perturbed.plan
+        assert replace(perturbed, plan=None, policy="halt") == _point()
+        assert perturbed.policy == "rekey-replay"
         assert len(plan) == 1
         assert plan.specs[0].kind == "drop"
         assert plan.specs[0].trigger == 5
@@ -112,6 +114,21 @@ class TestDiff:
         assert report["identical"] is False
         side = report["first_divergence"]["b"]
         assert side["name"] == "fault_inject"
+
+    def test_a_faulted_recording_replays_with_its_fault(self):
+        """A fault-perturbed recording's point carries its plan and
+        policy: its fingerprint is that cell's key, and an unperturbed
+        replay of it re-runs the fault and diffs empty."""
+        faulted = replay_recording(record_run(_point()),
+                                   perturb="fault=drop:20")
+        cell = faulted.point()
+        assert cell.plan.specs[0].trigger == 20
+        assert cell.policy == "rekey-replay"
+        assert faulted.fingerprint == point_key(cell) \
+            != point_key(_point())
+        again = replay_recording(faulted)
+        assert again.fingerprint == faulted.fingerprint
+        assert diff_recordings(faulted, again)["identical"] is True
 
     def test_diff_survives_length_mismatch(self):
         source = record_run(_point())

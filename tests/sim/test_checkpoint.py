@@ -12,6 +12,7 @@ import io
 import os
 import pickle
 import pickletools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,8 @@ from repro.config import e6000_config
 from repro.errors import CheckpointError, ConfigError, ReproError
 from repro.faults import (HALT, POLICIES, REKEY_REPLAY, FaultInjector,
                           FaultKind, FaultPlan)
-from repro.faults.campaign import (_pick_snapshot, _simulate_prefix,
-                                   campaign_config, default_spec,
-                                   run_campaign)
+from repro.faults.campaign import (_simulate_prefix, campaign_config,
+                                   default_spec, run_campaign)
 from repro.obs.recording import Recording, record_run
 from repro.sim import checkpoint
 from repro.sim.checkpoint import (CHECKPOINT_VERSION, CheckpointStore,
@@ -780,7 +780,7 @@ class TestCampaignFork:
         assert len(cells) == 2 and cells[0]["triggered"]
         assert cells[0] == cells[1]
 
-    def test_forked_injector_starts_at_the_cold_cursors(self):
+    def test_forked_injector_starts_at_the_cold_cursors(self, tmp_path):
         """A restored prefix snapshot carries the prefix injector
         (labelled with its cursors). Re-armed with a cell's plan, it
         holds the cursors, MAC chains and MAC checkpoints a cold
@@ -791,8 +791,12 @@ class TestCampaignFork:
         workload = generate("fft", 2, scale=0.02)
         specs = [default_spec(kind, 2, deep_trigger(kind))
                  for kind in FaultKind.ALL]
-        snapshots, _ = _simulate_prefix(workload, target, specs,
-                                        record_diff=False)
+        store = CheckpointStore(tmp_path)
+        _simulate_prefix(workload, target, specs, record_diff=False,
+                         store=store)
+        family = family_key(replace(target, plan=FaultPlan()))
+        snapshots = [store.load(family, meta["tag"])
+                     for meta in store.metas(family)]
         assert len(snapshots) > 1
         never = FaultPlan.single(FaultKind.DROP, trigger=1 << 40)
         for snapshot in snapshots:
@@ -862,7 +866,7 @@ DRIVER_PLANS = {
 
 
 @pytest.fixture(scope="module")
-def driver_references():
+def driver_references(tmp_path_factory):
     """The fft campaign point, its workload, the campaign prefix's
     snapshots (plain and recorded), and per plan the cold reference
     ``(result, halted, scoreboard, recording bytes)``: result, halt
@@ -871,9 +875,12 @@ def driver_references():
     target = SweepPoint("fft", campaign_config(cpus=2), scale=0.02)
     workload = generate("fft", 2, scale=0.02)
     firing = DRIVER_PLANS["halting"].specs
-    snapshots = {recorded: _simulate_prefix(workload, target, firing,
-                                            record_diff=recorded)[0]
-                 for recorded in (False, True)}
+    stores = {recorded: CheckpointStore(
+                  tmp_path_factory.mktemp(f"prefix-{recorded}"))
+              for recorded in (False, True)}
+    for recorded, store in stores.items():
+        _simulate_prefix(workload, target, firing, record_diff=recorded,
+                         store=store)
     references = {}
     for name, plan in DRIVER_PLANS.items():
         system = build_system(target.config)
@@ -886,12 +893,12 @@ def driver_references():
             halted = f"{type(exc).__name__}: {exc}"
         scoreboard = None if injector is None \
             else injector.finalize().as_dict()
-        recording = record_run(target, fault_plan=plan,
-                               fault_policy=HALT).to_bytes()
+        recording = record_run(replace(target, plan=plan,
+                                       policy=HALT)).to_bytes()
         references[name] = (result, halted, scoreboard, recording)
     assert references["halting"][1] is not None
     assert_same_result(references["none"][0], run_point(target))
-    return target, workload, snapshots, references
+    return target, workload, stores, references
 
 
 class TestOneDriver:
@@ -906,17 +913,20 @@ class TestOneDriver:
         recorded; with no plan, a plan that never fires or one that
         halts: result, halt, scoreboard and recording bytes all equal
         the cold reference."""
-        target, workload, snapshots, references = driver_references
+        target, workload, stores, references = driver_references
         plan = DRIVER_PLANS[plan_name]
         snapshot = None
         if start != "cold":
-            snapshot = _pick_snapshot(snapshots[recorded],
-                                      DRIVER_PLANS["halting"].specs[0])
+            halting = DRIVER_PLANS["halting"]
+            snapshot = stores[recorded].best(
+                family_key(replace(target, plan=halting),
+                           recorded=recorded), workload, plan=halting)
             assert snapshot is not None
             if start == "refused":
                 snapshot = tampered(snapshot, _RunsShell("false"))
-        outcome = fork_point(target, snapshot, workload=workload,
-                             recorded=recorded, plan=plan, policy=HALT)
+        cell = replace(target, plan=plan, policy=HALT)
+        outcome = fork_point(cell, snapshot, workload=workload,
+                             recorded=recorded)
         result, halted, scoreboard, recording = references[plan_name]
         assert outcome.forked == (start == "forked")
         assert not outcome.emitted
@@ -929,12 +939,67 @@ class TestOneDriver:
                               else outcome.scoreboard.as_dict())
         if recorded:
             assert Recording.build(
-                target, outcome.recorder, outcome.result,
-                halted=outcome.halted, fault_plan=plan,
-                fault_policy=None if plan is None else HALT,
-            ).to_bytes() == recording
+                cell, outcome.recorder, outcome.result,
+                halted=outcome.halted).to_bytes() == recording
         else:
             assert outcome.recorder is None
+
+
+class TestArmedSnapshots:
+    def test_best_never_returns_a_snapshot_past_the_trigger(
+            self, tmp_path):
+        """Prefix snapshots read back from a store (their cursors
+        through a JSON meta): for a plan, ``best`` returns the deepest
+        one whose injector has not yet reached the trigger, read off
+        the restored machine's injector rather than off the meta."""
+        target = SweepPoint("fft", campaign_config(cpus=2), scale=0.02)
+        workload = generate("fft", 2, scale=0.02)
+        trigger = deep_trigger(FaultKind.DROP)
+        plan = FaultPlan.single(FaultKind.DROP, trigger=trigger)
+        store = CheckpointStore(tmp_path)
+        _simulate_prefix(workload, target, plan.specs, record_diff=False,
+                         store=store)
+        family = family_key(replace(target, plan=plan))
+        position = {}
+        for meta in store.metas(family):
+            system = restore(store.load(family, meta["tag"]))[0]
+            injector = FaultInjector.attached_to(system)
+            position[meta["accesses"]] = injector._stream_index.get(0, 0)
+            system.release()
+        assert max(position.values()) > trigger
+        chosen = store.best(family, workload, plan=plan)
+        assert chosen.accesses == max(
+            accesses for accesses, seen in position.items()
+            if seen <= trigger)
+
+    def test_plain_and_faulted_runs_never_fork_from_each_other(
+            self, tmp_path):
+        """A plain point never forks from an armed (injector-carrying)
+        snapshot and a cell never forks from a plain one; each forks
+        from its own kind, to the cold result."""
+        config = campaign_config(cpus=2)
+        small, large = (SweepPoint("radix", config, scale=scale)
+                        for scale in (0.02, 0.04))
+        plan = FaultPlan.single(FaultKind.DROP, trigger=1 << 40)
+        cell = replace(large, plan=plan)
+        plain = CheckpointStore(tmp_path / "plain")
+        PointRunner(checkpoints=plain)(small)   # stores its seam
+        armed = CheckpointStore(tmp_path / "armed")
+        _simulate_prefix(generate("radix", 2, scale=0.04), large,
+                         plan.specs, record_diff=False, store=armed)
+
+        def run(store, target):
+            result, _seconds, counters = \
+                PointRunner(checkpoints=store)(target)
+            return result, counters["serve.checkpoint_hits"]
+
+        assert run(plain, cell)[1] == 0
+        assert run(armed, large)[1] == 0
+        forked_cell, hits = run(armed, cell)
+        assert hits == 1 and forked_cell == PointRunner()(cell)[0]
+        forked_plain, hits = run(plain, large)
+        assert hits == 1
+        assert_same_result(forked_plain, run_point(large))
 
 
 def serve_runner(root):

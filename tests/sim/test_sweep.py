@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import e6000_config
+from repro.faults.plan import FaultKind, FaultPlan
 from repro.sim import sweep
 from repro.sim.checkpoint import family_key
 from repro.sim.sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
@@ -87,6 +88,21 @@ class TestKeyIdentity:
          "afaf0d2f6d52bbdbe96d4d6ca4a6098b94bc8bdd2c5e86dac82fbd8aaeb27fc0",
          "7fb95cc228821c831f796bfca0b129701093ddf771f7b03ae98a91cb863bc9de",
          "480c4c7a46bf38abfe8babb4278611ec540e5b1e25d95dedf32a43965bfee1d8"),
+        # a campaign cell: plan and policy join the point key, and the
+        # family key carries the "armed" flag but no plan or policy
+        (SweepPoint("radix", e6000_config(2, 1), 0.5, 0,
+                    plan=FaultPlan.single(FaultKind.DROP, trigger=300),
+                    policy="rekey-replay"),
+         "c89e47b4abc65a129e8ce5b9fb6d0c4013b0cc13f7853fb17a05710c65ef7cd8",
+         "e731f8f80dc461c3115689b5c65506d5a5eda76b85c1666e33c66928edd2a807",
+         "e3b821ba65dd27bbbd9e0f26458e2b65a661576691e3ffd7dc2f7f9125318306"),
+        # an armed point: a campaign's fault-free prefix (empty plan)
+        (SweepPoint("barnes", e6000_config(4, 1).with_memprotect(
+            encryption_enabled=True, integrity_enabled=True), 0.5, 0,
+            plan=FaultPlan()),
+         "7367af5d9e634d9815f3b1e3b26324cf7568748b64cea31923edd35a3de0fcfb",
+         "8bdb529a56af4391966505fcd0a2d114c4f1b40ea3435d033a81009c0d2a1365",
+         "a6cdeddac71d430927bd42e2abcd6f60d274d359e99c7351f90d7e8ca555b6b1"),
     ]
 
     @pytest.mark.parametrize("row", ROWS,

@@ -238,6 +238,20 @@ def test_record_replay_diff_workflow(tmp_path, capsys):
     assert payload["perturbation"]["name"] == "auth_interval"
 
 
+def test_a_faulted_replay_replays_its_fault(tmp_path):
+    """A recording made by a ``--perturb fault=...`` replay carries its
+    fault: an unperturbed ``--diff`` replay of it re-runs the fault
+    and exits 0 (a pure determinism check)."""
+    base = tmp_path / "base.rec.json"
+    faulted = tmp_path / "faulted.rec.json"
+    assert main(["record", "fft", "--cpus", "2", "--scale", "0.02",
+                 "--interval", "10", "--out", str(base)]) == 0
+    assert main(["replay", str(base), "--perturb", "fault=drop:20",
+                 "--out", str(faulted)]) == 0
+    assert main(["replay", str(faulted), "--diff",
+                 "--out", str(tmp_path / "again.rec.json")]) == 0
+
+
 def test_diff_identical_recordings_exit_zero(tmp_path, capsys):
     first = tmp_path / "a.rec.json"
     second = tmp_path / "b.rec.json"
